@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,7 +110,16 @@ def load_config(path: str | None) -> dict:
                 cfg[key][sub] = sval
         else:
             cfg[key] = val
+    delays = cfg["scan_delays_fs"]
+    if not isinstance(delays, list) or not delays or not all(map(_finite, delays)):
+        raise ConfigError("scan_delays_fs must be a non-empty list of finite numbers")
+    if not (_finite(cfg["visibility_zero_delay"]) and 0 <= cfg["visibility_zero_delay"] <= 1):
+        raise ConfigError("visibility_zero_delay must be a number in [0, 1]")
     return cfg
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def build_apparatus(cfg: dict) -> Apparatus:
@@ -138,7 +148,7 @@ def build_rates(cfg: dict) -> RateModel:
             dark_count_rate=r.get("dark_count_rate", 0.0),
             coincidence_window=r.get("coincidence_window_s", 3e-9),
         )
-    except (KeyError, StateError) as exc:
+    except (KeyError, TypeError, StateError) as exc:
         raise ConfigError(f"bad rates config: {exc}") from exc
 
 
@@ -332,6 +342,15 @@ def main(argv=None) -> int:
         )
         return EXIT_USAGE
 
+    for ok, problem in (
+        (args.seed >= 0, "--seed must be nonnegative"),
+        (0 < args.time < math.inf, "--time must be positive and finite"),
+        (math.isfinite(args.delay), "--delay must be finite"),
+    ):
+        if not ok:
+            print(f"error: {problem}", file=sys.stderr)
+            return EXIT_USAGE
+
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -342,13 +361,10 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         RUNNERS[args.scenario](cfg, args, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PostselectionError as exc:
         print(f"physically impossible: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except StateError as exc:
+    except (ConfigError, StateError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -23,9 +23,10 @@ import numpy as np
 
 from .elements import DelayElement, PbsElement, apply_pbs, dephase_by_distinguishability, distinguishability
 from .states import (
+    POLS,
     PureState,
     StateError,
-    detection_amplitude,
+    analyzer_overlap,
     spdc_pair,
     tensor,
 )
@@ -76,7 +77,8 @@ def default_apparatus(pbs_error: float = 0.0) -> Apparatus:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Per-detector analyzer angles in degrees; None means pass-through."""
+    """Per-detector analyzer angles in degrees. A None or missing angle is
+    analysed at 0 degrees, with outcomes labelled "+"/"-" instead of "H"/"V"."""
 
     angles: Mapping[str, float | None]
 
@@ -115,14 +117,16 @@ class RateModel:
     coincidence_window: float = 3e-9
 
     def __post_init__(self):
-        if self.fourfold_rate_desired < 0 or self.background_fourfold_rate < 0:
-            raise StateError("rates must be nonnegative")
+        # negated range tests, so that NaN fails them too
+        for rate in (self.fourfold_rate_desired, self.background_fourfold_rate):
+            if not 0 <= rate < math.inf:
+                raise StateError("rates must be finite and nonnegative")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise StateError("detector efficiency must lie in (0, 1]")
-        if self.dark_count_rate < 0:
-            raise StateError("dark count rate must be nonnegative")
-        if self.coincidence_window <= 0:
-            raise StateError("coincidence window must be positive")
+        if not 0 <= self.dark_count_rate < math.inf:
+            raise StateError("dark count rate must be finite and nonnegative")
+        if not 0 < self.coincidence_window < math.inf:
+            raise StateError("coincidence window must be finite and positive")
 
     def effective_fourfold_rate(self) -> float:
         return self.fourfold_rate_desired * self.detector_efficiency**4
@@ -183,39 +187,6 @@ def ghz_after_postselection(
     return postselect_fourfold(state, apparatus.mode_order())
 
 
-def _branch_mixture(
-    state: PureState, visibility: float
-) -> list[tuple[float, PureState]]:
-    """Two-branch phase-flip mixture with the given interference visibility."""
-    kets = state.kets()
-    if len(kets) == 1 or visibility >= 1.0:
-        return [(1.0, state)]
-    if len(kets) != 2:
-        raise StateError("dephasing expects at most two branches")
-    k0, k1 = kets
-    flipped = PureState(state.photons, {k0: state.amps[k0], k1: -state.amps[k1]})
-    w = (1.0 + visibility) / 2.0
-    return [(w, state), (1.0 - w, flipped)]
-
-
-def _outcomes(apparatus: Apparatus, setting: MeasurementSetting):
-    """Iterate (key, angles, branches) over all analyzer outcome combinations."""
-    dets = apparatus.detector_ids()
-    per_det = []
-    for d in dets:
-        ang = setting.angle(d)
-        lab = MeasurementSetting.labels(ang)
-        eff_ang = 0.0 if ang is None else ang
-        per_det.append(
-            [(lab[0], eff_ang, "pass"), (lab[1], eff_ang, "reject")]
-        )
-    for combo in itertools.product(*per_det):
-        key = "".join(sym for sym, _, _ in combo)
-        angles = [a for _, a, _ in combo]
-        branches = [b for _, _, b in combo]
-        yield key, angles, branches
-
-
 def exact_outcome_probabilities(
     apparatus: Apparatus,
     setting: MeasurementSetting,
@@ -228,8 +199,11 @@ def exact_outcome_probabilities(
 
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
     Monte Carlo engine passes the element's configured rate; the exact path
-    defaults to the ideal PBS).
+    defaults to the ideal PBS). The sparse algebra builds each post-selected
+    state; one dense contraction with the analyzers gives all probabilities.
     """
+    if not 0.0 <= v0 <= 1.0:
+        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
     d = 1.0 if delay is None else distinguishability(delay)
     vis = d * v0
     err = 0.0 if pbs_error is None else pbs_error
@@ -242,34 +216,53 @@ def exact_outcome_probabilities(
                 if mode in in_modes:
                     pbs_photons.append(ph)
 
+    # with an ideal PBS this is the single pattern (1.0, frozenset())
     patterns: list[tuple[float, frozenset]] = []
-    if err == 0.0:
-        patterns.append((1.0, frozenset()))
-    else:
-        for r in range(len(pbs_photons) + 1):
-            for subset in itertools.combinations(pbs_photons, r):
-                w = err ** len(subset) * (1 - err) ** (len(pbs_photons) - len(subset))
-                patterns.append((w, frozenset(subset)))
+    for r in range(len(pbs_photons) + 1):
+        for subset in itertools.combinations(pbs_photons, r):
+            w = err ** len(subset) * (1 - err) ** (len(pbs_photons) - len(subset))
+            patterns.append((w, frozenset(subset)))
 
     mode_order = apparatus.mode_order()
-    totals = {key: 0.0 for key, _, _ in _outcomes(apparatus, setting)}
+    vectors: list[np.ndarray] = []
+    weights: list[float] = []
     total_mass = 0.0
     for w_pat, flipped in patterns:
         try:
             state, p_sel = ghz_after_postselection(apparatus, flipped)
         except PostselectionError:
             continue
-        mixture = _branch_mixture(state, vis)
-        total_mass += w_pat * p_sel
-        for key, angles, branches in _outcomes(apparatus, setting):
-            p = sum(
-                wb * abs(detection_amplitude(psi, mode_order, angles, branches)) ** 2
-                for wb, psi in mixture
-            )
-            totals[key] += w_pat * p_sel * p
+        w = w_pat * p_sel
+        total_mass += w
+        psi = state.dense(mode_order)
+        if len(state.amps) == 1 or vis >= 1.0:
+            vectors.append(psi)
+            weights.append(w)
+        elif len(state.amps) == 2:
+            phi = psi.copy()
+            phi[np.flatnonzero(phi)[-1]] *= -1  # flip the relative sign of the branches
+            w_branch = (1.0 + vis) / 2.0
+            vectors += [psi, phi]
+            weights += [w * w_branch, w * (1.0 - w_branch)]
+        else:
+            raise StateError("dephasing expects at most two branches")
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
-    return {k: v / total_mass for k, v in totals.items()}
+
+    analyzers, labels = [], []
+    for det in apparatus.detector_ids():
+        ang = setting.angle(det)
+        labels.append(MeasurementSetting.labels(ang))
+        ang = 0.0 if ang is None else ang
+        analyzers.append([[analyzer_overlap(p, ang, b) for p in POLS] for b in ("pass", "reject")])
+    # Kronecker product of the 2x2 analyzers (rows pass/reject, columns H/V),
+    # built by one einsum: a chain of np.kron costs several times more
+    n = len(analyzers)
+    operands = [x for i, a in enumerate(analyzers) for x in (a, (i, n + i))]
+    kron = np.einsum(*operands, range(2 * n)).reshape(2**n, 2**n)
+    probs = np.asarray(weights) @ np.abs(np.stack(vectors) @ kron.T) ** 2
+    keys = ("".join(combo) for combo in itertools.product(*labels))
+    return {key: float(p) / total_mass for key, p in zip(keys, probs)}
 
 
 def monte_carlo_counts(
@@ -385,11 +378,3 @@ def write_counts_csv(path, table: CountTable) -> None:
         w.writerow(["outcome", "count", "integration_time_s", "seed"])
         for key in sorted(table.counts):
             w.writerow([key, table.counts[key], table.integration_time, table.seed])
-
-
-def write_probabilities_csv(path, probs: Mapping[str, float]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["outcome", "probability"])
-        for key in sorted(probs):
-            w.writerow([key, f"{probs[key]:.12g}"])

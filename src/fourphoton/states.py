@@ -325,9 +325,6 @@ class DensityMatrix:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def basis(self) -> list[tuple]:
-        return list(itertools.product(POLS, repeat=len(self.modes)))
-
     def validate(self, tol: float = NORM_TOL) -> None:
         m = self.matrix
         if np.max(np.abs(m - m.conj().T)) > tol:

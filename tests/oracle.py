@@ -77,3 +77,41 @@ def pair_correlation_dense(rho: np.ndarray, angle_a: float, angle_b: float) -> f
 def random_state_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return v / np.linalg.norm(v)
+
+
+def pbs_error_components(err: float, w: float) -> list:
+    """(weight, vector) mixture of two singlets on photons (1,2) and (3,4)
+    after photons 2 and 3 meet on a PBS and a four-fold coincidence is kept.
+
+    Each PBS photon independently leaves by the wrong port with probability
+    `err`. Per routing pattern, the coherent state carries weight `w` and
+    its partner with the relative sign of the two terms flipped `1 - w`.
+    Qubits are ordered by output mode 1, 2', 3', 4; weights sum to one.
+    """
+    components, total = [], 0.0
+    for wrong2, wrong3 in itertools.product((False, True), repeat=2):
+        p_route = err ** (wrong2 + wrong3) * (1 - err) ** (2 - wrong2 - wrong3)
+        if p_route == 0.0:
+            continue
+        terms = {}
+        for p1, p2, p3, p4 in itertools.product("HV", repeat=4):
+            if p1 == p2 or p3 == p4:
+                continue  # each singlet is (|HV> - |VH>)/sqrt2
+            amp = (1 if p1 == "H" else -1) * (1 if p3 == "H" else -1) / 2
+            # H from mode 2 and V from mode 3 exit in 2'; a wrong port swaps
+            two_in_2p = (p2 == "H") != wrong2
+            three_in_2p = (p3 == "V") != wrong3
+            if two_in_2p == three_in_2p:
+                continue  # both photons in one output: no four-fold
+            in_2p, in_3p = (p2, p3) if two_in_2p else (p3, p2)
+            terms[p1 + in_2p + in_3p + p4] = amp
+        flipped = dict(terms)
+        last = max(flipped)
+        flipped[last] = -flipped[last]
+        psi = dense_from_terms(terms, 4)
+        components += [
+            (p_route * w, psi),
+            (p_route * (1 - w), dense_from_terms(flipped, 4)),
+        ]
+        total += p_route * float(np.vdot(psi, psi).real)
+    return [(c / total, v) for c, v in components]

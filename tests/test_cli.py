@@ -20,6 +20,21 @@ class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run(["--scenario", "hv-table", "--nope"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--time", "-5"],
+        ["--time", "0"],
+        ["--time", "nan"],
+        ["--time", "inf"],
+        ["--delay", "nan"],
+        ["--delay", "inf"],
+    ])
+    def test_out_of_range_argument(self, flags, tmp_path, capsys):
+        assert run(["--scenario", "basis45-table", *flags, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flags[0] in err
+        assert not list(tmp_path.iterdir())
+
     def test_print_default_config(self, capsys):
         assert run(["--print-default-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
@@ -51,6 +66,26 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"rates": {"fourfold_rate_desired": -1}}))
         assert run(["--scenario", "hv-table", "--config", str(bad),
                     "--out", str(tmp_path)]) == 2
+
+
+    @pytest.mark.parametrize("scenario", ["delay-scan", "feasibility"])
+    @pytest.mark.parametrize("user", [
+        {"scan_delays_fs": []},
+        {"scan_delays_fs": [0.0, float("nan")]},
+        {"scan_delays_fs": 0.0},
+        {"rates": {"detector_efficiency": "0.5"}},
+        {"rates": {"dark_count_rate": float("nan")}},
+        {"rates": {"fourfold_rate_desired": float("inf")}},
+        {"visibility_zero_delay": 1.5},
+        {"visibility_zero_delay": "0.79"},
+    ])
+    def test_out_of_range_config(self, user, scenario, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))  # NaN and Infinity are valid for json.loads
+        assert run(["--scenario", scenario, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
 
 
 class TestPhysicsErrors:

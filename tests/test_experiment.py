@@ -155,6 +155,51 @@ class TestExactProbabilities:
         assert 0 < probs["HVHV"] < 5e-3
 
 
+    def test_pbs_error_agrees_with_dense_oracle(self):
+        # routing patterns enumerated by the oracle, not by the sparse code
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            angles = [float(a) for a in rng.uniform(0, 180, 4)]
+            angles[int(rng.integers(4))] = None
+            tau = float(rng.uniform(-1200, 1200))
+            v0 = float(rng.uniform(0, 1))
+            err = 0.05 - float(rng.uniform(0, 0.05))  # (0, 0.05]
+            probs = exact_outcome_probabilities(
+                APP,
+                MeasurementSetting(dict(zip(APP.detector_ids(), angles))),
+                delay=DelayElement(tau),
+                v0=v0,
+                pbs_error=err,
+            )
+            w = (1 + math.exp(-((tau / 550.0) ** 2)) * v0) / 2
+            components = oracle.pbs_error_components(err, w)
+            ref = oracle.all_outcome_probabilities(
+                components, [0.0 if a is None else a for a in angles]
+            )
+            assert list(probs) == list(ref)
+            for key, p in ref.items():
+                assert probs[key] == pytest.approx(p, abs=1e-12)
+
+    def test_none_angle_is_zero_degrees_with_plus_minus_labels(self):
+        dets = APP.detector_ids()
+        at_zero = exact_outcome_probabilities(
+            APP, MeasurementSetting({d: 0.0 if d == "D2" else 45.0 for d in dets})
+        )
+        relabel = {"H": "+", "V": "-"}
+        expected = {k[0] + relabel[k[1]] + k[2:]: p for k, p in at_zero.items()}
+        for angles in (
+            {d: None if d == "D2" else 45.0 for d in dets},
+            {d: 45.0 for d in dets if d != "D2"},  # missing, as None
+        ):
+            probs = exact_outcome_probabilities(APP, MeasurementSetting(angles))
+            assert probs == expected
+
+    @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan")])
+    def test_visibility_outside_unit_interval_rejected(self, v0):
+        with pytest.raises(StateError, match="visibility"):
+            exact_outcome_probabilities(APP, diagonal_setting(APP), v0=v0)
+
+
 class TestMonteCarlo:
     def test_deterministic_for_seed(self):
         rates = RateModel()
