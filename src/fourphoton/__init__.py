@@ -7,12 +7,10 @@ from .states import (
     BELL_KINDS,
     DensityMatrix,
     LabelCollisionError,
-    PhotonLabel,
     PureState,
     StateError,
     bell_state,
     change_basis,
-    detection_amplitude,
     fidelity,
     ghz_state,
     mix,
@@ -21,6 +19,8 @@ from .states import (
     tensor,
 )
 from .elements import (
+    COHERENCE_TIME_FS,
+    VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
     PolarizerElement,

@@ -23,15 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, swap
-from .elements import DelayElement
+from .elements import (
+    COHERENCE_TIME_FS,
+    VISIBILITY_ZERO_DELAY,
+    DelayElement,
+    PbsElement,
+    dephase_by_distinguishability,
+)
 from .experiment import (
     Apparatus,
-    CountTable,
-    MeasurementSetting,
     PairSource,
     PostselectionError,
     RateModel,
-    default_apparatus,
     delay_scan,
     diagonal_setting,
     exact_outcome_probabilities,
@@ -39,7 +42,6 @@ from .experiment import (
     hv_setting,
     monte_carlo_counts,
 )
-from .elements import PbsElement
 from .states import StateError
 
 SCENARIOS = ("hv-table", "basis45-table", "delay-scan", "swap-report", "feasibility")
@@ -49,9 +51,23 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 
+# config key under "rates" -> RateModel field
+_RATE_FIELDS = {
+    "fourfold_rate_desired": "fourfold_rate_desired",
+    "background_fourfold_rate": "background_fourfold_rate",
+    "detector_efficiency": "detector_efficiency",
+    "dark_count_rate": "dark_count_rate",
+    "coincidence_window_s": "coincidence_window",
+}
+
+# Sections merged key by key with the defaults; any other value (detectors
+# and sources included) replaces the default whole.
+_MERGED_SECTIONS = ("apparatus", "apparatus.pbs", "rates")
+
 
 def default_config() -> dict:
     """Paper-calibrated defaults; see README for the schema."""
+    rates = RateModel()
     return {
         "apparatus": {
             "sources": [
@@ -61,15 +77,9 @@ def default_config() -> dict:
             "pbs": {"inputs": ["2", "3"], "outputs": ["2'", "3'"], "error_rate": 0.0},
             "detectors": {"D1": "1", "D2": "2'", "D3": "3'", "D4": "4"},
         },
-        "rates": {
-            "fourfold_rate_desired": 200.0 / 6000.0,
-            "background_fourfold_rate": 0.5 / 6000.0,
-            "detector_efficiency": 1.0,
-            "dark_count_rate": 0.0,
-            "coincidence_window_s": 3e-9,
-        },
-        "visibility_zero_delay": 0.79,
-        "coherence_time_fs": 550.0,
+        "rates": {key: getattr(rates, field) for key, field in _RATE_FIELDS.items()},
+        "visibility_zero_delay": VISIBILITY_ZERO_DELAY,
+        "coherence_time_fs": COHERENCE_TIME_FS,
         # Bell test on photons 1,4 conditioned on the phi+ detection
         # (success probability 0.5): event budget for 16 correlation
         # settings at the precision needed to beat the LHV bound.
@@ -83,12 +93,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key: {key}")
-    return cfg[key]
-
-
 def load_config(path: str | None) -> dict:
     cfg = default_config()
     if path is None:
@@ -100,55 +104,64 @@ def load_config(path: str | None) -> dict:
         user = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    _merge(cfg, user, "")
+    delays = cfg["scan_delays_fs"]
+    vis = cfg["visibility_zero_delay"]
+    events = cfg["bell_test_target_events"]
+    for ok, problem in (
+        (isinstance(delays, list) and delays and all(map(_finite, delays)),
+         "scan_delays_fs must be a non-empty list of finite numbers"),
+        (_finite(vis) and 0 <= vis <= 1, "visibility_zero_delay must be a number in [0, 1]"),
+        (_positive(cfg["scan_time_per_point_s"]),
+         "scan_time_per_point_s must be a positive finite number"),
+        (_positive(cfg["coherence_time_fs"]), "coherence_time_fs must be a positive finite number"),
+        (isinstance(events, int) and not isinstance(events, bool) and events >= 0,
+         "bell_test_target_events must be a nonnegative integer"),
+    ):
+        if not ok:
+            raise ConfigError(problem)
+    return cfg
+
+
+def _merge(cfg: dict, user, section: str) -> None:
+    if not isinstance(user, dict):
+        raise ConfigError(f"{section or 'config'} must be a JSON object")
     for key, val in user.items():
+        name = f"{section}.{key}" if section else key
         if key not in cfg:
-            raise ConfigError(f"unknown config key: {key}")
-        if isinstance(cfg[key], dict) and isinstance(val, dict):
-            for sub, sval in val.items():
-                if sub not in cfg[key]:
-                    raise ConfigError(f"unknown config key: {key}.{sub}")
-                cfg[key][sub] = sval
+            raise ConfigError(f"unknown config key: {name}")
+        if name in _MERGED_SECTIONS:
+            _merge(cfg[key], val, name)
         else:
             cfg[key] = val
-    delays = cfg["scan_delays_fs"]
-    if not isinstance(delays, list) or not delays or not all(map(_finite, delays)):
-        raise ConfigError("scan_delays_fs must be a non-empty list of finite numbers")
-    if not (_finite(cfg["visibility_zero_delay"]) and 0 <= cfg["visibility_zero_delay"] <= 1):
-        raise ConfigError("visibility_zero_delay must be a number in [0, 1]")
-    return cfg
 
 
 def _finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
 def build_apparatus(cfg: dict) -> Apparatus:
-    app = _require(cfg, "apparatus")
+    app = cfg["apparatus"]
+    pbs = app["pbs"]
     try:
         sources = tuple(
-            PairSource(tuple(s["photons"]), tuple(s["modes"]))
-            for s in _require(app, "sources")
+            PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]
         )
-        pbs = _require(app, "pbs")
-        element = PbsElement(
-            tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs.get("error_rate", 0.0)
-        )
-        return Apparatus(sources, (element,), dict(_require(app, "detectors")))
+        element = PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"])
+        return Apparatus(sources, element, dict(app["detectors"]))
     except (KeyError, TypeError, StateError) as exc:
         raise ConfigError(f"bad apparatus config: {exc}") from exc
 
 
 def build_rates(cfg: dict) -> RateModel:
-    r = _require(cfg, "rates")
+    r = cfg["rates"]
     try:
-        return RateModel(
-            fourfold_rate_desired=r["fourfold_rate_desired"],
-            background_fourfold_rate=r["background_fourfold_rate"],
-            detector_efficiency=r.get("detector_efficiency", 1.0),
-            dark_count_rate=r.get("dark_count_rate", 0.0),
-            coincidence_window=r.get("coincidence_window_s", 3e-9),
-        )
-    except (KeyError, TypeError, StateError) as exc:
+        return RateModel(**{field: r[key] for key, field in _RATE_FIELDS.items()})
+    except (TypeError, StateError) as exc:
         raise ConfigError(f"bad rates config: {exc}") from exc
 
 
@@ -249,8 +262,6 @@ def run_swap_report(cfg, args, out: Path) -> None:
     apparatus = build_apparatus(cfg)
     v0 = cfg["visibility_zero_delay"]
     state, _ = experiment.ghz_after_postselection(apparatus)
-    from .elements import dephase_by_distinguishability
-
     rho = dephase_by_distinguishability(state, 1.0, v0)
     result = swap.phi_plus_via_45_coincidence(rho)
     chsh = swap.chsh_value(result.conditioned_state_14)

@@ -12,7 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .states import H, V, DensityMatrix, PureState, StateError, mix
+import numpy as np
+
+from .states import H, POLS, DensityMatrix, PureState, StateError, analyzer_overlap
+
+# Calibrated defaults of the experiment: the interference visibility measured
+# at zero PBS delay, and the coherence time after spectral filtering.
+VISIBILITY_ZERO_DELAY = 0.79
+COHERENCE_TIME_FS = 550.0
 
 
 class RoutingError(StateError):
@@ -66,7 +73,7 @@ class DelayElement:
     """Relative arrival delay of the two PBS photons, in femtoseconds."""
 
     delay_fs: float = 0.0
-    coherence_time_fs: float = 550.0
+    coherence_time_fs: float = COHERENCE_TIME_FS
 
     def __post_init__(self):
         if self.coherence_time_fs <= 0:
@@ -109,11 +116,7 @@ def apply_polarizer(
     Returns the renormalized state and the projection probability. A
     zero-probability projection returns (None, 0.0).
     """
-    t = math.radians(pol.angle)
-    if pol.branch == "pass":
-        vec = {H: math.cos(t), V: math.sin(t)}
-    else:
-        vec = {H: math.sin(t), V: -math.cos(t)}
+    vec = {p: analyzer_overlap(p, pol.angle, pol.branch) for p in POLS}
 
     def project(ket, a):
         hits = [i for i, (_, mode) in enumerate(ket) if mode == pol.mode]
@@ -147,8 +150,31 @@ def distinguishability(delay: DelayElement) -> float:
     return math.exp(-(x * x))
 
 
+def dephasing_components(
+    psi: np.ndarray, d: float, v0: float
+) -> list[tuple[float, np.ndarray]]:
+    """The channel of `dephase_by_distinguishability` on a dense vector.
+
+    Returns its weighted pure components; |phi> is `psi` with its last
+    nonzero entry negated. At d*v0 = 1 the state stays pure.
+    """
+    if not 0.0 <= d <= 1.0:
+        raise StateError(f"distinguishability {d} outside [0, 1]")
+    if not 0.0 <= v0 <= 1.0:
+        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
+    branches = np.flatnonzero(psi)
+    if len(branches) != 2:
+        raise StateError("dephasing expects a two-branch superposition")
+    if d * v0 >= 1.0:
+        return [(1.0, psi)]
+    phi = psi.copy()
+    phi[branches[-1]] *= -1
+    w = (1.0 + d * v0) / 2.0
+    return [(w, psi), (1.0 - w, phi)]
+
+
 def dephase_by_distinguishability(
-    state_after_pbs: PureState, d: float, v0: float = 0.79
+    state_after_pbs: PureState, d: float, v0: float = VISIBILITY_ZERO_DELAY
 ) -> DensityMatrix:
     """Phase-flip channel between the two branches of a GHZ superposition.
 
@@ -156,18 +182,9 @@ def dephase_by_distinguishability(
     |phi> flips the relative sign of the two branches. d is the wave-packet
     overlap, v0 the zero-delay visibility ceiling.
     """
-    if not 0.0 <= d <= 1.0:
-        raise StateError(f"distinguishability {d} outside [0, 1]")
-    if not 0.0 <= v0 <= 1.0:
-        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
-    kets = state_after_pbs.kets()
-    if len(kets) != 2:
-        raise StateError("dephasing expects a two-branch superposition")
-    k0, k1 = kets
-    flipped = PureState(
-        state_after_pbs.photons,
-        {k0: state_after_pbs.amps[k0], k1: -state_after_pbs.amps[k1]},
+    modes = sorted({m for ket in state_after_pbs.amps for _, m in ket})
+    rho = sum(
+        w * np.outer(v, v.conj())
+        for w, v in dephasing_components(state_after_pbs.dense(modes), d, v0)
     )
-    w = (1.0 + d * v0) / 2.0
-    modes = sorted({m for ket in kets for _, m in ket})
-    return mix([(w, state_after_pbs), (1.0 - w, flipped)], mode_order=modes)
+    return DensityMatrix(modes, rho)

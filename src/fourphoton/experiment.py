@@ -21,7 +21,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .elements import DelayElement, PbsElement, apply_pbs, dephase_by_distinguishability, distinguishability
+from .elements import (
+    COHERENCE_TIME_FS,
+    VISIBILITY_ZERO_DELAY,
+    DelayElement,
+    PbsElement,
+    apply_pbs,
+    dephasing_components,
+    distinguishability,
+)
 from .states import (
     POLS,
     PureState,
@@ -47,7 +55,7 @@ class PairSource:
 @dataclass(frozen=True)
 class Apparatus:
     sources: tuple[PairSource, ...]
-    elements: tuple[PbsElement, ...]
+    pbs: PbsElement
     detectors: Mapping[str, str]  # detector id -> mode
 
     def __post_init__(self):
@@ -68,9 +76,7 @@ def default_apparatus(pbs_error: float = 0.0) -> Apparatus:
             PairSource((1, 2), ("1", "2")),
             PairSource((3, 4), ("3", "4")),
         ),
-        elements=(
-            PbsElement(("2", "3"), ("2'", "3'"), error_rate=pbs_error),
-        ),
+        pbs=PbsElement(("2", "3"), ("2'", "3'"), error_rate=pbs_error),
         detectors={"D1": "1", "D2": "2'", "D3": "3'", "D4": "4"},
     )
 
@@ -180,10 +186,8 @@ def postselect_fourfold(
 def ghz_after_postselection(
     apparatus: Apparatus, flipped_photons: frozenset = frozenset()
 ) -> tuple[PureState, float]:
-    """Run sources through the elements and post-select on the detector modes."""
-    state = source_state(apparatus)
-    for el in apparatus.elements:
-        state = apply_pbs(state, el, flipped_photons)
+    """Run sources through the PBS and post-select on the detector modes."""
+    state = apply_pbs(source_state(apparatus), apparatus.pbs, flipped_photons)
     return postselect_fourfold(state, apparatus.mode_order())
 
 
@@ -191,29 +195,25 @@ def exact_outcome_probabilities(
     apparatus: Apparatus,
     setting: MeasurementSetting,
     delay: DelayElement | None = None,
-    v0: float = 0.79,
+    v0: float = VISIBILITY_ZERO_DELAY,
     pbs_error: float | None = None,
 ) -> dict[str, float]:
     """Probabilities over the 16 analyzer outcomes, conditioned on a
     four-fold coincidence.
 
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
-    Monte Carlo engine passes the element's configured rate; the exact path
+    Monte Carlo engine passes the PBS's configured rate; the exact path
     defaults to the ideal PBS). The sparse algebra builds each post-selected
     state; one dense contraction with the analyzers gives all probabilities.
     """
-    if not 0.0 <= v0 <= 1.0:
-        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
     d = 1.0 if delay is None else distinguishability(delay)
-    vis = d * v0
     err = 0.0 if pbs_error is None else pbs_error
 
     pbs_photons: list[int] = []
     if err > 0.0:
-        in_modes = {m for el in apparatus.elements for m in el.input_modes}
         for src in apparatus.sources:
             for ph, mode in zip(src.photons, src.modes):
-                if mode in in_modes:
+                if mode in apparatus.pbs.input_modes:
                     pbs_photons.append(ph)
 
     # with an ideal PBS this is the single pattern (1.0, frozenset())
@@ -235,17 +235,12 @@ def exact_outcome_probabilities(
         w = w_pat * p_sel
         total_mass += w
         psi = state.dense(mode_order)
-        if len(state.amps) == 1 or vis >= 1.0:
-            vectors.append(psi)
-            weights.append(w)
-        elif len(state.amps) == 2:
-            phi = psi.copy()
-            phi[np.flatnonzero(phi)[-1]] *= -1  # flip the relative sign of the branches
-            w_branch = (1.0 + vis) / 2.0
-            vectors += [psi, phi]
-            weights += [w * w_branch, w * (1.0 - w_branch)]
-        else:
-            raise StateError("dephasing expects at most two branches")
+        components = (
+            [(1.0, psi)] if len(state.amps) == 1 else dephasing_components(psi, d, v0)
+        )
+        for w_branch, v in components:
+            vectors.append(v)
+            weights.append(w * w_branch)
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
@@ -272,7 +267,7 @@ def monte_carlo_counts(
     integration_time: float,
     seed: int,
     delay: DelayElement | None = None,
-    v0: float = 0.79,
+    v0: float = VISIBILITY_ZERO_DELAY,
 ) -> CountTable:
     """Seeded Poisson draw of four-fold coincidence counts per outcome.
 
@@ -280,9 +275,8 @@ def monte_carlo_counts(
     x time, plus a flat background (and dark-count accidental) floor.
     Deterministic for a given seed (numpy PCG64).
     """
-    pbs_err = max((el.error_rate for el in apparatus.elements), default=0.0)
     probs = exact_outcome_probabilities(
-        apparatus, setting, delay=delay, v0=v0, pbs_error=pbs_err or None
+        apparatus, setting, delay=delay, v0=v0, pbs_error=apparatus.pbs.error_rate
     )
     rate = rates.effective_fourfold_rate()
     floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
@@ -306,8 +300,8 @@ def delay_scan(
     rates: RateModel,
     time_per_point: float,
     seed: int,
-    coherence_time_fs: float = 550.0,
-    v0: float = 0.79,
+    coherence_time_fs: float = COHERENCE_TIME_FS,
+    v0: float = VISIBILITY_ZERO_DELAY,
 ) -> list[tuple[float, CountTable]]:
     """One Monte Carlo count table per delay; independent stream per point."""
     out = []
@@ -335,10 +329,6 @@ def three_photon_ghz(
     four-photon GHZ state.
     """
     state, _ = ghz_after_postselection(apparatus)
-    t = math.radians(angle)
-    vec = {"H": math.cos(t), "V": math.sin(t)}
-
-    idx_by_ket = {}
     amps: dict[tuple, complex] = {}
     dropped = None
     for ket, a in state.amps.items():
@@ -347,7 +337,7 @@ def three_photon_ghz(
             raise StateError(f"mode {polarizer_mode!r} must hold exactly one photon")
         i = hits[0]
         dropped = state.photons[i]
-        overlap = vec[ket[i][0]]
+        overlap = analyzer_overlap(ket[i][0], angle)
         if overlap == 0.0:
             continue
         rest = ket[:i] + ket[i + 1 :]

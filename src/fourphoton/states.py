@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,14 +40,6 @@ class StateError(ValueError):
 
 class LabelCollisionError(StateError):
     """Photon index appears in both operands of a tensor product."""
-
-
-@dataclass(frozen=True)
-class PhotonLabel:
-    """Identity of one photon: integer index plus spatial-mode tag."""
-
-    index: int
-    mode: str
 
 
 def _check_ket(ket: tuple, n: int) -> None:
@@ -287,25 +278,6 @@ def change_basis(state: PureState, photon: int, angle_deg: float) -> PureState:
                 yield new_ket, a * c
 
     return PureState(state.photons, state.map_amplitudes(rotate), normalize=True)
-
-
-def detection_amplitude(
-    state: PureState,
-    mode_order: Sequence[str],
-    angles: Sequence[float],
-    branches: Sequence[str],
-) -> complex:
-    """Amplitude for one analyzer outcome: product of per-mode overlaps.
-
-    Every ket must place exactly one photon in each listed mode.
-    """
-    total = 0.0 + 0.0j
-    for key, a in state.mode_view(mode_order).items():
-        f = a
-        for pol, ang, br in zip(key, angles, branches):
-            f *= analyzer_overlap(pol, ang, br)
-        total += f
-    return total
 
 
 class DensityMatrix:

@@ -15,9 +15,11 @@ import numpy as np
 
 from .states import (
     BELL_KINDS,
+    POLS,
     DensityMatrix,
     PureState,
     StateError,
+    analyzer_overlap,
     bell_state,
     fidelity,
     tensor,
@@ -32,6 +34,9 @@ _BELL_VECS = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
     "phi-": np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2),
 }
+# exact 1/sqrt2 like the Bell vectors: cos(45 deg) would move the last digits of the swap report
+_PLUS_45 = np.array([1, 1], dtype=complex) / math.sqrt(2)
+_MINUS_45 = np.array([1, -1], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -170,13 +175,8 @@ def phi_plus_via_45_coincidence(
     equals the abstract phi+ projection.
     """
     rho = _as_density(state_or_rho, mode_order)
-    s = 1 / math.sqrt(2)
-    plus = np.array([s, s], dtype=complex)
-    minus = np.array([s, -s], dtype=complex)
-    kraus = []
-    for v1 in (plus, minus):
-        v = np.kron(v1, v1)
-        kraus.append(np.outer(v, v.conj()))
+    pair_vecs = (np.kron(v, v) for v in (_PLUS_45, _MINUS_45))
+    kraus = [np.outer(v, v.conj()) for v in pair_vecs]
     return _finish(*_conditioned_pair_state(rho, pair_modes, kraus))
 
 
@@ -201,9 +201,8 @@ def visibility_from_counts(
 
 def _analyzer_operator(angle_deg: float) -> np.ndarray:
     """+1/-1 valued polarization observable at the given analyzer angle."""
-    t = math.radians(angle_deg)
-    a = np.array([math.cos(t), math.sin(t)])
-    b = np.array([math.sin(t), -math.cos(t)])
+    a = np.array([analyzer_overlap(p, angle_deg, "pass") for p in POLS])
+    b = np.array([analyzer_overlap(p, angle_deg, "reject") for p in POLS])
     return np.outer(a, a) - np.outer(b, b)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fourphoton import RateModel, default_apparatus, hv_setting, monte_carlo_counts
 from fourphoton.cli import main
 
 
@@ -56,10 +57,12 @@ class TestConfigErrors:
 
     def test_unknown_key_named_in_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"visibilty": 0.5}))
-        assert run(["--scenario", "hv-table", "--config", str(bad),
-                    "--out", str(tmp_path)]) == 2
-        assert "visibilty" in capsys.readouterr().err
+        for user, key in (({"visibilty": 0.5}, "visibilty"),
+                          ({"apparatus": {"pbs": {"eror_rate": 0.01}}}, "apparatus.pbs.eror_rate")):
+            bad.write_text(json.dumps(user))
+            assert run(["--scenario", "hv-table", "--config", str(bad),
+                        "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_bad_rate_value(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -78,6 +81,9 @@ class TestConfigErrors:
         {"rates": {"fourfold_rate_desired": float("inf")}},
         {"visibility_zero_delay": 1.5},
         {"visibility_zero_delay": "0.79"},
+        {"scan_time_per_point_s": -1},
+        {"coherence_time_fs": float("nan")},
+        {"bell_test_target_events": "x"},
     ])
     def test_out_of_range_config(self, user, scenario, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -112,6 +118,17 @@ class TestScenarios:
         others = [v for k, v in counts.items() if k not in ("HVVH", "VHHV")]
         assert counts["HVVH"] > 50 and counts["VHHV"] > 50
         assert max(others) <= 5
+
+    def test_pbs_error_rate_set_alone(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": 0.01}}}))
+        out = tmp_path / "out"
+        assert run(["--scenario", "hv-table", "--seed", "5", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        app = default_apparatus(0.01)
+        table = monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 5)
+        rows = [l.split(",") for l in (out / "hv-table.csv").read_text().splitlines()[1:]]
+        assert {r[0]: int(r[1]) for r in rows} == table.counts
 
     def test_bit_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

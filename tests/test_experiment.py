@@ -58,7 +58,7 @@ class TestPostselection:
                 state_from_terms([2], ["2"], {pols[0]: 1.0}),
                 state_from_terms([3], ["3"], {pols[1]: 1.0}),
             )
-            out = apply_pbs(s, APP.elements[0])
+            out = apply_pbs(s, APP.pbs)
             try:
                 _, p = postselect_fourfold(out, ["2'", "3'"])
             except PostselectionError:
