@@ -7,6 +7,7 @@ from .states import (
     BELL_KINDS,
     DensityMatrix,
     LabelCollisionError,
+    PostselectionError,
     PureState,
     StateError,
     bell_state,
@@ -35,7 +36,6 @@ from .experiment import (
     CountTable,
     MeasurementSetting,
     PairSource,
-    PostselectionError,
     RateModel,
     default_apparatus,
     delay_scan,

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import H, POLS, DensityMatrix, PureState, StateError, analyzer_overlap
+from .states import (
+    H,
+    POLS,
+    DensityMatrix,
+    PostselectionError,
+    PureState,
+    StateError,
+    analyzer_overlap,
+)
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -108,13 +116,11 @@ def apply_pbs(
     return PureState(state.photons, state.map_amplitudes(reroute), normalize=False)
 
 
-def apply_polarizer(
-    state: PureState, pol: PolarizerElement
-) -> tuple[PureState | None, float]:
+def apply_polarizer(state: PureState, pol: PolarizerElement) -> tuple[PureState, float]:
     """Project the photon in the polarizer's mode onto its analyzer state.
 
     Returns the renormalized state and the projection probability. A
-    zero-probability projection returns (None, 0.0).
+    zero-probability projection raises PostselectionError.
     """
     vec = {p: analyzer_overlap(p, pol.angle, pol.branch) for p in POLS}
 
@@ -136,7 +142,7 @@ def apply_polarizer(
     amps = state.map_amplitudes(project)
     prob = sum(abs(a) ** 2 for a in amps.values())
     if prob <= 1e-30:
-        return None, 0.0
+        raise PostselectionError("polarizer projection has zero probability")
     return PureState(state.photons, amps, normalize=True), prob
 
 

@@ -32,16 +32,13 @@ from .elements import (
 )
 from .states import (
     POLS,
+    PostselectionError,
     PureState,
     StateError,
     analyzer_overlap,
     spdc_pair,
     tensor,
 )
-
-
-class PostselectionError(StateError):
-    """Post-selection left no surviving amplitude."""
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,12 @@ def monte_carlo_counts(
     counts = {}
     for key in probs:
         lam = (probs[key] * rate + floor) * integration_time
-        counts[key] = int(rng.poisson(lam)) if lam > 0 else 0
+        try:
+            counts[key] = int(rng.poisson(lam)) if lam > 0 else 0
+        except ValueError as exc:
+            raise StateError(
+                f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"
+            ) from exc
     return CountTable(counts=counts, integration_time=integration_time, seed=seed)
 
 

@@ -42,6 +42,10 @@ class LabelCollisionError(StateError):
     """Photon index appears in both operands of a tensor product."""
 
 
+class PostselectionError(StateError):
+    """Post-selection or a projection left no surviving amplitude."""
+
+
 def _check_ket(ket: tuple, n: int) -> None:
     if len(ket) != n:
         raise StateError(f"ket {ket} has {len(ket)} slots, expected {n}")
@@ -283,15 +287,14 @@ def change_basis(state: PureState, photon: int, angle_deg: float) -> PureState:
 class DensityMatrix:
     """Dense Hermitian operator over mode-ordered H/V basis kets."""
 
-    def __init__(self, modes: Sequence[str], matrix: np.ndarray, check: bool = True):
+    def __init__(self, modes: Sequence[str], matrix: np.ndarray):
         self.modes = tuple(modes)
         matrix = np.asarray(matrix, dtype=complex)
         dim = 2 ** len(self.modes)
         if matrix.shape != (dim, dim):
             raise StateError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")
         self.matrix = matrix
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def dimension(self) -> int:
@@ -308,11 +311,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-    @classmethod
-    def from_pure(cls, state: PureState, mode_order: Sequence[str]) -> "DensityMatrix":
-        v = state.dense(mode_order)
-        return cls(mode_order, np.outer(v, v.conj()))
 
 
 def mix(components: Iterable[tuple[float, PureState]],

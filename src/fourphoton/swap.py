@@ -17,23 +17,17 @@ from .states import (
     BELL_KINDS,
     POLS,
     DensityMatrix,
+    PostselectionError,
     PureState,
     StateError,
     analyzer_overlap,
     bell_state,
-    fidelity,
+    mix,
     tensor,
 )
 
-_I2 = np.eye(2, dtype=complex)
-
-# Bell amplitudes over (HH, HV, VH, VV), matching bell_state()
-_BELL_VECS = {
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2),
-}
+# Bell amplitudes over (HH, HV, VH, VV)
+_BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
 # exact 1/sqrt2 like the Bell vectors: cos(45 deg) would move the last digits of the swap report
 _PLUS_45 = np.array([1, 1], dtype=complex) / math.sqrt(2)
 _MINUS_45 = np.array([1, -1], dtype=complex) / math.sqrt(2)
@@ -83,32 +77,7 @@ def bell_decompose(
 def _as_density(state_or_rho, mode_order: Sequence[str] | None) -> DensityMatrix:
     if isinstance(state_or_rho, DensityMatrix):
         return state_or_rho
-    if mode_order is None:
-        mode_order = sorted({m for ket in state_or_rho.amps for _, m in ket})
-    return DensityMatrix.from_pure(state_or_rho, mode_order)
-
-
-def _embed_pair_operator(op4: np.ndarray, n: int, pos: tuple[int, int]) -> np.ndarray:
-    """Embed a two-qubit operator at tensor positions `pos` of an n-qubit space."""
-    full = op4
-    for _ in range(n - 2):
-        full = np.kron(full, _I2)
-    # `full` acts on qubit order (pos[0], pos[1], rest...); permute to natural order
-    order = list(pos) + [i for i in range(n) if i not in pos]
-    inv = list(np.argsort(order))
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(inv + [n + i for i in inv])
-    return t.reshape(2**n, 2**n)
-
-
-def _trace_out(rho: np.ndarray, n: int, pos: tuple[int, int]) -> np.ndarray:
-    """Partial trace over the qubits at tensor positions `pos`."""
-    t = rho.reshape((2,) * (2 * n))
-    for p in sorted(pos, reverse=True):
-        t = np.trace(t, axis1=p, axis2=p + (t.ndim // 2))
-        # after tracing, the remaining axes re-pair automatically
-    k = n - len(pos)
-    return t.reshape(2**k, 2**k)
+    return mix([(1.0, state_or_rho)], mode_order)
 
 
 def _conditioned_pair_state(
@@ -116,25 +85,26 @@ def _conditioned_pair_state(
 ) -> tuple[np.ndarray, float, tuple[str, ...]]:
     """Sum of Kraus-projected states, traced down to the remaining pair."""
     n = len(rho.modes)
-    pos = tuple(rho.modes.index(m) for m in pair_modes)
-    acc = np.zeros_like(rho.matrix)
-    for k4 in kraus_ops:
-        k_full = _embed_pair_operator(k4, n, pos)
-        acc += k_full @ rho.matrix @ k_full.conj().T
-    prob = float(np.trace(acc).real)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
-    reduced = _trace_out(acc, n, pos)
-    return reduced, prob, rest_modes
+    if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
+        raise StateError(f"{tuple(pair_modes)} must be two of the four modes {rho.modes}")
+    # pair qubits first on both sides: t[pair, rest, pair', rest']
+    pos = [rho.modes.index(m) for m in pair_modes]
+    order = pos + [i for i in range(n) if i not in pos]
+    t = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])
+    t = t.reshape(4, 4, 4, 4)
+    reduced = sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus_ops)
+    return reduced, float(np.trace(reduced).real), rest_modes
 
 
 def _finish(
     reduced: np.ndarray, prob: float, rest_modes: tuple[str, ...]
 ) -> SwapResult:
     if prob <= 1e-30:
-        raise StateError("zero-probability Bell projection")
+        raise PostselectionError("zero-probability Bell projection")
     rho14 = DensityMatrix(rest_modes, reduced / prob)
-    target = bell_state("phi+", 1, 2, modes=rest_modes)
-    f = fidelity(rho14, target)
+    v = _BELL_VECS["phi+"]
+    f = float(np.real(v.conj() @ rho14.matrix @ v))
     return SwapResult(
         conditioned_state_14=rho14,
         projection_probability=prob,

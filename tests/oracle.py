@@ -115,3 +115,27 @@ def pbs_error_components(err: float, w: float) -> list:
         ]
         total += p_route * float(np.vdot(psi, psi).real)
     return [(c / total, v) for c, v in components]
+
+
+def conditioned_pair(rho: np.ndarray, positions, kraus) -> tuple[np.ndarray, float]:
+    """Unnormalised state of the other two qubits of a four-qubit `rho`, and
+    its trace, after the Kraus operators act on the qubits at `positions`
+    (the operator's first factor on positions[0]).
+
+    Each operator is embedded as P^T (K x I4) P, with P the explicit
+    permutation matrix that moves the pair qubits to the front; the pair is
+    then traced out by summing the diagonal 4x4 blocks of P sigma P^T.
+    """
+    order = list(positions) + [i for i in range(4) if i not in positions]
+    perm = np.zeros((16, 16))
+    for bits in itertools.product((0, 1), repeat=4):
+        src = int("".join(map(str, bits)), 2)
+        dst = int("".join(str(bits[i]) for i in order), 2)
+        perm[dst, src] = 1.0
+    sigma = np.zeros((16, 16), dtype=complex)
+    for k in kraus:
+        full = perm.T @ np.kron(k, np.eye(4)) @ perm
+        sigma += full @ rho @ full.conj().T
+    moved = perm @ sigma @ perm.T
+    reduced = sum(moved[4 * p : 4 * p + 4, 4 * p : 4 * p + 4] for p in range(4))
+    return reduced, float(np.trace(reduced).real)

@@ -94,6 +94,22 @@ class TestConfigErrors:
         assert err.startswith("config error") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("scenario, user, flags", [
+        ("hv-table", {}, ["--time", "1e300"]),
+        ("delay-scan", {"scan_time_per_point_s": 1e300}, []),
+    ])
+    def test_expected_count_too_large(self, scenario, user, flags, tmp_path, capsys):
+        # finite but beyond what numpy's Poisson sampler accepts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        assert run(["--scenario", scenario, "--config", str(cfg), *flags,
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "expected count" in err
+        assert not list((tmp_path / "out").iterdir())
+
+
 class TestPhysicsErrors:
     def test_impossible_postselection(self, tmp_path, capsys):
         # detectors watch a mode nothing can reach

@@ -182,7 +182,7 @@ class TestOperationalPhiPlus:
     def test_cross_coincidence_projects_onto_phi_minus(self):
         # +45/-45 and -45/+45 coincidences identify phi- instead
         psi = ghz_state("HVVH", modes=MODES)
-        rho = DensityMatrix.from_pure(psi, MODES)
+        rho = mix([(1.0, psi)], mode_order=MODES)
         s = 1 / math.sqrt(2)
         plus = np.array([s, s], dtype=complex)
         minus = np.array([s, -s], dtype=complex)
@@ -199,6 +199,65 @@ class TestOperationalPhiPlus:
         assert fidelity(res.conditioned_state_14, phi_minus) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+class TestPairPlacement:
+    """Conditioning on pairs that are not the adjacent in-order ("2'", "3'")."""
+
+    S = 1 / math.sqrt(2)
+    BELL = {
+        "psi+": {"HV": S, "VH": S},
+        "psi-": {"HV": S, "VH": -S},
+        "phi+": {"HH": S, "VV": S},
+        "phi-": {"HH": S, "VV": -S},
+    }
+
+    @staticmethod
+    def random_rho(rng):
+        vs = [oracle.random_state_vector(4, rng) for _ in range(3)]
+        w = rng.dirichlet(np.ones(3))
+        return sum(wi * np.outer(v, v.conj()) for wi, v in zip(w, vs))
+
+    def check(self, res, rho, pair, kraus):
+        reduced, prob = oracle.conditioned_pair(
+            rho, [MODES.index(m) for m in pair], kraus
+        )
+        phi_plus = oracle.dense_from_terms(self.BELL["phi+"], 2)
+        assert res.conditioned_state_14.modes == tuple(m for m in MODES if m not in pair)
+        assert res.projection_probability == pytest.approx(prob, abs=1e-12)
+        assert np.max(np.abs(res.conditioned_state_14.matrix - reduced / prob)) < 1e-12
+        fid = float(np.real(phi_plus.conj() @ reduced @ phi_plus)) / prob
+        assert res.fidelity_to_target == pytest.approx(fid, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [("1", "3'"), ("3'", "2'")])
+    def test_against_dense_oracle(self, pair):
+        from fourphoton.swap import _conditioned_pair_state, _finish
+
+        rng = np.random.default_rng(53)
+        plus, minus = (oracle.analyzer_ket(45.0, br) for br in ("pass", "reject"))
+        coincidences = [np.kron(v, v) for v in (plus, minus)]
+        for _ in range(20):
+            rho = self.random_rho(rng)
+            dm = DensityMatrix(MODES, rho)
+            self.check(
+                phi_plus_via_45_coincidence(dm, pair),
+                rho, pair, [np.outer(v, v.conj()) for v in coincidences],
+            )
+            for kind, terms in self.BELL.items():
+                v = oracle.dense_from_terms(terms, 2)
+                self.check(project_bell(dm, pair, kind), rho, pair, [np.outer(v, v.conj())])
+            # Bell and same-angle projectors are symmetric under exchange of
+            # the pair; a +45/-45 coincidence is not, so it pins the order
+            v = np.kron(plus, minus)
+            kraus = [np.outer(v, v.conj())]
+            self.check(_finish(*_conditioned_pair_state(dm, pair, kraus)), rho, pair, kraus)
+
+    def test_remaining_photons_not_a_pair(self):
+        rho = mix([(1.0, ghz_state("HVV", modes=["1", "2'", "3'"]))])
+        with pytest.raises(StateError):
+            project_bell(rho, ("2'", "3'"), "phi+")
+        with pytest.raises(StateError):
+            phi_plus_via_45_coincidence(rho)
 
 
 class TestVisibilityFromCounts:
