@@ -35,6 +35,7 @@ from .experiment import (
     PairSource,
     PostselectionError,
     RateModel,
+    default_apparatus,
     delay_scan,
     diagonal_setting,
     exact_outcome_probabilities,
@@ -67,15 +68,17 @@ _MERGED_SECTIONS = ("apparatus", "apparatus.pbs", "rates")
 
 def default_config() -> dict:
     """Paper-calibrated defaults; see README for the schema."""
+    app = default_apparatus()
     rates = RateModel()
     return {
         "apparatus": {
-            "sources": [
-                {"photons": [1, 2], "modes": ["1", "2"]},
-                {"photons": [3, 4], "modes": ["3", "4"]},
-            ],
-            "pbs": {"inputs": ["2", "3"], "outputs": ["2'", "3'"], "error_rate": 0.0},
-            "detectors": {"D1": "1", "D2": "2'", "D3": "3'", "D4": "4"},
+            "sources": [{"photons": list(s.photons), "modes": list(s.modes)} for s in app.sources],
+            "pbs": {
+                "inputs": list(app.pbs.input_modes),
+                "outputs": list(app.pbs.output_modes),
+                "error_rate": app.pbs.error_rate,
+            },
+            "detectors": dict(app.detectors),
         },
         "rates": {key: getattr(rates, field) for key, field in _RATE_FIELDS.items()},
         "visibility_zero_delay": VISIBILITY_ZERO_DELAY,
@@ -165,23 +168,25 @@ def build_rates(cfg: dict) -> RateModel:
         raise ConfigError(f"bad rates config: {exc}") from exc
 
 
-def _summary(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _write(path: Path, lines: list[str], end: str = "\n") -> None:
+    """The one output writer: `lines`, each ended by `end`, byte for byte."""
+    path.write_text("".join(line + end for line in lines), newline="")
 
 
-def run_hv_table(cfg, args, out: Path) -> None:
-    apparatus = build_apparatus(cfg)
-    rates = build_rates(cfg)
+def run_hv_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
     setting = hv_setting(apparatus)
     table = monte_carlo_counts(apparatus, setting, rates, args.time, args.seed)
-    experiment.write_counts_csv(out / "hv-table.csv", table)
+    lines = ["outcome,count,integration_time_s,seed"]
+    lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(table.counts.items())]
+    # CRLF line ends, the csv module's default: the published format of this table
+    _write(out / "hv-table.csv", lines, end="\r\n")
     probs = exact_outcome_probabilities(apparatus, setting, v0=cfg["visibility_zero_delay"])
     desired = [k for k, p in probs.items() if p > 1e-9]
     n_des = sum(table.counts[k] for k in desired) / len(desired)
     others = [k for k in table.counts if k not in desired]
     n_bg = sum(table.counts[k] for k in others) / len(others)
     snr = n_des / n_bg if n_bg > 0 else float("inf")
-    _summary(
+    _write(
         out / "hv-table_summary.txt",
         [
             f"integration time: {table.integration_time} s, seed {table.seed}",
@@ -193,9 +198,7 @@ def run_hv_table(cfg, args, out: Path) -> None:
     )
 
 
-def run_basis45_table(cfg, args, out: Path) -> None:
-    apparatus = build_apparatus(cfg)
-    rates = build_rates(cfg)
+def run_basis45_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
     setting = diagonal_setting(apparatus)
     delay = DelayElement(args.delay, cfg["coherence_time_fs"])
     v0 = cfg["visibility_zero_delay"]
@@ -203,14 +206,12 @@ def run_basis45_table(cfg, args, out: Path) -> None:
     table = monte_carlo_counts(
         apparatus, setting, rates, args.time, args.seed, delay=delay, v0=v0
     )
-    with open(out / "basis45-table.csv", "w", newline="") as fh:
-        fh.write("outcome,probability,count,integration_time_s,seed\n")
-        for key in sorted(probs):
-            fh.write(
-                f"{key},{probs[key]:.12g},{table.counts[key]},{args.time},{args.seed}\n"
-            )
+    lines = ["outcome,probability,count,integration_time_s,seed"]
+    for k, p in sorted(probs.items()):
+        lines.append(f"{k},{p:.12g},{table.counts[k]},{args.time},{args.seed}")
+    _write(out / "basis45-table.csv", lines)
     even = [k for k in probs if k.count("+") % 2 == 0]
-    _summary(
+    _write(
         out / "basis45-table_summary.txt",
         [
             f"delay: {args.delay} fs, zero-delay visibility: {v0}",
@@ -220,9 +221,7 @@ def run_basis45_table(cfg, args, out: Path) -> None:
     )
 
 
-def run_delay_scan(cfg, args, out: Path) -> None:
-    apparatus = build_apparatus(cfg)
-    rates = build_rates(cfg)
+def run_delay_scan(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
     setting = diagonal_setting(apparatus)
     v0 = cfg["visibility_zero_delay"]
     points = delay_scan(
@@ -244,12 +243,11 @@ def run_delay_scan(cfg, args, out: Path) -> None:
         else:
             vis, err = 0.0, 0.0
         rows.append((tau, n_pppp, n_pppm, vis, err))
-    with open(out / "delay-scan.csv", "w", newline="") as fh:
-        fh.write("delay_fs,counts_pppp,counts_pppm,visibility,visibility_error\n")
-        for tau, a, b, vis, err in rows:
-            fh.write(f"{tau},{a},{b},{vis:.6f},{err:.6f}\n")
+    lines = ["delay_fs,counts_pppp,counts_pppm,visibility,visibility_error"]
+    lines += [f"{tau},{a},{b},{vis:.6f},{err:.6f}" for tau, a, b, vis, err in rows]
+    _write(out / "delay-scan.csv", lines)
     peak = max(rows, key=lambda r: r[3])
-    _summary(
+    _write(
         out / "delay-scan_summary.txt",
         [
             f"points: {len(rows)}, time per point: {cfg['scan_time_per_point_s']} s",
@@ -258,21 +256,27 @@ def run_delay_scan(cfg, args, out: Path) -> None:
     )
 
 
-def run_swap_report(cfg, args, out: Path) -> None:
-    apparatus = build_apparatus(cfg)
+def run_swap_report(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
     v0 = cfg["visibility_zero_delay"]
     state, _ = experiment.ghz_after_postselection(apparatus)
     rho = dephase_by_distinguishability(state, 1.0, v0)
     result = swap.phi_plus_via_45_coincidence(rho)
     chsh = swap.chsh_value(result.conditioned_state_14)
-    swap.write_swap_report(out / "swap-report.json", result, chsh)
-    with open(out / "swap-report.csv", "w", newline="") as fh:
-        fh.write("projection_probability,fidelity,visibility,chsh_value\n")
-        fh.write(
-            f"{result.projection_probability:.12g},{result.fidelity_to_target:.12g},"
-            f"{result.visibility_45:.12g},{chsh:.12g}\n"
-        )
-    _summary(
+    report = {
+        "projection_probability": result.projection_probability,
+        "fidelity_to_target": result.fidelity_to_target,
+        "visibility_45": result.visibility_45,
+        "chsh_value": chsh,
+    }
+    _write(out / "swap-report.json", [json.dumps(report, indent=2)])
+    _write(
+        out / "swap-report.csv",
+        [
+            "projection_probability,fidelity,visibility,chsh_value",
+            ",".join(f"{x:.12g}" for x in report.values()),
+        ],
+    )
+    _write(
         out / "swap-report_summary.txt",
         [
             f"phi+ projection probability: {result.projection_probability:.4f}",
@@ -283,23 +287,24 @@ def run_swap_report(cfg, args, out: Path) -> None:
     )
 
 
-def run_feasibility(cfg, args, out: Path) -> None:
-    rates = build_rates(cfg)
+def run_feasibility(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
     target = cfg["bell_test_target_events"]
     # phi+ identification succeeds on half of the four-fold events
+    usable_rate = rates.effective_fourfold_rate() * 0.5
     seconds = feasibility_estimate(target, rates) / 0.5
     months = seconds / (30 * 86400)
-    with open(out / "feasibility.csv", "w", newline="") as fh:
-        fh.write("target_events,effective_fourfold_rate_per_s,seconds,months\n")
-        fh.write(
-            f"{target},{rates.effective_fourfold_rate() * 0.5:.6g},"
-            f"{seconds:.6g},{months:.3f}\n"
-        )
-    _summary(
+    _write(
+        out / "feasibility.csv",
+        [
+            "target_events,effective_fourfold_rate_per_s,seconds,months",
+            f"{target},{usable_rate:.6g},{seconds:.6g},{months:.3f}",
+        ],
+    )
+    _write(
         out / "feasibility_summary.txt",
         [
             f"target usable events: {target}",
-            f"usable event rate: {rates.effective_fourfold_rate() * 0.5:.3g}/s",
+            f"usable event rate: {usable_rate:.3g}/s",
             f"required continuous measurement: {seconds:.3g} s ({months:.1f} months)",
         ],
     )
@@ -364,6 +369,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        apparatus = build_apparatus(cfg)
+        rates = build_rates(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -371,11 +378,11 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        RUNNERS[args.scenario](cfg, args, out)
+        RUNNERS[args.scenario](cfg, args, apparatus, rates, out)
     except PostselectionError as exc:
         print(f"physically impossible: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (ConfigError, StateError) as exc:
+    except StateError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

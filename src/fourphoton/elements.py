@@ -40,8 +40,9 @@ class PbsElement:
 
     Routing rule: H in input a -> output c, V in input a -> output d,
     H in input b -> output d, V in input b -> output c. `error_rate` is the
-    per-photon wrong-port probability (used by the Monte Carlo engine only;
-    exact algebra keeps the PBS ideal).
+    per-photon wrong-port probability. `monte_carlo_counts` passes it to
+    `exact_outcome_probabilities` as `pbs_error`, which mixes the wrong-port
+    routings in incoherently; that function's own default is the ideal PBS.
     """
 
     input_modes: tuple[str, str]
@@ -84,7 +85,10 @@ class DelayElement:
     coherence_time_fs: float = COHERENCE_TIME_FS
 
     def __post_init__(self):
-        if self.coherence_time_fs <= 0:
+        # negated range tests, so that NaN fails them too
+        if not -math.inf < self.delay_fs < math.inf:
+            raise StateError(f"delay {self.delay_fs} fs is not finite")
+        if not self.coherence_time_fs > 0:
             raise StateError("coherence time must be positive")
 
 

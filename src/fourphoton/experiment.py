@@ -13,7 +13,6 @@ of each desired combination to that background.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -362,11 +361,3 @@ def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     if rate <= 0.0:
         return math.inf
     return target_events / rate
-
-
-def write_counts_csv(path, table: CountTable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["outcome", "count", "integration_time_s", "seed"])
-        for key in sorted(table.counts):
-            w.writerow([key, table.counts[key], table.integration_time, table.seed])

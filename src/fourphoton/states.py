@@ -96,9 +96,6 @@ class PureState:
     def kets(self) -> list[tuple]:
         return sorted(self.amps)
 
-    def amplitude(self, ket: tuple) -> complex:
-        return self.amps.get(tuple(tuple(s) for s in ket), 0.0)
-
     def inner(self, other: "PureState") -> complex:
         """<self|other>; requires identical photon index sets."""
         if self.photons != other.photons:
@@ -253,7 +250,10 @@ def analyzer_overlap(pol: str, angle_deg: float, branch: str = "pass") -> float:
     """Overlap of |H> or |V> with the analyzer eigenstate at `angle_deg`.
 
     branch "pass" is |theta>; "reject" is the orthogonal port |theta_perp>.
+    The angle must be finite and lie in [0, 180).
     """
+    if not 0.0 <= angle_deg < 180.0:
+        raise StateError(f"analyzer angle must lie in [0, 180), got {angle_deg}")
     t = math.radians(angle_deg)
     if branch == "pass":
         return math.cos(t) if pol == H else math.sin(t)
@@ -269,8 +269,6 @@ def change_basis(state: PureState, photon: int, angle_deg: float) -> PureState:
     The transformation matrix is a reflection, hence self-inverse: applying
     the same basis change twice restores the original amplitudes.
     """
-    if not 0.0 <= angle_deg < 180.0:
-        raise StateError(f"analyzer angle must lie in [0, 180), got {angle_deg}")
     idx = state.photons.index(photon)
 
     def rotate(ket, a):
@@ -295,10 +293,6 @@ class DensityMatrix:
             raise StateError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")
         self.matrix = matrix
         self.validate()
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
     def validate(self, tol: float = NORM_TOL) -> None:
         m = self.matrix

@@ -6,7 +6,6 @@ fidelity/visibility/CHSH metrics.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -39,13 +38,6 @@ class SwapResult:
     projection_probability: float
     fidelity_to_target: float
     visibility_45: float
-
-    def as_dict(self) -> dict:
-        return {
-            "projection_probability": self.projection_probability,
-            "fidelity_to_target": self.fidelity_to_target,
-            "visibility_45": self.visibility_45,
-        }
 
 
 def bell_decompose(
@@ -202,12 +194,3 @@ def chsh_value(
         + correlation(rho_pair, ap, b)
         + correlation(rho_pair, ap, bp)
     )
-
-
-def write_swap_report(path, result: SwapResult, chsh: float | None = None) -> None:
-    data = result.as_dict()
-    if chsh is not None:
-        data["chsh_value"] = chsh
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")

@@ -109,6 +109,21 @@ class TestConfigErrors:
         assert "expected count" in err
         assert not list((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("scenario, user", [
+        ("feasibility", {"apparatus": {"pbs": {"error_rate": 2}}}),
+        ("swap-report", {"rates": {"detector_efficiency": 5}}),
+        ("hv-table", {"apparatus": {"pbs": {"error_rate": 2}}}),
+    ])
+    def test_whole_config_validated_before_output(self, scenario, user, tmp_path, capsys):
+        # every scenario builds the apparatus and the rates, used or not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        assert run(["--scenario", scenario, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestPhysicsErrors:
     def test_impossible_postselection(self, tmp_path, capsys):

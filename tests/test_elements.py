@@ -164,6 +164,14 @@ class TestDistinguishability:
         with pytest.raises(StateError):
             DelayElement(0.0, 0.0)
 
+    @pytest.mark.parametrize("delay, coherence", [
+        (math.nan, 550.0), (math.inf, 550.0), (-math.inf, 550.0), (0.0, math.nan),
+    ])
+    def test_non_finite_input_rejected(self, delay, coherence):
+        # NaN would otherwise surface only later, as a distinguishability of nan
+        with pytest.raises(StateError):
+            DelayElement(delay, coherence)
+
 
 class TestDephasing:
     def test_full_indistinguishability_is_pure(self):

@@ -10,6 +10,10 @@ from fourphoton import (
     PostselectionError,
     RateModel,
     StateError,
+    bell_state,
+    change_basis,
+    chsh_value,
+    correlation,
     default_apparatus,
     delay_scan,
     diagonal_setting,
@@ -18,6 +22,7 @@ from fourphoton import (
     ghz_after_postselection,
     ghz_state,
     hv_setting,
+    mix,
     monte_carlo_counts,
     postselect_fourfold,
     source_state,
@@ -318,6 +323,28 @@ class TestThreePhotonGhz:
         assert prob90 == pytest.approx(0.5, abs=1e-12)
         assert len(state90.amps) == 1
         assert state.kets() != state90.kets()
+
+
+class TestAnalyzerAngleRange:
+    """Every analyzer angle goes through `analyzer_overlap`, which takes only
+    finite angles in [0, 180)."""
+
+    RHO_14 = mix([(1.0, bell_state("phi+", 1, 4))])
+    ENTRY_POINTS = {
+        "exact": lambda a: exact_outcome_probabilities(
+            APP, MeasurementSetting({"D1": 45.0, "D2": a, "D3": 45.0, "D4": 45.0})
+        ),
+        "three_photon_ghz": lambda a: three_photon_ghz(APP, "2'", a),
+        "correlation": lambda a: correlation(TestAnalyzerAngleRange.RHO_14, a, 45.0),
+        "chsh_value": lambda a: chsh_value(TestAnalyzerAngleRange.RHO_14, ((0.0, a), (22.5, 67.5))),
+        "change_basis": lambda a: change_basis(ghz_state("HH"), 1, a),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -30.0, 180.0, 200.0])
+    def test_out_of_range_angle_rejected(self, entry, angle):
+        with pytest.raises(StateError, match="analyzer angle"):
+            self.ENTRY_POINTS[entry](angle)
 
 
 class TestFeasibility:
