@@ -156,7 +156,7 @@ def build_apparatus(cfg: dict) -> Apparatus:
         )
         element = PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"])
         return Apparatus(sources, element, dict(app["detectors"]))
-    except (KeyError, TypeError, StateError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
         raise ConfigError(f"bad apparatus config: {exc}") from exc
 
 
@@ -185,7 +185,10 @@ def run_hv_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -
     n_des = sum(table.counts[k] for k in desired) / len(desired)
     others = [k for k in table.counts if k not in desired]
     n_bg = sum(table.counts[k] for k in others) / len(others)
-    snr = n_des / n_bg if n_bg > 0 else float("inf")
+    if n_bg > 0:
+        snr = f"{n_des / n_bg:.1f}"
+    else:
+        snr = "inf" if n_des > 0 else "undefined (no counts)"
     _write(
         out / "hv-table_summary.txt",
         [
@@ -193,7 +196,7 @@ def run_hv_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -
             f"desired outcomes: {', '.join(sorted(desired))}",
             f"mean desired count: {n_des:.2f}",
             f"mean non-desired count: {n_bg:.3f}",
-            f"signal-to-noise ratio: {snr:.1f}",
+            f"signal-to-noise ratio: {snr}",
         ],
     )
 

@@ -50,6 +50,13 @@ class PbsElement:
     error_rate: float = 0.0
 
     def __post_init__(self):
+        for side, modes in (("input", self.input_modes), ("output", self.output_modes)):
+            if not (
+                len(modes) == 2
+                and all(isinstance(m, str) for m in modes)
+                and modes[0] != modes[1]
+            ):
+                raise StateError(f"PBS needs two distinct string {side} modes, got {modes}")
         if not 0.0 <= self.error_rate < 1.0:
             raise StateError(f"PBS error_rate {self.error_rate} outside [0, 1)")
 

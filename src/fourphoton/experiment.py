@@ -16,6 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,17 +50,42 @@ class PairSource:
     photons: tuple[int, int]
     modes: tuple[str, str]
 
+    def __post_init__(self):
+        photons, modes = self.photons, self.modes
+        if not (
+            len(photons) == 2
+            and all(isinstance(p, Integral) for p in photons)
+            and photons[0] != photons[1]
+        ):
+            raise StateError(f"a pair source needs two distinct photon indices, got {photons}")
+        if not (len(modes) == 2 and all(isinstance(m, str) for m in modes)):
+            raise StateError(f"a pair source needs two string modes, got {modes}")
+
 
 @dataclass(frozen=True)
 class Apparatus:
     sources: tuple[PairSource, ...]
     pbs: PbsElement
-    detectors: Mapping[str, str]  # detector id -> mode
+    detectors: Mapping[str, str]  # detector id -> mode, read-only
 
     def __post_init__(self):
+        # read-only copies, so that the compiled patterns cannot go stale
+        object.__setattr__(self, "sources", tuple(self.sources))
+        object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
         modes = list(self.detectors.values())
+        if len(modes) != 4 or not all(isinstance(m, str) for m in modes):
+            raise StateError(f"a four-fold needs four detectors on string modes, got {modes}")
         if len(set(modes)) != len(modes):
             raise StateError("each detector must watch a distinct mode")
+
+    def __reduce__(self):
+        # rebuilt from its fields: a mapping proxy does not pickle, the memo need not
+        return (Apparatus, (self.sources, self.pbs, dict(self.detectors)))
+
+    @cached_property
+    def _compiled(self) -> dict:
+        """Routing pattern -> entry of `_compiled_pattern`, filled on first use."""
+        return {}
 
     def detector_ids(self) -> list[str]:
         return sorted(self.detectors)
@@ -187,6 +215,22 @@ def ghz_after_postselection(
     return postselect_fourfold(state, apparatus.mode_order())
 
 
+def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
+    """`ghz_after_postselection` once per apparatus and routing pattern, as
+    (p_sel, read-only dense vector, branch count); None if nothing survives."""
+    memo = apparatus._compiled
+    if flipped not in memo:
+        try:
+            state, p_sel = ghz_after_postselection(apparatus, flipped)
+        except PostselectionError:
+            memo[flipped] = None
+        else:
+            psi = state.dense(apparatus.mode_order())
+            psi.flags.writeable = False
+            memo[flipped] = (p_sel, psi, len(state.amps))
+    return memo[flipped]
+
+
 def exact_outcome_probabilities(
     apparatus: Apparatus,
     setting: MeasurementSetting,
@@ -199,8 +243,9 @@ def exact_outcome_probabilities(
 
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
     Monte Carlo engine passes the PBS's configured rate; the exact path
-    defaults to the ideal PBS). The sparse algebra builds each post-selected
-    state; one dense contraction with the analyzers gives all probabilities.
+    defaults to the ideal PBS). Each routing pattern's post-selected vector
+    is compiled once per apparatus; one dense contraction with the analyzers
+    gives all probabilities.
     """
     d = 1.0 if delay is None else distinguishability(delay)
     err = 0.0 if pbs_error is None else pbs_error
@@ -219,21 +264,17 @@ def exact_outcome_probabilities(
             w = err ** len(subset) * (1 - err) ** (len(pbs_photons) - len(subset))
             patterns.append((w, frozenset(subset)))
 
-    mode_order = apparatus.mode_order()
     vectors: list[np.ndarray] = []
     weights: list[float] = []
     total_mass = 0.0
     for w_pat, flipped in patterns:
-        try:
-            state, p_sel = ghz_after_postselection(apparatus, flipped)
-        except PostselectionError:
+        compiled = _compiled_pattern(apparatus, flipped)
+        if compiled is None:
             continue
+        p_sel, psi, branches = compiled
         w = w_pat * p_sel
         total_mass += w
-        psi = state.dense(mode_order)
-        components = (
-            [(1.0, psi)] if len(state.amps) == 1 else dephasing_components(psi, d, v0)
-        )
+        components = [(1.0, psi)] if branches == 1 else dephasing_components(psi, d, v0)
         for w_branch, v in components:
             vectors.append(v)
             weights.append(w * w_branch)

@@ -125,6 +125,23 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("apparatus", [
+        {"sources": [{"photons": [1], "modes": ["1", "2"]},
+                     {"photons": [3, 4], "modes": ["3", "4"]}]},
+        {"pbs": {"inputs": ["2"]}},
+        {"detectors": {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}},
+        {"detectors": {"D1": "1"}},
+    ])
+    def test_malformed_apparatus_shape(self, apparatus, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"apparatus": apparatus}))
+        assert run(["--scenario", "hv-table", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestPhysicsErrors:
     def test_impossible_postselection(self, tmp_path, capsys):
         # detectors watch a mode nothing can reach
@@ -149,6 +166,21 @@ class TestScenarios:
         others = [v for k, v in counts.items() if k not in ("HVVH", "VHHV")]
         assert counts["HVVH"] > 50 and counts["VHHV"] > 50
         assert max(others) <= 5
+
+    @pytest.mark.parametrize("user, flags, snr", [
+        # every expected count underflows to 0: the ratio is 0/0
+        ({}, ["--time", "1e-300"], "undefined (no counts)"),
+        ({"rates": {"background_fourfold_rate": 0}}, [], "inf"),
+    ])
+    def test_hv_table_snr_without_background(self, user, flags, snr, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        out = tmp_path / "out"
+        assert run(["--scenario", "hv-table", "--config", str(cfg), *flags,
+                    "--out", str(out)]) == 0
+        summary = (out / "hv-table_summary.txt").read_text().splitlines()
+        assert "mean non-desired count: 0.000" in summary
+        assert summary[-1] == f"signal-to-noise ratio: {snr}"
 
     def test_pbs_error_rate_set_alone(self, tmp_path):
         cfg = tmp_path / "cfg.json"

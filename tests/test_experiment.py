@@ -1,12 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from fourphoton import experiment
 from fourphoton import (
+    Apparatus,
     DelayElement,
     MeasurementSetting,
+    PairSource,
+    PbsElement,
     PostselectionError,
     RateModel,
     StateError,
@@ -203,6 +208,123 @@ class TestExactProbabilities:
     def test_visibility_outside_unit_interval_rejected(self, v0):
         with pytest.raises(StateError, match="visibility"):
             exact_outcome_probabilities(APP, diagonal_setting(APP), v0=v0)
+
+
+def _random_call(rng, pbs_error: bool) -> tuple[MeasurementSetting, dict]:
+    """A random setting and keyword arguments for `exact_outcome_probabilities`."""
+    angles = [None if rng.random() < 0.2 else float(rng.uniform(0, 180)) for _ in range(4)]
+    return MeasurementSetting(dict(zip(APP.detector_ids(), angles))), dict(
+        delay=DelayElement(float(rng.uniform(-1200, 1200))),
+        v0=float(rng.uniform(0, 1)),
+        pbs_error=float(rng.uniform(1e-4, 0.05)) if pbs_error else None,
+    )
+
+
+class TestCompiledPatterns:
+    """The post-selected vector of each routing pattern is computed once per
+    apparatus and reused by every later exact call."""
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        calls = []
+        chain = experiment.ghz_after_postselection
+
+        def counted(apparatus, flipped=frozenset()):
+            calls.append((apparatus, flipped))
+            return chain(apparatus, flipped)
+
+        monkeypatch.setattr(experiment, "ghz_after_postselection", counted)
+        return calls
+
+    @pytest.mark.parametrize("pbs_error, patterns", [(False, 1), (True, 4)])
+    def test_chain_runs_once_per_pattern(self, chain_calls, pbs_error, patterns):
+        app = default_apparatus()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            setting, kw = _random_call(rng, pbs_error)
+            exact_outcome_probabilities(app, setting, **kw)
+        assert len(chain_calls) == patterns
+        assert len({flipped for _, flipped in chain_calls}) == patterns
+        monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 1)
+        delay_scan(app, diagonal_setting(app), [-100.0, 0.0, 100.0], RateModel(), 10.0, 1)
+        assert len(chain_calls) == patterns
+
+    def test_failed_pattern_is_remembered(self, chain_calls):
+        app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
+        for _ in range(3):
+            with pytest.raises(PostselectionError):
+                exact_outcome_probabilities(app, hv_setting(app))
+        assert len(chain_calls) == 1
+
+    def test_reused_apparatus_matches_fresh_one_exactly(self):
+        reused = default_apparatus()
+        rng = np.random.default_rng(8)
+        for i in range(60):
+            setting, kw = _random_call(rng, pbs_error=i % 2 == 1)
+            fresh = exact_outcome_probabilities(default_apparatus(), setting, **kw)
+            assert exact_outcome_probabilities(reused, setting, **kw) == fresh
+
+    def test_layouts_do_not_share_patterns(self, chain_calls):
+        # D1 and D2 swapped: the same source and PBS, another mode order
+        swapped = Apparatus(APP.sources, APP.pbs, {"D1": "2'", "D2": "1", "D3": "3'", "D4": "4"})
+        app = default_apparatus()
+        assert exact_outcome_probabilities(app, hv_setting(app))["HVVH"] == pytest.approx(0.5)
+        probs = exact_outcome_probabilities(swapped, hv_setting(swapped))
+        assert probs["VHVH"] == pytest.approx(0.5) and probs["HVVH"] == 0.0
+        assert len(chain_calls) == 2
+        fresh = Apparatus(APP.sources, APP.pbs, dict(swapped.detectors))
+        assert exact_outcome_probabilities(fresh, hv_setting(fresh)) == probs
+
+    def test_compiled_vector_is_read_only(self):
+        app = default_apparatus()
+        _, psi, _ = experiment._compiled_pattern(app, frozenset())
+        with pytest.raises(ValueError):
+            psi[0] = 1.0
+
+    def test_detectors_are_read_only(self):
+        layout = {"D1": "1", "D2": "2'", "D3": "3'", "D4": "4"}
+        app = Apparatus(APP.sources, APP.pbs, layout)
+        with pytest.raises(TypeError):
+            app.detectors["D4"] = "x"
+        layout["D4"] = "x"  # the apparatus keeps its own copy
+        assert app.detectors["D4"] == "4"
+        assert dict(app.detectors) == dict(APP.detectors)
+
+    def test_pickle_round_trip(self):
+        app = default_apparatus(0.01)
+        exact_outcome_probabilities(app, hv_setting(app))
+        again = pickle.loads(pickle.dumps(app))
+        assert again == app
+        assert exact_outcome_probabilities(again, hv_setting(again)) == (
+            exact_outcome_probabilities(app, hv_setting(app))
+        )
+
+
+class TestApparatusShape:
+    @pytest.mark.parametrize("build", [
+        lambda: PairSource((1,), ("1", "2")),
+        lambda: PairSource((1, 2, 5), ("1", "2")),
+        lambda: PairSource((1, 1), ("1", "2")),
+        lambda: PairSource((1, "x"), ("1", "2")),
+        lambda: PairSource((1, 2), (1, "2")),
+        lambda: PairSource((1, 2), ("1",)),
+        lambda: PbsElement(("2",), ("2'", "3'")),
+        lambda: PbsElement(("2", "2"), ("2'", "3'")),
+        lambda: PbsElement((2, 3), ("2'", "3'")),
+        lambda: PbsElement(("2", "3"), ("2'", "2'")),
+        lambda: PbsElement(("2", "3"), ("2'", "3'", "4'")),
+        lambda: Apparatus(APP.sources, APP.pbs, {"D1": "1"}),
+        lambda: Apparatus(APP.sources, APP.pbs, {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}),
+        lambda: Apparatus(APP.sources, APP.pbs, {**APP.detectors, "D5": "5"}),
+    ], ids=[
+        "one-photon-source", "three-photon-source", "same-photon-twice", "string-photon",
+        "int-source-mode", "one-source-mode", "one-pbs-input", "same-pbs-input",
+        "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs", "one-detector",
+        "int-detector-mode", "five-detectors",
+    ])
+    def test_malformed_shape_rejected(self, build):
+        with pytest.raises(StateError):
+            build()
 
 
 class TestMonteCarlo:
