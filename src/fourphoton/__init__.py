@@ -25,8 +25,6 @@ from .elements import (
     DelayElement,
     PbsElement,
     PolarizerElement,
-    RoutingError,
-    apply_pbs,
     apply_polarizer,
     dephase_by_distinguishability,
     distinguishability,
@@ -45,7 +43,6 @@ from .experiment import (
     ghz_after_postselection,
     hv_setting,
     monte_carlo_counts,
-    postselect_fourfold,
     source_state,
     three_photon_ghz,
 )

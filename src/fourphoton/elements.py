@@ -30,10 +30,6 @@ VISIBILITY_ZERO_DELAY = 0.79
 COHERENCE_TIME_FS = 550.0
 
 
-class RoutingError(StateError):
-    """A PBS input mode is missing or doubly occupied."""
-
-
 @dataclass(frozen=True)
 class PbsElement:
     """Polarizing beam-splitter between two labeled spatial modes.
@@ -97,34 +93,6 @@ class DelayElement:
             raise StateError(f"delay {self.delay_fs} fs is not finite")
         if not self.coherence_time_fs > 0:
             raise StateError("coherence time must be positive")
-
-
-def apply_pbs(
-    state: PureState, pbs: PbsElement, flipped_photons: frozenset = frozenset()
-) -> PureState:
-    """Relabel modes per the PBS routing rule.
-
-    `flipped_photons` routes the named photons to the wrong port (incoherent
-    error model for Monte Carlo runs). Output kets may bunch two photons
-    into one output mode; post-selection filters those later.
-    """
-    ins = set(pbs.input_modes)
-
-    def reroute(ket, a):
-        occupied = [mode for _, mode in ket if mode in ins]
-        if sorted(occupied) != sorted(pbs.input_modes):
-            raise RoutingError(
-                f"PBS inputs {pbs.input_modes} not each occupied once in ket {ket}"
-            )
-        new_ket = tuple(
-            (pol, pbs.route(mode, pol, idx_photon in flipped_photons))
-            if mode in ins
-            else (pol, mode)
-            for (pol, mode), idx_photon in zip(ket, state.photons)
-        )
-        yield new_ket, a
-
-    return PureState(state.photons, state.map_amplitudes(reroute), normalize=False)
 
 
 def apply_polarizer(state: PureState, pol: PolarizerElement) -> tuple[PureState, float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -28,7 +28,6 @@ from .elements import (
     VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
-    apply_pbs,
     dephasing_components,
     distinguishability,
 )
@@ -77,6 +76,18 @@ class Apparatus:
             raise StateError(f"a four-fold needs four detectors on string modes, got {modes}")
         if len(set(modes)) != len(modes):
             raise StateError("each detector must watch a distinct mode")
+        # the PBS layout rule: each input mode holds exactly one source photon
+        if not self.sources:
+            raise StateError("an apparatus needs at least one pair source")
+        photons = [p for s in self.sources for p in s.photons]
+        held = [m for s in self.sources for m in s.modes]
+        if len(set(photons)) != len(photons):
+            raise StateError(f"source photons {photons} are not distinct")
+        if len(set(held)) != len(held):
+            raise StateError(f"source modes {held} are not distinct")
+        missing = [m for m in self.pbs.input_modes if m not in held]
+        if missing:
+            raise StateError(f"PBS input modes {missing} hold no source photon")
 
     def __reduce__(self):
         # rebuilt from its fields: a mapping proxy does not pickle, the memo need not
@@ -177,42 +188,38 @@ class CountTable:
 
 
 def source_state(apparatus: Apparatus) -> PureState:
-    state = None
-    for src in apparatus.sources:
-        pair = spdc_pair(*src.photons, modes=src.modes)
-        state = pair if state is None else tensor(state, pair)
-    if state is None:
-        raise StateError("apparatus declares no sources")
-    return state
-
-
-def postselect_fourfold(
-    state: PureState, modes: Sequence[str]
-) -> tuple[PureState, float]:
-    """Keep kets with exactly one photon in each listed mode; renormalize.
-
-    Returns (state, surviving probability mass).
-    """
-    wanted = sorted(modes)
-    kept = {
-        ket: a
-        for ket, a in state.amps.items()
-        if sorted(m for _, m in ket) == wanted
-    }
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob <= 1e-30:
-        raise PostselectionError(
-            f"no amplitude with one photon in each of {list(modes)}"
-        )
-    return PureState(state.photons, kept), prob
+    return reduce(tensor, (spdc_pair(*s.photons, modes=s.modes) for s in apparatus.sources))
 
 
 def ghz_after_postselection(
     apparatus: Apparatus, flipped_photons: frozenset = frozenset()
 ) -> tuple[PureState, float]:
-    """Run sources through the PBS and post-select on the detector modes."""
-    state = apply_pbs(source_state(apparatus), apparatus.pbs, flipped_photons)
-    return postselect_fourfold(state, apparatus.mode_order())
+    """Route the source photons through the PBS and keep the four-fold
+    coincidences: the kets with one photon in each detector mode.
+
+    `flipped_photons` routes the named photons to the wrong port (the
+    incoherent PBS error model). Returns the renormalized state and the
+    kept probability mass.
+    """
+    source = source_state(apparatus)
+    pbs = apparatus.pbs
+    wanted = sorted(apparatus.mode_order())
+    kept = {}
+    for ket, a in source.amps.items():
+        routed = tuple(
+            (pol, pbs.route(mode, pol, photon in flipped_photons))
+            if mode in pbs.input_modes
+            else (pol, mode)
+            for (pol, mode), photon in zip(ket, source.photons)
+        )
+        if sorted(m for _, m in routed) == wanted:
+            kept[routed] = a
+    prob = sum(abs(a) ** 2 for a in kept.values())
+    if prob <= 1e-30:
+        raise PostselectionError(
+            f"no amplitude with one photon in each of {apparatus.mode_order()}"
+        )
+    return PureState(source.photons, kept), prob
 
 
 def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
@@ -250,12 +257,12 @@ def exact_outcome_probabilities(
     d = 1.0 if delay is None else distinguishability(delay)
     err = 0.0 if pbs_error is None else pbs_error
 
+    # the photon in each PBS input, in input order, so that the sum over
+    # patterns does not depend on how the sources are listed or labelled
     pbs_photons: list[int] = []
     if err > 0.0:
-        for src in apparatus.sources:
-            for ph, mode in zip(src.photons, src.modes):
-                if mode in apparatus.pbs.input_modes:
-                    pbs_photons.append(ph)
+        holder = {m: ph for src in apparatus.sources for ph, m in zip(src.photons, src.modes)}
+        pbs_photons = [holder[m] for m in apparatus.pbs.input_modes]
 
     # with an ideal PBS this is the single pattern (1.0, frozenset())
     patterns: list[tuple[float, frozenset]] = []

@@ -131,15 +131,23 @@ class TestConfigErrors:
         {"pbs": {"inputs": ["2"]}},
         {"detectors": {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}},
         {"detectors": {"D1": "1"}},
+        # source layouts that do not put one photon into each PBS input
+        {"sources": [{"photons": [1, 2], "modes": ["1", "2"]}]},
+        {"sources": [{"photons": [1, 2], "modes": ["2", "2"]},
+                     {"photons": [3, 4], "modes": ["3", "4"]}]},
+        {"sources": [{"photons": [1, 2], "modes": ["1", "2"]},
+                     {"photons": [2, 4], "modes": ["3", "4"]}]},
+        {"sources": []},
     ])
     def test_malformed_apparatus_shape(self, apparatus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"apparatus": apparatus}))
-        assert run(["--scenario", "hv-table", "--config", str(cfg),
-                    "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        for scenario in ("hv-table", "feasibility"):
+            assert run(["--scenario", scenario, "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
 
 class TestPhysicsErrors:

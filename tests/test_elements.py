@@ -4,94 +4,83 @@ import numpy as np
 import pytest
 
 from fourphoton import (
+    Apparatus,
     DelayElement,
+    PairSource,
     PbsElement,
     PolarizerElement,
     PostselectionError,
     PureState,
-    RoutingError,
     StateError,
-    apply_pbs,
     apply_polarizer,
     bell_state,
+    default_apparatus,
     dephase_by_distinguishability,
     fidelity,
+    ghz_after_postselection,
     ghz_state,
-    spdc_pair,
+    source_state,
     state_from_terms,
-    tensor,
 )
-from fourphoton.experiment import postselect_fourfold
 
 S2 = 1 / math.sqrt(2)
 PBS = PbsElement(("2", "3"), ("2'", "3'"))
+APP = default_apparatus()
+MODES = ["1", "2'", "3'", "4"]
+
+
+def pols(ket):
+    return tuple(p for p, _ in ket)
 
 
 class TestPbs:
     def test_routing_rule(self):
-        # H transmits, V reflects: HH splits, HV bunches into 2'
-        s = tensor(
-            state_from_terms([2], ["2"], {"H": 1.0}),
-            state_from_terms([3], ["3"], {"H": 1.0}),
-        )
-        out = apply_pbs(s, PBS)
-        assert out.mode_view(["2'", "3'"]) == {("H", "H"): pytest.approx(1.0)}
-        s = tensor(
-            state_from_terms([2], ["2"], {"H": 1.0}),
-            state_from_terms([3], ["3"], {"V": 1.0}),
-        )
-        out = apply_pbs(s, PBS)
-        (ket,) = out.amps
-        assert [m for _, m in ket] == ["2'", "2'"]
+        # H transmits, V reflects; a wrong-port photon leaves by the other output
+        rule = {("2", "H"): "2'", ("2", "V"): "3'", ("3", "H"): "3'", ("3", "V"): "2'"}
+        other = {"2'": "3'", "3'": "2'"}
+        for (mode, pol), out in rule.items():
+            assert PBS.route(mode, pol) == out
+            assert PBS.route(mode, pol, flipped=True) == other[out]
 
     def test_matched_polarizations_split(self):
-        s = tensor(spdc_pair(1, 2), spdc_pair(3, 4))
-        out = apply_pbs(s, PBS)
-        survived = {
-            ket
-            for ket in out.amps
-            if sorted(m for _, m in ket) == sorted(["1", "2'", "3'", "4"])
-        }
-        views = [dict(ket) for ket in survived]
-        # surviving kets carry matched polarizations in the two outputs
-        for ket in survived:
-            pols = {m: p for p, m in ket}
-            assert pols["2'"] == pols["3'"]
-        assert len(survived) == 2
+        # the surviving kets carry matched polarizations in the two outputs
+        state, _ = ghz_after_postselection(APP)
+        assert len(state.amps) == 2
+        for ket in state.amps:
+            by_mode = {m: p for p, m in ket}
+            assert sorted(by_mode) == sorted(MODES)
+            assert by_mode["2'"] == by_mode["3'"]
 
     def test_cross_terms_bunch(self):
-        s = tensor(spdc_pair(1, 2), spdc_pair(3, 4))
-        out = apply_pbs(s, PBS)
-        bunched = [
-            ket
-            for ket in out.amps
-            if sorted(m for _, m in ket) != sorted(["1", "2'", "3'", "4"])
-        ]
-        assert len(bunched) == 2
-        for ket in bunched:
-            modes = [m for _, m in ket if m in ("2'", "3'")]
-            assert modes[0] == modes[1]
+        # photons 2 and 3 with different polarizations share one output, so
+        # the two cross terms of the source fail the four-fold selection
+        for p2, p3 in (("H", "V"), ("V", "H")):
+            assert PBS.route("2", p2) == PBS.route("3", p3)
+        state, prob = ghz_after_postselection(APP)
+        assert prob == pytest.approx(0.5, abs=1e-12)
+        assert all(p[1] == p[2] for p in map(pols, state.amps))
 
     def test_amplitude_magnitudes_preserved(self):
-        s = tensor(spdc_pair(1, 2), spdc_pair(3, 4))
-        out = apply_pbs(s, PBS)
-        assert sorted(abs(a) for a in out.amps.values()) == pytest.approx(
-            sorted(abs(a) for a in s.amps.values())
-        )
+        # routing only relabels modes: each kept ket keeps its source
+        # amplitude, up to one common factor of modulus 1/sqrt(p_sel)
+        source = {pols(ket): a for ket, a in source_state(APP).amps.items()}
+        state, prob = ghz_after_postselection(APP)
+        ratios = [a / source[pols(ket)] for ket, a in state.amps.items()]
+        assert ratios[0] == pytest.approx(ratios[1], abs=1e-12)
+        assert abs(ratios[0]) == pytest.approx(1 / math.sqrt(prob), abs=1e-12)
 
     def test_phi_plus_survives_with_probability_one(self):
-        s = bell_state("phi+", 2, 3)
-        out = apply_pbs(s, PBS)
-        kept, prob = postselect_fourfold(out, ["2'", "3'"])
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        view = kept.mode_view(["2'", "3'"])
-        assert view[("H", "H")] == pytest.approx(S2, abs=1e-12)
-        assert view[("V", "V")] == pytest.approx(S2, abs=1e-12)
+        # a PBS is a parity check: both kets of phi+ on its inputs leave one
+        # photon in each output, with polarizations unchanged
+        phi = bell_state("phi+", 2, 3)
+        for ket, a in phi.amps.items():
+            assert a == pytest.approx(S2, abs=1e-12)
+            assert sorted(PBS.route(m, p) for p, m in ket) == ["2'", "3'"]
+        assert phi.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_input_mode(self):
-        s = state_from_terms([2], ["2"], {"H": 1.0})
-        with pytest.raises(RoutingError):
-            apply_pbs(s, PBS)
+        with pytest.raises(StateError, match="hold no source photon"):
+            Apparatus((PairSource((1, 2), ("1", "2")),), PBS, APP.detectors)
 
     def test_error_rate_validation(self):
         with pytest.raises(StateError):

@@ -29,13 +29,8 @@ from fourphoton import (
     hv_setting,
     mix,
     monte_carlo_counts,
-    postselect_fourfold,
-    source_state,
-    spdc_pair,
-    tensor,
     three_photon_ghz,
 )
-from fourphoton.elements import apply_pbs
 
 import oracle
 
@@ -52,35 +47,20 @@ class TestPostselection:
         assert view[("H", "V", "V", "H")] == pytest.approx(S2, abs=1e-12)
         assert view[("V", "H", "H", "V")] == pytest.approx(S2, abs=1e-12)
 
-    def test_already_selected_state_unchanged(self):
-        s = ghz_state("HVVH", modes=MODES)
-        kept, prob = postselect_fourfold(s, MODES)
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        assert kept.allclose(s)
-
     def test_two_photon_pbs_routing_enumeration(self):
-        # brute force over the four two-photon polarization kets
-        from fourphoton import state_from_terms
-
-        outcomes = {}
-        for pols in ("HH", "HV", "VH", "VV"):
-            s = tensor(
-                state_from_terms([2], ["2"], {pols[0]: 1.0}),
-                state_from_terms([3], ["3"], {pols[1]: 1.0}),
-            )
-            out = apply_pbs(s, APP.pbs)
-            try:
-                _, p = postselect_fourfold(out, ["2'", "3'"])
-            except PostselectionError:
-                p = 0.0
-            outcomes[pols] = p
-        assert outcomes == {"HH": pytest.approx(1.0), "VV": pytest.approx(1.0),
-                            "HV": 0.0, "VH": 0.0}
+        # brute force over the four polarization kets of photons 2 and 3:
+        # a pair survives when the PBS sends its photons to different outputs
+        survives = {
+            p2 + p3: APP.pbs.route("2", p2) != APP.pbs.route("3", p3)
+            for p2 in ("H", "V")
+            for p3 in ("H", "V")
+        }
+        assert survives == {"HH": True, "VV": True, "HV": False, "VH": False}
 
     def test_impossible_postselection(self):
-        s = ghz_state("HVVH", modes=MODES)
+        app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
         with pytest.raises(PostselectionError):
-            postselect_fourfold(s, ["1", "2'", "3'", "x"])
+            ghz_after_postselection(app)
 
 
 class TestExactProbabilities:
@@ -316,11 +296,21 @@ class TestApparatusShape:
         lambda: Apparatus(APP.sources, APP.pbs, {"D1": "1"}),
         lambda: Apparatus(APP.sources, APP.pbs, {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}),
         lambda: Apparatus(APP.sources, APP.pbs, {**APP.detectors, "D5": "5"}),
+        # source layouts that do not put one photon into each PBS input
+        lambda: Apparatus((PairSource((1, 2), ("1", "2")),), APP.pbs, APP.detectors),
+        lambda: Apparatus(
+            (PairSource((1, 2), ("2", "2")), APP.sources[1]), APP.pbs, APP.detectors
+        ),
+        lambda: Apparatus(
+            (APP.sources[0], PairSource((2, 4), ("3", "4"))), APP.pbs, APP.detectors
+        ),
+        lambda: Apparatus((), APP.pbs, APP.detectors),
     ], ids=[
         "one-photon-source", "three-photon-source", "same-photon-twice", "string-photon",
         "int-source-mode", "one-source-mode", "one-pbs-input", "same-pbs-input",
         "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs", "one-detector",
-        "int-detector-mode", "five-detectors",
+        "int-detector-mode", "five-detectors", "one-source", "same-modes-in-pair",
+        "photon-in-two-sources", "no-sources",
     ])
     def test_malformed_shape_rejected(self, build):
         with pytest.raises(StateError):
