@@ -88,6 +88,8 @@ class Apparatus:
         missing = [m for m in self.pbs.input_modes if m not in held]
         if missing:
             raise StateError(f"PBS input modes {missing} hold no source photon")
+        if any(set(self.pbs.input_modes) <= set(s.modes) for s in self.sources):
+            raise StateError("both PBS input modes hold photons of one pair")
 
     def __reduce__(self):
         # rebuilt from its fields: a mapping proxy does not pickle, the memo need not

@@ -298,8 +298,9 @@ class DensityMatrix:
         m = self.matrix
         if np.max(np.abs(m - m.conj().T)) > tol:
             raise StateError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-            raise StateError(f"trace {np.trace(m)}, expected 1")
+        tr = np.trace(m)
+        if abs(tr.real - 1.0) > tol or abs(tr.imag) > tol:
+            raise StateError(f"trace {tr}, expected 1")
         if np.min(np.linalg.eigvalsh(m)) < -tol:
             raise StateError("density matrix has a negative eigenvalue")
 

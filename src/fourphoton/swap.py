@@ -25,11 +25,16 @@ from .states import (
     tensor,
 )
 
-# Bell amplitudes over (HH, HV, VH, VV)
+# Fixed vectors and operators on the analyzed pair, built once, read-only.
+# Bell amplitudes over (HH, HV, VH, VV), and their projectors |v><v|
 _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
-# exact 1/sqrt2 like the Bell vectors: cos(45 deg) would move the last digits of the swap report
-_PLUS_45 = np.array([1, 1], dtype=complex) / math.sqrt(2)
-_MINUS_45 = np.array([1, -1], dtype=complex) / math.sqrt(2)
+_BELL_PROJECTORS = {k: np.outer(v, v.conj()) for k, v in _BELL_VECS.items()}
+# Kraus pair of the +45/+45 and -45/-45 coincidences; exact 1/sqrt2 like the Bell
+# vectors: cos(45 deg) would move the last digits of the swap report
+_KRAUS_45 = tuple(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
+    np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
+for _op in (*_BELL_VECS.values(), *_BELL_PROJECTORS.values(), *_KRAUS_45):
+    _op.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ def _as_density(state_or_rho, mode_order: Sequence[str] | None) -> DensityMatrix
 
 
 def _conditioned_pair_state(
-    rho: DensityMatrix, pair_modes: Sequence[str], kraus_ops: list[np.ndarray]
+    rho: DensityMatrix, pair_modes: Sequence[str], kraus_ops: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float, tuple[str, ...]]:
     """Sum of Kraus-projected states, traced down to the remaining pair."""
     n = len(rho.modes)
@@ -119,9 +124,7 @@ def project_bell(
     if kind not in BELL_KINDS:
         raise StateError(f"unknown Bell kind {kind!r}")
     rho = _as_density(state_or_rho, mode_order)
-    v = _BELL_VECS[kind]
-    proj = np.outer(v, v.conj())
-    return _finish(*_conditioned_pair_state(rho, pair_modes, [proj]))
+    return _finish(*_conditioned_pair_state(rho, pair_modes, [_BELL_PROJECTORS[kind]]))
 
 
 def phi_plus_via_45_coincidence(
@@ -137,9 +140,7 @@ def phi_plus_via_45_coincidence(
     equals the abstract phi+ projection.
     """
     rho = _as_density(state_or_rho, mode_order)
-    pair_vecs = (np.kron(v, v) for v in (_PLUS_45, _MINUS_45))
-    kraus = [np.outer(v, v.conj()) for v in pair_vecs]
-    return _finish(*_conditioned_pair_state(rho, pair_modes, kraus))
+    return _finish(*_conditioned_pair_state(rho, pair_modes, _KRAUS_45))
 
 
 def visibility_from_counts(
@@ -162,18 +163,23 @@ def visibility_from_counts(
 
 
 def _analyzer_operator(angle_deg: float) -> np.ndarray:
-    """+1/-1 valued polarization observable at the given analyzer angle."""
-    a = np.array([analyzer_overlap(p, angle_deg, "pass") for p in POLS])
-    b = np.array([analyzer_overlap(p, angle_deg, "reject") for p in POLS])
-    return np.outer(a, a) - np.outer(b, b)
+    """+1/-1 valued polarization observable |a><a| - |b><b| at the given angle."""
+    a = [analyzer_overlap(p, angle_deg, "pass") for p in POLS]
+    b = [analyzer_overlap(p, angle_deg, "reject") for p in POLS]
+    return np.array([[a[i] * a[j] - b[i] * b[j] for j in range(2)] for i in range(2)])
+
+
+def _expectation(rho_pair: DensityMatrix, sa: np.ndarray, sb: np.ndarray) -> float:
+    """<sa x sb>; the broadcast product is np.kron(sa, sb), one multiply per entry."""
+    if len(rho_pair.modes) != 2:
+        raise StateError("correlation needs a two-photon density matrix")
+    op = (sa[:, None, :, None] * sb[None, :, None, :]).reshape(4, 4)
+    return float(np.trace(rho_pair.matrix @ op).real)
 
 
 def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
-    if len(rho_pair.modes) != 2:
-        raise StateError("correlation needs a two-photon density matrix")
-    op = np.kron(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
-    return float(np.trace(rho_pair.matrix @ op).real)
+    return _expectation(rho_pair, _analyzer_operator(angle_a), _analyzer_operator(angle_b))
 
 
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
@@ -188,9 +194,10 @@ def chsh_value(
     The default settings are optimal for |phi+> (S = 2 sqrt 2).
     """
     (a, ap), (b, bp) = settings
+    sa, sap, sb, sbp = map(_analyzer_operator, (a, ap, b, bp))
     return (
-        correlation(rho_pair, a, b)
-        - correlation(rho_pair, a, bp)
-        + correlation(rho_pair, ap, b)
-        + correlation(rho_pair, ap, bp)
+        _expectation(rho_pair, sa, sb)
+        - _expectation(rho_pair, sa, sbp)
+        + _expectation(rho_pair, sap, sb)
+        + _expectation(rho_pair, sap, sbp)
     )

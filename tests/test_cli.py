@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fourphoton import RateModel, default_apparatus, hv_setting, monte_carlo_counts
-from fourphoton.cli import main
+from fourphoton.cli import SCENARIOS, main
 
 
 def run(args):
@@ -138,11 +138,17 @@ class TestConfigErrors:
         {"sources": [{"photons": [1, 2], "modes": ["1", "2"]},
                      {"photons": [2, 4], "modes": ["3", "4"]}]},
         {"sources": []},
+        # both PBS inputs fed by one pair, with an ideal and an imperfect PBS
+        {"sources": [{"photons": [1, 2], "modes": ["2", "3"]},
+                     {"photons": [3, 4], "modes": ["1", "4"]}]},
+        {"sources": [{"photons": [1, 2], "modes": ["2", "3"]},
+                     {"photons": [3, 4], "modes": ["1", "4"]}],
+         "pbs": {"error_rate": 0.01}},
     ])
     def test_malformed_apparatus_shape(self, apparatus, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"apparatus": apparatus}))
-        for scenario in ("hv-table", "feasibility"):
+        for scenario in SCENARIOS:
             assert run(["--scenario", scenario, "--config", str(cfg),
                         "--out", str(tmp_path / "out")]) == 2
             err = capsys.readouterr().err

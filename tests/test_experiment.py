@@ -305,12 +305,22 @@ class TestApparatusShape:
             (APP.sources[0], PairSource((2, 4), ("3", "4"))), APP.pbs, APP.detectors
         ),
         lambda: Apparatus((), APP.pbs, APP.detectors),
+        # both PBS inputs fed by one pair, with an ideal and an imperfect PBS
+        lambda: Apparatus(
+            (PairSource((1, 2), ("2", "3")), PairSource((3, 4), ("1", "4"))),
+            APP.pbs, APP.detectors,
+        ),
+        lambda: Apparatus(
+            (PairSource((1, 2), ("2", "3")), PairSource((3, 4), ("1", "4"))),
+            PbsElement(("2", "3"), ("2'", "3'"), error_rate=0.01), APP.detectors,
+        ),
     ], ids=[
         "one-photon-source", "three-photon-source", "same-photon-twice", "string-photon",
         "int-source-mode", "one-source-mode", "one-pbs-input", "same-pbs-input",
         "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs", "one-detector",
         "int-detector-mode", "five-detectors", "one-source", "same-modes-in-pair",
-        "photon-in-two-sources", "no-sources",
+        "photon-in-two-sources", "no-sources", "one-pair-in-both-pbs-inputs",
+        "one-pair-in-both-pbs-inputs-pbs-error",
     ])
     def test_malformed_shape_rejected(self, build):
         with pytest.raises(StateError):

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fourphoton import swap
 from fourphoton import (
+    DelayElement,
     DensityMatrix,
+    PostselectionError,
     PureState,
     StateError,
     bell_decompose,
@@ -14,6 +19,7 @@ from fourphoton import (
     correlation,
     default_apparatus,
     dephase_by_distinguishability,
+    distinguishability,
     ghz_after_postselection,
     ghz_state,
     mix,
@@ -24,7 +30,7 @@ from fourphoton import (
     tensor,
     visibility_from_counts,
 )
-from fourphoton.states import BELL_KINDS
+from fourphoton.states import BELL_KINDS, POLS, analyzer_overlap
 
 import oracle
 
@@ -322,3 +328,122 @@ class TestChsh:
         res = phi_plus_via_45_coincidence(rho)
         assert res.fidelity_to_target == pytest.approx((1 + 0.79) / 2, abs=1e-9)
         assert chsh_value(res.conditioned_state_14) > 2.0
+
+
+# The swap analysis as written before its fixed operators were built once:
+# np.outer / np.kron on every call. The module must match it bit for bit.
+def ref_analyzer(angle):
+    a = np.array([analyzer_overlap(p, angle, "pass") for p in POLS])
+    b = np.array([analyzer_overlap(p, angle, "reject") for p in POLS])
+    return np.outer(a, a) - np.outer(b, b)
+
+
+def ref_correlation(rho, angle_a, angle_b):
+    op = np.kron(ref_analyzer(angle_a), ref_analyzer(angle_b))
+    return float(np.trace(rho.matrix @ op).real)
+
+
+def ref_chsh(rho, settings):
+    (a, ap), (b, bp) = settings
+    return (
+        ref_correlation(rho, a, b)
+        - ref_correlation(rho, a, bp)
+        + ref_correlation(rho, ap, b)
+        + ref_correlation(rho, ap, bp)
+    )
+
+
+def ref_projection(rho, pair_modes, kraus):
+    """(conditioned matrix, probability, fidelity to phi+, visibility), or None."""
+    pos = [rho.modes.index(m) for m in pair_modes]
+    order = pos + [i for i in range(4) if i not in pos]
+    t = rho.matrix.reshape((2,) * 8).transpose(order + [4 + i for i in order])
+    t = t.reshape(4, 4, 4, 4)
+    reduced = sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus)
+    prob = float(np.trace(reduced).real)
+    if prob <= 1e-30:
+        return None  # the module raises PostselectionError
+    m = reduced / prob
+    v = bell_state("phi+", 1, 2).dense(("1", "2"))
+    f = float(np.real(v.conj() @ m @ v))
+    return m, prob, f, 2.0 * f - 1.0
+
+
+def ref_kraus_45():
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    minus = np.array([1, -1], dtype=complex) / math.sqrt(2)
+    pair_vecs = (np.kron(v, v) for v in (plus, minus))
+    return [np.outer(v, v.conj()) for v in pair_vecs]
+
+
+def ref_bell_projector(kind):
+    v = bell_state(kind, 1, 2).dense(("1", "2"))
+    return np.outer(v, v.conj())
+
+
+def same_result(res, ref):
+    m, prob, f, vis = ref
+    return (
+        np.array_equal(res.conditioned_state_14.matrix, m)
+        and (res.projection_probability, res.fidelity_to_target, res.visibility_45)
+        == (prob, f, vis)
+    )
+
+
+GHZ = ghz_after_postselection(default_apparatus())[0]
+ANGLE = st.floats(0.0, 180.0, exclude_max=True)
+PINNED = settings(max_examples=60, deadline=None, database=None)
+
+
+class TestFixedOperators:
+    @PINNED
+    @given(
+        tau=st.floats(-3000.0, 3000.0),
+        v0=st.floats(0.0, 1.0),
+        angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+    )
+    def test_swap_chain_matches_per_call_operators(self, tau, v0, angles):
+        d = distinguishability(DelayElement(tau))
+        rho = dephase_by_distinguishability(GHZ, d, v0)
+        res = phi_plus_via_45_coincidence(rho)
+        assert same_result(res, ref_projection(rho, ("2'", "3'"), ref_kraus_45()))
+        assert same_result(phi_plus_via_45_coincidence(rho), ref_projection(
+            rho, ("2'", "3'"), ref_kraus_45()))
+        pair = res.conditioned_state_14
+        a, ap, b, bp = angles
+        for chsh_settings in (swap.CHSH_PHI_PLUS_SETTINGS, ((a, ap), (b, bp))):
+            s = chsh_value(pair, chsh_settings)
+            assert s == ref_chsh(pair, chsh_settings) == chsh_value(pair, chsh_settings)
+            for x in chsh_settings[0]:
+                for y in chsh_settings[1]:
+                    assert correlation(pair, x, y) == ref_correlation(pair, x, y)
+
+    @settings(PINNED, max_examples=40)
+    @given(
+        amps=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=16, max_size=16)
+        .filter(lambda amps: sum(abs(a) ** 2 for a in amps) > 1e-3),
+        angles=st.tuples(ANGLE, ANGLE),
+    )
+    def test_bell_projection_matches_per_call_projectors(self, amps, angles):
+        kets = itertools.product("HV", repeat=4)
+        state = state_from_terms([1, 2, 3, 4], MODES, dict(zip(map("".join, kets), amps)))
+        rho = mix([(1.0, state)], mode_order=MODES)
+        for kind in BELL_KINDS:
+            ref = ref_projection(rho, ("2'", "3'"), [ref_bell_projector(kind)])
+            if ref is None:
+                with pytest.raises(PostselectionError):
+                    project_bell(rho, ("2'", "3'"), kind)
+                continue
+            res = project_bell(state, ("2'", "3'"), kind, mode_order=MODES)
+            assert same_result(res, ref)
+            assert same_result(project_bell(rho, ("2'", "3'"), kind), ref)
+            # a pair that is not symmetric under exchange: E(a, b) != E(b, a)
+            assert correlation(res.conditioned_state_14, *angles) == ref_correlation(
+                res.conditioned_state_14, *angles)
+
+    def test_module_operators_are_read_only(self):
+        fixed = [*swap._KRAUS_45, *swap._BELL_PROJECTORS.values(), *swap._BELL_VECS.values()]
+        assert len(fixed) == 10
+        for op in fixed:
+            with pytest.raises(ValueError):
+                op[0, ...] = 0
