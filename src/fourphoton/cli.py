@@ -18,9 +18,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import experiment, swap
 from .elements import (
@@ -52,25 +51,36 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 
-# config key under "rates" -> RateModel field
-_RATE_FIELDS = {
-    "fourfold_rate_desired": "fourfold_rate_desired",
-    "background_fourfold_rate": "background_fourfold_rate",
-    "detector_efficiency": "detector_efficiency",
-    "dark_count_rate": "dark_count_rate",
-    "coincidence_window_s": "coincidence_window",
-}
-
 # Sections merged key by key with the defaults; any other value (detectors
 # and sources included) replaces the default whole.
 _MERGED_SECTIONS = ("apparatus", "apparatus.pbs", "rates")
 
 
+@dataclass(frozen=True)
+class Config:
+    """Everything a scenario reads. The field defaults are the one table of
+    paper-calibrated defaults."""
+
+    apparatus: Apparatus = field(default_factory=default_apparatus)
+    rates: RateModel = RateModel()
+    visibility_zero_delay: float = VISIBILITY_ZERO_DELAY
+    coherence_time_fs: float = COHERENCE_TIME_FS
+    # Bell test on photons 1,4 conditioned on the phi+ detection
+    # (success probability 0.5): event budget for 16 correlation
+    # settings at the precision needed to beat the LHV bound.
+    bell_test_target_events: int = 600000
+    # -1200 .. 1200 fs in 100 fs steps, as Python floats: numpy scalars would
+    # turn an overflow in the delay arithmetic into a printed RuntimeWarning
+    scan_delays_fs: tuple[float, ...] = tuple(100.0 * k for k in range(-12, 13))
+    scan_time_per_point_s: float = 24000.0
+
+
 def default_config() -> dict:
-    """Paper-calibrated defaults; see README for the schema."""
-    app = default_apparatus()
-    rates = RateModel()
+    """`Config()` as the JSON tree that a `--config` file edits; see README."""
+    cfg = Config()
+    app = cfg.apparatus
     return {
+        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "apparatus": {
             "sources": [{"photons": list(s.photons), "modes": list(s.modes)} for s in app.sources],
             "pbs": {
@@ -80,15 +90,8 @@ def default_config() -> dict:
             },
             "detectors": dict(app.detectors),
         },
-        "rates": {key: getattr(rates, field) for key, field in _RATE_FIELDS.items()},
-        "visibility_zero_delay": VISIBILITY_ZERO_DELAY,
-        "coherence_time_fs": COHERENCE_TIME_FS,
-        # Bell test on photons 1,4 conditioned on the phi+ detection
-        # (success probability 0.5): event budget for 16 correlation
-        # settings at the precision needed to beat the LHV bound.
-        "bell_test_target_events": 600000,
-        "scan_delays_fs": [round(x, 1) for x in np.linspace(-1200, 1200, 25)],
-        "scan_time_per_point_s": 24000.0,
+        "rates": asdict(cfg.rates),
+        "scan_delays_fs": list(cfg.scan_delays_fs),
     }
 
 
@@ -96,10 +99,10 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | None) -> dict:
-    cfg = default_config()
+def load_config(path: str | None) -> Config:
+    """The defaults with the user's JSON merged in, checked, as a `Config`."""
     if path is None:
-        return cfg
+        return Config()
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -107,65 +110,68 @@ def load_config(path: str | None) -> dict:
         user = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _merge(cfg, user, "")
-    delays = cfg["scan_delays_fs"]
-    vis = cfg["visibility_zero_delay"]
-    events = cfg["bell_test_target_events"]
+    tree = default_config()
+    _merge(tree, user, "")
+    delays = tree["scan_delays_fs"]
+    vis = tree["visibility_zero_delay"]
+    events = tree["bell_test_target_events"]
+    app, pbs = tree["apparatus"], tree["apparatus"]["pbs"]
+    bad_rates = [key for key, val in tree["rates"].items() if not _finite(val)]
     for ok, problem in (
         (isinstance(delays, list) and delays and all(map(_finite, delays)),
          "scan_delays_fs must be a non-empty list of finite numbers"),
         (_finite(vis) and 0 <= vis <= 1, "visibility_zero_delay must be a number in [0, 1]"),
-        (_positive(cfg["scan_time_per_point_s"]),
+        (_positive(tree["scan_time_per_point_s"]),
          "scan_time_per_point_s must be a positive finite number"),
-        (_positive(cfg["coherence_time_fs"]), "coherence_time_fs must be a positive finite number"),
-        (isinstance(events, int) and not isinstance(events, bool) and events >= 0,
-         "bell_test_target_events must be a nonnegative integer"),
+        (_positive(tree["coherence_time_fs"]), "coherence_time_fs must be a positive finite number"),
+        (isinstance(events, int) and _finite(events) and events >= 0,
+         "bell_test_target_events must be a nonnegative integer within float range"),
+        (not bad_rates, f"rates {', '.join(bad_rates)} must be finite numbers"),
+        (_finite(pbs["error_rate"]), "apparatus.pbs.error_rate must be a finite number"),
     ):
         if not ok:
             raise ConfigError(problem)
-    return cfg
+    try:
+        apparatus = Apparatus(
+            tuple(PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]),
+            PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"]),
+            dict(app["detectors"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
+        raise ConfigError(f"bad apparatus config: {exc}") from exc
+    try:
+        rates = RateModel(**tree["rates"])
+    except StateError as exc:
+        raise ConfigError(f"bad rates config: {exc}") from exc
+    return Config(**{**tree, "apparatus": apparatus, "rates": rates,
+                     "scan_delays_fs": tuple(delays)})
 
 
-def _merge(cfg: dict, user, section: str) -> None:
+def _merge(tree: dict, user, section: str) -> None:
     if not isinstance(user, dict):
         raise ConfigError(f"{section or 'config'} must be a JSON object")
     for key, val in user.items():
         name = f"{section}.{key}" if section else key
-        if key not in cfg:
+        if key not in tree:
             raise ConfigError(f"unknown config key: {name}")
         if name in _MERGED_SECTIONS:
-            _merge(cfg[key], val, name)
+            _merge(tree[key], val, name)
         else:
-            cfg[key] = val
+            tree[key] = val
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A JSON number, not a boolean, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _positive(value) -> bool:
     return _finite(value) and value > 0
-
-
-def build_apparatus(cfg: dict) -> Apparatus:
-    app = cfg["apparatus"]
-    pbs = app["pbs"]
-    try:
-        sources = tuple(
-            PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]
-        )
-        element = PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"])
-        return Apparatus(sources, element, dict(app["detectors"]))
-    except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
-        raise ConfigError(f"bad apparatus config: {exc}") from exc
-
-
-def build_rates(cfg: dict) -> RateModel:
-    r = cfg["rates"]
-    try:
-        return RateModel(**{field: r[key] for key, field in _RATE_FIELDS.items()})
-    except (TypeError, StateError) as exc:
-        raise ConfigError(f"bad rates config: {exc}") from exc
 
 
 def _write(path: Path, lines: list[str], end: str = "\n") -> None:
@@ -173,14 +179,14 @@ def _write(path: Path, lines: list[str], end: str = "\n") -> None:
     path.write_text("".join(line + end for line in lines), newline="")
 
 
-def run_hv_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
-    setting = hv_setting(apparatus)
-    table = monte_carlo_counts(apparatus, setting, rates, args.time, args.seed)
+def run_hv_table(cfg: Config, args, out: Path) -> None:
+    setting = hv_setting(cfg.apparatus)
+    table = monte_carlo_counts(cfg.apparatus, setting, cfg.rates, args.time, args.seed)
     lines = ["outcome,count,integration_time_s,seed"]
     lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(table.counts.items())]
     # CRLF line ends, the csv module's default: the published format of this table
     _write(out / "hv-table.csv", lines, end="\r\n")
-    probs = exact_outcome_probabilities(apparatus, setting, v0=cfg["visibility_zero_delay"])
+    probs = exact_outcome_probabilities(cfg.apparatus, setting, v0=cfg.visibility_zero_delay)
     desired = [k for k, p in probs.items() if p > 1e-9]
     n_des = sum(table.counts[k] for k in desired) / len(desired)
     others = [k for k in table.counts if k not in desired]
@@ -201,13 +207,13 @@ def run_hv_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -
     )
 
 
-def run_basis45_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
-    setting = diagonal_setting(apparatus)
-    delay = DelayElement(args.delay, cfg["coherence_time_fs"])
-    v0 = cfg["visibility_zero_delay"]
-    probs = exact_outcome_probabilities(apparatus, setting, delay=delay, v0=v0)
+def run_basis45_table(cfg: Config, args, out: Path) -> None:
+    setting = diagonal_setting(cfg.apparatus)
+    delay = DelayElement(args.delay, cfg.coherence_time_fs)
+    v0 = cfg.visibility_zero_delay
+    probs = exact_outcome_probabilities(cfg.apparatus, setting, delay=delay, v0=v0)
     table = monte_carlo_counts(
-        apparatus, setting, rates, args.time, args.seed, delay=delay, v0=v0
+        cfg.apparatus, setting, cfg.rates, args.time, args.seed, delay=delay, v0=v0
     )
     lines = ["outcome,probability,count,integration_time_s,seed"]
     for k, p in sorted(probs.items()):
@@ -220,22 +226,21 @@ def run_basis45_table(cfg, args, apparatus: Apparatus, rates: RateModel, out: Pa
             f"delay: {args.delay} fs, zero-delay visibility: {v0}",
             f"even-parity probability total: {sum(probs[k] for k in even):.6f}",
             f"nonzero outcomes: {sum(1 for p in probs.values() if p > 1e-12)}",
+            *(["no counts drawn"] if table.total() == 0 else []),
         ],
     )
 
 
-def run_delay_scan(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
-    setting = diagonal_setting(apparatus)
-    v0 = cfg["visibility_zero_delay"]
+def run_delay_scan(cfg: Config, args, out: Path) -> None:
     points = delay_scan(
-        apparatus,
-        setting,
-        cfg["scan_delays_fs"],
-        rates,
-        cfg["scan_time_per_point_s"],
+        cfg.apparatus,
+        diagonal_setting(cfg.apparatus),
+        cfg.scan_delays_fs,
+        cfg.rates,
+        cfg.scan_time_per_point_s,
         args.seed,
-        coherence_time_fs=cfg["coherence_time_fs"],
-        v0=v0,
+        coherence_time_fs=cfg.coherence_time_fs,
+        v0=cfg.visibility_zero_delay,
     )
     rows = []
     for tau, table in points:
@@ -249,20 +254,21 @@ def run_delay_scan(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path)
     lines = ["delay_fs,counts_pppp,counts_pppm,visibility,visibility_error"]
     lines += [f"{tau},{a},{b},{vis:.6f},{err:.6f}" for tau, a, b, vis, err in rows]
     _write(out / "delay-scan.csv", lines)
-    peak = max(rows, key=lambda r: r[3])
-    _write(
-        out / "delay-scan_summary.txt",
-        [
-            f"points: {len(rows)}, time per point: {cfg['scan_time_per_point_s']} s",
-            f"peak visibility {peak[3]:.3f} +- {peak[4]:.3f} at delay {peak[0]} fs",
-        ],
-    )
+    summary = [f"points: {len(rows)}, time per point: {cfg.scan_time_per_point_s} s"]
+    counted = [r for r in rows if r[1] + r[2] > 0]
+    if len(counted) < len(rows):
+        summary.append(f"points without counts: {len(rows) - len(counted)}")
+    if counted:
+        peak = max(counted, key=lambda r: r[3])
+        summary.append(f"peak visibility {peak[3]:.3f} +- {peak[4]:.3f} at delay {peak[0]} fs")
+    else:
+        summary.append("peak visibility undefined (no counts)")
+    _write(out / "delay-scan_summary.txt", summary)
 
 
-def run_swap_report(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
-    v0 = cfg["visibility_zero_delay"]
-    state, _ = experiment.ghz_after_postselection(apparatus)
-    rho = dephase_by_distinguishability(state, 1.0, v0)
+def run_swap_report(cfg: Config, args, out: Path) -> None:
+    state, _ = experiment.ghz_after_postselection(cfg.apparatus)
+    rho = dephase_by_distinguishability(state, 1.0, cfg.visibility_zero_delay)
     result = swap.phi_plus_via_45_coincidence(rho)
     chsh = swap.chsh_value(result.conditioned_state_14)
     report = {
@@ -290,11 +296,11 @@ def run_swap_report(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path
     )
 
 
-def run_feasibility(cfg, args, apparatus: Apparatus, rates: RateModel, out: Path) -> None:
-    target = cfg["bell_test_target_events"]
+def run_feasibility(cfg: Config, args, out: Path) -> None:
+    target = cfg.bell_test_target_events
     # phi+ identification succeeds on half of the four-fold events
-    usable_rate = rates.effective_fourfold_rate() * 0.5
-    seconds = feasibility_estimate(target, rates) / 0.5
+    usable_rate = cfg.rates.effective_fourfold_rate() * 0.5
+    seconds = feasibility_estimate(target, cfg.rates) / 0.5
     months = seconds / (30 * 86400)
     _write(
         out / "feasibility.csv",
@@ -322,8 +328,14 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, like every other failure; --help shows the usage
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fourphoton",
         description="Four-photon GHZ / entanglement-swapping experiment simulator",
     )
@@ -351,8 +363,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.scenario is None:
-        parser.print_usage(sys.stderr)
-        print("error: --scenario is required", file=sys.stderr)
+        print("error: --scenario is required (see --help)", file=sys.stderr)
         return EXIT_USAGE
     if args.scenario not in SCENARIOS:
         print(
@@ -372,8 +383,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        apparatus = build_apparatus(cfg)
-        rates = build_rates(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -381,7 +390,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        RUNNERS[args.scenario](cfg, args, apparatus, rates, out)
+        RUNNERS[args.scenario](cfg, args, out)
     except PostselectionError as exc:
         print(f"physically impossible: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

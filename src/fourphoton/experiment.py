@@ -157,7 +157,7 @@ class RateModel:
     background_fourfold_rate: float = 0.5 / 6000.0
     detector_efficiency: float = 1.0
     dark_count_rate: float = 0.0
-    coincidence_window: float = 3e-9
+    coincidence_window_s: float = 3e-9
 
     def __post_init__(self):
         # negated range tests, so that NaN fails them too
@@ -168,15 +168,22 @@ class RateModel:
             raise StateError("detector efficiency must lie in (0, 1]")
         if not 0 <= self.dark_count_rate < math.inf:
             raise StateError("dark count rate must be finite and nonnegative")
-        if not 0 < self.coincidence_window < math.inf:
+        if not 0 < self.coincidence_window_s < math.inf:
             raise StateError("coincidence window must be finite and positive")
+        try:
+            derived = (self.effective_fourfold_rate(), self.accidental_fourfold_rate())
+            finite = all(map(math.isfinite, derived))
+        except OverflowError:  # float ** past float range, or too large an integer
+            finite = False
+        if not finite:
+            raise StateError("the derived four-fold rates overflow a float")
 
     def effective_fourfold_rate(self) -> float:
         return self.fourfold_rate_desired * self.detector_efficiency**4
 
     def accidental_fourfold_rate(self) -> float:
         # four independent dark counts landing in one window
-        return self.dark_count_rate**4 * self.coincidence_window**3
+        return self.dark_count_rate**4 * self.coincidence_window_s**3
 
 
 @dataclass(frozen=True)

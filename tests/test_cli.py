@@ -5,6 +5,9 @@ import pytest
 from fourphoton import RateModel, default_apparatus, hv_setting, monte_carlo_counts
 from fourphoton.cli import SCENARIOS, main
 
+BEYOND_FLOAT = 10**400  # a JSON integer that no float holds
+ZERO_RATES = {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}
+
 
 def run(args):
     return main(args)
@@ -84,6 +87,17 @@ class TestConfigErrors:
         {"scan_time_per_point_s": -1},
         {"coherence_time_fs": float("nan")},
         {"bell_test_target_events": "x"},
+        # numbers beyond float range, booleans, and rates whose derived rate overflows
+        {"visibility_zero_delay": BEYOND_FLOAT},
+        {"coherence_time_fs": BEYOND_FLOAT},
+        {"scan_delays_fs": [0.0, -BEYOND_FLOAT]},
+        {"bell_test_target_events": BEYOND_FLOAT},
+        {"rates": {"fourfold_rate_desired": BEYOND_FLOAT}},
+        {"apparatus": {"pbs": {"error_rate": BEYOND_FLOAT}}},
+        {"rates": {"detector_efficiency": True}},
+        {"apparatus": {"pbs": {"error_rate": False}}},
+        {"rates": {"dark_count_rate": 1e100}},
+        {"rates": {"coincidence_window_s": 1e200, "dark_count_rate": 1}},
     ])
     def test_out_of_range_config(self, user, scenario, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -92,6 +106,7 @@ class TestConfigErrors:
                     "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("scenario, user, flags", [
@@ -195,6 +210,31 @@ class TestScenarios:
         summary = (out / "hv-table_summary.txt").read_text().splitlines()
         assert "mean non-desired count: 0.000" in summary
         assert summary[-1] == f"signal-to-noise ratio: {snr}"
+
+    @pytest.mark.parametrize("scenario, user, note", [
+        ("delay-scan", ZERO_RATES,
+         ["points without counts: 25", "peak visibility undefined (no counts)"]),
+        # about one expected count per point: the peak is taken over the points with counts
+        ("delay-scan", {"scan_time_per_point_s": 240},
+         ["points without counts: 9", "peak visibility 1.000 +- 0.000 at delay -1200.0 fs"]),
+        ("basis45-table", ZERO_RATES, ["no counts drawn"]),
+    ])
+    def test_zero_counts_named_in_summary(self, scenario, user, note, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        out = tmp_path / "out"
+        assert run(["--scenario", scenario, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = (out / f"{scenario}_summary.txt").read_text().splitlines()
+        assert summary[-len(note):] == note
+
+    def test_vanishing_coherence_time_runs_quietly(self, tmp_path, capsys):
+        # every nonzero delay overflows delay / coherence time to inf: D = 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coherence_time_fs": 1e-320}))
+        assert run(["--scenario", "delay-scan", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_pbs_error_rate_set_alone(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -379,6 +379,20 @@ class TestMonteCarlo:
         assert passes >= 99
 
 
+    @pytest.mark.parametrize("fields", [
+        {"dark_count_rate": 1e100},
+        {"dark_count_rate": 1.0, "coincidence_window_s": 1e200},
+        {"fourfold_rate_desired": 10**400},
+    ], ids=["dark-rate", "window", "int-beyond-float"])
+    def test_overflowing_derived_rate_rejected(self, fields):
+        # the draw multiplies the derived rates: they must be finite floats
+        with pytest.raises(StateError, match="overflow"):
+            RateModel(**fields)
+
+    def test_derived_rate_at_float_max_accepted(self):
+        assert RateModel(fourfold_rate_desired=1e308).effective_fourfold_rate() == 1e308
+
+
 class TestDelayScan:
     def test_visibility_peaks_at_zero_delay(self):
         rates = RateModel()
