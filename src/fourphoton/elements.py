@@ -16,12 +16,13 @@ import numpy as np
 
 from .states import (
     H,
-    POLS,
+    V,
     DensityMatrix,
     PostselectionError,
     PureState,
     StateError,
-    analyzer_overlap,
+    analyze,
+    slot_in_mode,
 )
 
 # Calibrated defaults of the experiment: the interference visibility measured
@@ -101,28 +102,16 @@ def apply_polarizer(state: PureState, pol: PolarizerElement) -> tuple[PureState,
     Returns the renormalized state and the projection probability. A
     zero-probability projection raises PostselectionError.
     """
-    vec = {p: analyzer_overlap(p, pol.angle, pol.branch) for p in POLS}
-
-    def project(ket, a):
-        hits = [i for i, (_, mode) in enumerate(ket) if mode == pol.mode]
-        if len(hits) != 1:
-            raise StateError(
-                f"polarizer mode {pol.mode!r} must hold exactly one photon, ket {ket}"
-            )
-        i = hits[0]
-        overlap = vec[ket[i][0]]
-        if overlap == 0.0:
-            return
-        for new_pol, comp in vec.items():
-            if comp != 0.0:
-                new_ket = ket[:i] + ((new_pol, pol.mode),) + ket[i + 1 :]
-                yield new_ket, a * overlap * comp
-
-    amps = state.map_amplitudes(project)
-    prob = sum(abs(a) ** 2 for a in amps.values())
+    slot = slot_in_mode(pol.mode)
+    port = H if pol.branch == "pass" else V
+    kept = {
+        ket: a for ket, a in analyze(state, slot, pol.angle).items() if ket[slot(ket)][0] == port
+    }
+    prob = sum(abs(a) ** 2 for a in kept.values())
     if prob <= 1e-30:
         raise PostselectionError("polarizer projection has zero probability")
-    return PureState(state.photons, amps, normalize=True), prob
+    projected = PureState(state.photons, kept, normalize=False)
+    return PureState(state.photons, analyze(projected, slot, pol.angle)), prob
 
 
 def distinguishability(delay: DelayElement) -> float:

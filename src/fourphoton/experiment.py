@@ -32,11 +32,14 @@ from .elements import (
     distinguishability,
 )
 from .states import (
+    H,
     POLS,
     PostselectionError,
     PureState,
     StateError,
+    analyze,
     analyzer_overlap,
+    slot_in_mode,
     spdc_pair,
     tensor,
 )
@@ -387,22 +390,16 @@ def three_photon_ghz(
     four-photon GHZ state.
     """
     state, _ = ghz_after_postselection(apparatus)
-    amps: dict[tuple, complex] = {}
-    dropped = None
-    for ket, a in state.amps.items():
-        hits = [i for i, (_, m) in enumerate(ket) if m == polarizer_mode]
-        if len(hits) != 1:
-            raise StateError(f"mode {polarizer_mode!r} must hold exactly one photon")
-        i = hits[0]
-        dropped = state.photons[i]
-        overlap = analyzer_overlap(ket[i][0], angle)
-        if overlap == 0.0:
-            continue
-        rest = ket[:i] + ket[i + 1 :]
-        amps[rest] = amps.get(rest, 0.0) + a * overlap
+    slot = slot_in_mode(polarizer_mode)
+    amps = {
+        tuple((p, m) for p, m in ket if m != polarizer_mode): a
+        for ket, a in analyze(state, slot, angle).items()
+        if ket[slot(ket)][0] == H
+    }
     if not amps:
         raise PostselectionError("polarizer projection has zero probability")
     p_proj = sum(abs(a) ** 2 for a in amps.values())
+    dropped = state.photons[slot(next(reversed(state.amps)))]
     photons = tuple(p for p in state.photons if p != dropped)
     return PureState(photons, amps), p_proj
 

@@ -141,14 +141,6 @@ class PureState:
             vec[i] = view.get(key, 0.0)
         return vec
 
-    def map_amplitudes(self, fn) -> dict[tuple, complex]:
-        """Apply fn(ket, amp) -> iterable of (ket, amp); collect into a dict."""
-        out: dict[tuple, complex] = {}
-        for ket, a in self.amps.items():
-            for new_ket, new_a in fn(ket, a):
-                out[new_ket] = out.get(new_ket, 0.0) + new_a
-        return out
-
     def allclose(self, other: "PureState", tol: float = EXACT_TOL) -> bool:
         if self.photons != other.photons:
             return False
@@ -199,12 +191,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def spdc_pair(i: int, j: int, modes: Sequence[str] | None = None) -> PureState:
     """Polarization singlet (|HV> - |VH>)/sqrt2 on photons i, j."""
-    if i == j:
-        raise StateError("pair photons must be distinct")
-    if modes is None:
-        modes = (str(i), str(j))
-    s = 1 / math.sqrt(2)
-    return state_from_terms([i, j], modes, {"HV": s, "VH": -s}, normalize=False)
+    return bell_state("psi-", i, j, modes)
 
 
 def bell_state(
@@ -262,24 +249,45 @@ def analyzer_overlap(pol: str, angle_deg: float, branch: str = "pass") -> float:
     raise StateError(f"unknown analyzer branch {branch!r}")
 
 
+def slot_in_mode(mode: str):
+    """Slot lookup for `analyze`: the index of the one photon in `mode`."""
+
+    def slot(ket: tuple) -> int:
+        hits = [i for i, (_, m) in enumerate(ket) if m == mode]
+        if len(hits) != 1:
+            raise StateError(f"mode {mode!r} must hold exactly one photon, ket {ket}")
+        return hits[0]
+
+    return slot
+
+
+def analyze(state: PureState, slot, angle_deg: float) -> dict[tuple, complex]:
+    """Re-express photon `slot(ket)` of each ket in the analyzer basis.
+
+    That photon's H/V symbol then names the pass/reject port, |theta> and
+    |theta_perp>. The map is a reflection, hence self-inverse: analyzing
+    twice restores the original amplitudes.
+    """
+    out: dict[tuple, complex] = {}
+    for ket, a in state.amps.items():
+        i = slot(ket)
+        pol, mode = ket[i]
+        for port, branch in ((H, "pass"), (V, "reject")):
+            c = analyzer_overlap(pol, angle_deg, branch)
+            if c != 0.0:
+                new_ket = ket[:i] + ((port, mode),) + ket[i + 1 :]
+                out[new_ket] = out.get(new_ket, 0.0) + a * c
+    return out
+
+
 def change_basis(state: PureState, photon: int, angle_deg: float) -> PureState:
     """Re-express one photon's amplitudes in the rotated linear basis.
 
-    The output's H/V slots for that photon denote |theta> and |theta_perp|.
-    The transformation matrix is a reflection, hence self-inverse: applying
-    the same basis change twice restores the original amplitudes.
+    The output's H/V slots for that photon denote |theta> and |theta_perp>;
+    applying the same basis change twice restores the original state.
     """
     idx = state.photons.index(photon)
-
-    def rotate(ket, a):
-        pol, mode = ket[idx]
-        for new_pol, branch in ((H, "pass"), (V, "reject")):
-            c = analyzer_overlap(pol, angle_deg, branch)
-            if c != 0.0:
-                new_ket = ket[:idx] + ((new_pol, mode),) + ket[idx + 1 :]
-                yield new_ket, a * c
-
-    return PureState(state.photons, state.map_amplitudes(rotate), normalize=True)
+    return PureState(state.photons, analyze(state, lambda ket: idx, angle_deg))
 
 
 class DensityMatrix:
