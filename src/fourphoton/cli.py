@@ -355,8 +355,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 after printing --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     if args.print_default_config:
         print(json.dumps(default_config(), indent=2))

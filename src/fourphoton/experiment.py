@@ -331,6 +331,9 @@ def monte_carlo_counts(
     x time, plus a flat background (and dark-count accidental) floor.
     Deterministic for a given seed (numpy PCG64).
     """
+    # a negated range test, so that NaN fails it too
+    if not 0 <= integration_time < math.inf:
+        raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
     probs = exact_outcome_probabilities(
         apparatus, setting, delay=delay, v0=v0, pbs_error=apparatus.pbs.error_rate
     )

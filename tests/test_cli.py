@@ -39,6 +39,12 @@ class TestUsage:
         assert err.count("\n") == 1 and flags[0] in err
         assert not list(tmp_path.iterdir())
 
+    def test_help_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: fourphoton")
+        assert captured.err == ""
+
     def test_print_default_config(self, capsys):
         assert run(["--print-default-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
@@ -247,14 +253,15 @@ class TestScenarios:
         rows = [l.split(",") for l in (out / "hv-table.csv").read_text().splitlines()[1:]]
         assert {r[0]: int(r[1]) for r in rows} == table.counts
 
-    def test_bit_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_bit_identical_reruns(self, scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run(["--scenario", "delay-scan", "--seed", "11",
-                        "--out", str(out)]) == 0
-        assert (out1 / "delay-scan.csv").read_bytes() == (
-            out2 / "delay-scan.csv"
-        ).read_bytes()
+            assert run(["--scenario", scenario, "--seed", "11", "--out", str(out)]) == 0
+        files = sorted(p.name for p in out1.iterdir())
+        assert files and files == sorted(p.name for p in out2.iterdir())
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_delay_scan_peaks_at_zero(self, tmp_path):
         assert run(["--scenario", "delay-scan", "--seed", "2",

@@ -392,6 +392,16 @@ class TestMonteCarlo:
     def test_derived_rate_at_float_max_accepted(self):
         assert RateModel(fourfold_rate_desired=1e308).effective_fourfold_rate() == 1e308
 
+    @pytest.mark.parametrize("count", [
+        lambda t: monte_carlo_counts(APP, hv_setting(APP), RateModel(), t, seed=1),
+        lambda t: delay_scan(APP, diagonal_setting(APP), [0.0, 100.0], RateModel(), t, seed=1),
+    ], ids=["monte_carlo_counts", "delay_scan"])
+    @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf])
+    def test_bad_integration_time_rejected(self, count, time):
+        # not a silent all-zero table
+        with pytest.raises(StateError, match="integration time"):
+            count(time)
+
 
 class TestDelayScan:
     def test_visibility_peaks_at_zero_delay(self):

@@ -2,22 +2,34 @@
 not only at the paper's points: analyzer angles in [0, 180) or None, zero-delay
 visibility in [0, 1], PBS delay in [-3000, 3000] fs, PBS error in [0, 0.05]
 and apparatus layouts with reordered sources, relabelled photons and modes, and
-the source modes shuffled between the pairs.
+the source modes shuffled between the pairs. The sparse analyzer step (basis
+change, polarizer, three-photon conditioning) is checked against the dense
+oracle at any angle.
 """
 
+import itertools
+
+import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from fourphoton import (
     Apparatus,
     DelayElement,
     MeasurementSetting,
     PairSource,
     PbsElement,
+    PolarizerElement,
     PostselectionError,
+    PureState,
     StateError,
+    apply_polarizer,
+    change_basis,
     default_apparatus,
     exact_outcome_probabilities,
+    ghz_state,
+    three_photon_ghz,
 )
 
 APP = default_apparatus()
@@ -119,3 +131,66 @@ def test_any_layout_is_rejected_or_gives_a_distribution(
             and slots == DEFAULT_SLOTS):
         event("relabelled default")
         assert probs == exact_outcome_probabilities(APP, setting, pbs_error=pbs_error)
+
+
+# The post-selected GHZ state over the detector modes, as a dense vector.
+GHZ_MODES = ["1", "2'", "3'", "4"]
+GHZ_DENSE = oracle.dense_from_terms({"HVVH": 2**-0.5, "VHHV": 2**-0.5}, 4)
+ANALYZER_ANGLE = st.floats(0.0, 180.0, exclude_max=True)
+
+
+def dense_projection(position: int, angle: float, branch: str, keep_qubit: bool):
+    """Project the GHZ qubit at `position` onto an analyzer port: the
+    normalised result (that qubit kept in the port state, or traced out) and
+    the probability."""
+    ket = oracle.analyzer_ket(angle, branch)
+    op = np.outer(ket, ket.conj()) if keep_qubit else ket.conj()[None, :]
+    full = np.kron(np.kron(np.eye(2**position), op), np.eye(2 ** (3 - position)))
+    reduced = full @ GHZ_DENSE
+    prob = float(np.linalg.norm(reduced) ** 2)
+    return reduced / np.sqrt(prob), prob
+
+
+def assert_same_up_to_phase(got: np.ndarray, want: np.ndarray):
+    # PureState fixes the global phase on its own ket order
+    overlap = np.vdot(want, got)
+    assert np.max(np.abs(got - want * overlap / abs(overlap))) <= 1e-12
+
+
+@FAST
+@given(position=st.integers(0, 3), angle=ANALYZER_ANGLE)
+def test_three_photon_ghz_matches_dense_projection(position, angle):
+    mode = GHZ_MODES[position]
+    want, p_want = dense_projection(position, angle, "pass", keep_qubit=False)
+    state, prob = three_photon_ghz(APP, mode, angle)
+    assert abs(prob - p_want) <= 1e-12
+    rest = [m for m in GHZ_MODES if m != mode]
+    assert_same_up_to_phase(state.dense(rest), want)
+
+
+@FAST
+@given(branch=st.sampled_from(["pass", "reject"]), angle=ANALYZER_ANGLE)
+def test_apply_polarizer_matches_dense_projector(branch, angle):
+    want, p_want = dense_projection(1, angle, branch, keep_qubit=True)
+    state, prob = apply_polarizer(
+        ghz_state("HVVH", modes=GHZ_MODES), PolarizerElement("2'", angle, branch)
+    )
+    assert abs(prob - p_want) <= 1e-12
+    assert_same_up_to_phase(state.dense(GHZ_MODES), want)
+
+
+# amplitudes are 0 or at least 1 in size, so that the canonical phase rests
+# on a ket whose amplitude rounding cannot turn
+AMPLITUDE = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@FAST
+@given(
+    amps=st.lists(AMPLITUDE, min_size=8, max_size=8).filter(any),
+    photon=st.sampled_from([1, 2, 3]),
+    angle=ANALYZER_ANGLE,
+)
+def test_change_basis_twice_restores_the_state(amps, photon, angle):
+    kets = [tuple(zip(pols, "abc")) for pols in itertools.product("HV", repeat=3)]
+    state = PureState([1, 2, 3], dict(zip(kets, amps)))
+    assert change_basis(change_basis(state, photon, angle), photon, angle).allclose(state)
