@@ -186,11 +186,11 @@ AMPLITUDE = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 
 @FAST
 @given(
-    amps=st.lists(AMPLITUDE, min_size=8, max_size=8).filter(any),
-    photon=st.sampled_from([1, 2, 3]),
+    amps=st.lists(AMPLITUDE, min_size=4, max_size=4).filter(any),
+    photon=st.sampled_from([1, 2]),
     angle=ANALYZER_ANGLE,
 )
 def test_change_basis_twice_restores_the_state(amps, photon, angle):
-    kets = [tuple(zip(pols, "abc")) for pols in itertools.product("HV", repeat=3)]
-    state = PureState([1, 2, 3], dict(zip(kets, amps)))
+    kets = [tuple(zip(pols, "ab")) for pols in itertools.product("HV", repeat=2)]
+    state = PureState([1, 2], dict(zip(kets, amps)))
     assert change_basis(change_basis(state, photon, angle), photon, angle).allclose(state)
