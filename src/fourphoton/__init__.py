@@ -38,6 +38,7 @@ from .experiment import (
     default_apparatus,
     delay_scan,
     diagonal_setting,
+    draw_counts,
     exact_outcome_probabilities,
     feasibility_estimate,
     ghz_after_postselection,

@@ -37,10 +37,10 @@ from .experiment import (
     default_apparatus,
     delay_scan,
     diagonal_setting,
+    draw_counts,
     exact_outcome_probabilities,
     feasibility_estimate,
     hv_setting,
-    monte_carlo_counts,
 )
 from .states import StateError
 
@@ -180,13 +180,19 @@ def _write(path: Path, lines: list[str], end: str = "\n") -> None:
 
 
 def run_hv_table(cfg: Config, args, out: Path) -> None:
-    setting = hv_setting(cfg.apparatus)
-    table = monte_carlo_counts(cfg.apparatus, setting, cfg.rates, args.time, args.seed)
+    app, setting, v0 = cfg.apparatus, hv_setting(cfg.apparatus), cfg.visibility_zero_delay
+    probs = exact_outcome_probabilities(app, setting, v0=v0, pbs_error=app.pbs.error_rate)
+    table = draw_counts(probs, cfg.rates, args.time, args.seed)
     lines = ["outcome,count,integration_time_s,seed"]
     lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(table.counts.items())]
     # CRLF line ends, the csv module's default: the published format of this table
     _write(out / "hv-table.csv", lines, end="\r\n")
-    probs = exact_outcome_probabilities(cfg.apparatus, setting, v0=cfg.visibility_zero_delay)
+    # the desired outcomes are the GHZ terms: with a PBS error, the drawn table
+    # also holds wrong-port outcomes, so they come from the ideal-PBS table
+    desired_from = "desired outcomes"
+    if app.pbs.error_rate > 0:
+        probs = exact_outcome_probabilities(app, setting, v0=v0)
+        desired_from += " (ideal PBS)"
     desired = [k for k, p in probs.items() if p > 1e-9]
     n_des = sum(table.counts[k] for k in desired) / len(desired)
     others = [k for k in table.counts if k not in desired]
@@ -199,7 +205,7 @@ def run_hv_table(cfg: Config, args, out: Path) -> None:
         out / "hv-table_summary.txt",
         [
             f"integration time: {table.integration_time} s, seed {table.seed}",
-            f"desired outcomes: {', '.join(sorted(desired))}",
+            f"{desired_from}: {', '.join(sorted(desired))}",
             f"mean desired count: {n_des:.2f}",
             f"mean non-desired count: {n_bg:.3f}",
             f"signal-to-noise ratio: {snr}",
@@ -208,13 +214,13 @@ def run_hv_table(cfg: Config, args, out: Path) -> None:
 
 
 def run_basis45_table(cfg: Config, args, out: Path) -> None:
-    setting = diagonal_setting(cfg.apparatus)
+    app, setting, v0 = cfg.apparatus, diagonal_setting(cfg.apparatus), cfg.visibility_zero_delay
     delay = DelayElement(args.delay, cfg.coherence_time_fs)
-    v0 = cfg.visibility_zero_delay
-    probs = exact_outcome_probabilities(cfg.apparatus, setting, delay=delay, v0=v0)
-    table = monte_carlo_counts(
-        cfg.apparatus, setting, cfg.rates, args.time, args.seed, delay=delay, v0=v0
+    # the probability column is the table the counts are drawn from
+    probs = exact_outcome_probabilities(
+        app, setting, delay=delay, v0=v0, pbs_error=app.pbs.error_rate
     )
+    table = draw_counts(probs, cfg.rates, args.time, args.seed)
     lines = ["outcome,probability,count,integration_time_s,seed"]
     for k, p in sorted(probs.items()):
         lines.append(f"{k},{p:.12g},{table.counts[k]},{args.time},{args.seed}")

@@ -124,26 +124,35 @@ def distinguishability(delay: DelayElement) -> float:
     return math.exp(-(x * x))
 
 
-def dephasing_components(
-    psi: np.ndarray, d: float, v0: float
-) -> list[tuple[float, np.ndarray]]:
-    """The channel of `dephase_by_distinguishability` on a dense vector.
-
-    Returns its weighted pure components; |phi> is `psi` with its last
-    nonzero entry negated. At d*v0 = 1 the state stays pure.
-    """
+def dephasing_weight(d: float, v0: float) -> float:
+    """Weight (1 + d*v0)/2 of |psi> in the dephasing channel; |phi> gets the rest."""
     if not 0.0 <= d <= 1.0:
         raise StateError(f"distinguishability {d} outside [0, 1]")
     if not 0.0 <= v0 <= 1.0:
         raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
+    return (1.0 + d * v0) / 2.0
+
+
+def dephasing_partner(psi: np.ndarray) -> np.ndarray:
+    """|phi>: the dense two-branch vector `psi` with its last nonzero entry
+    negated. It does not depend on the delay."""
     branches = np.flatnonzero(psi)
     if len(branches) != 2:
         raise StateError("dephasing expects a two-branch superposition")
-    if d * v0 >= 1.0:
-        return [(1.0, psi)]
     phi = psi.copy()
     phi[branches[-1]] *= -1
-    w = (1.0 + d * v0) / 2.0
+    return phi
+
+
+def dephasing_components(
+    psi: np.ndarray, d: float, v0: float
+) -> list[tuple[float, np.ndarray]]:
+    """The channel of `dephase_by_distinguishability` on a dense vector:
+    its weighted pure components. At d*v0 = 1 the state stays pure."""
+    w = dephasing_weight(d, v0)
+    phi = dephasing_partner(psi)
+    if d * v0 >= 1.0:
+        return [(1.0, psi)]
     return [(w, psi), (1.0 - w, phi)]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from numbers import Integral
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .elements import (
     VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
-    dephasing_components,
+    dephasing_partner,
+    dephasing_weight,
     distinguishability,
 )
 from .states import (
@@ -250,23 +251,15 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
     return memo[flipped]
 
 
-def exact_outcome_probabilities(
-    apparatus: Apparatus,
-    setting: MeasurementSetting,
-    delay: DelayElement | None = None,
-    v0: float = VISIBILITY_ZERO_DELAY,
-    pbs_error: float | None = None,
-) -> dict[str, float]:
-    """Probabilities over the 16 analyzer outcomes, conditioned on a
-    four-fold coincidence.
+def _exact_model(
+    apparatus: Apparatus, setting: MeasurementSetting, pbs_error: float | None
+) -> Callable[[float, float], dict[str, float]]:
+    """The delay-free part of `exact_outcome_probabilities`, done once.
 
-    `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
-    Monte Carlo engine passes the PBS's configured rate; the exact path
-    defaults to the ideal PBS). Each routing pattern's post-selected vector
-    is compiled once per apparatus; one dense contraction with the analyzers
-    gives all probabilities.
+    Returns `evaluate(d, v0)`: the probabilities at distinguishability d and
+    zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
+    post-selected vectors and their dephasing partners.
     """
-    d = 1.0 if delay is None else distinguishability(delay)
     err = 0.0 if pbs_error is None else pbs_error
 
     # the photon in each PBS input, in input order, so that the sum over
@@ -283,9 +276,10 @@ def exact_outcome_probabilities(
             w = err ** len(subset) * (1 - err) ** (len(pbs_photons) - len(subset))
             patterns.append((w, frozenset(subset)))
 
-    vectors: list[np.ndarray] = []
-    weights: list[float] = []
+    # (weight, psi, dephasing partner or None) per surviving pattern
+    parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
     total_mass = 0.0
+    dephased = False
     for w_pat, flipped in patterns:
         compiled = _compiled_pattern(apparatus, flipped)
         if compiled is None:
@@ -293,10 +287,8 @@ def exact_outcome_probabilities(
         p_sel, psi, branches = compiled
         w = w_pat * p_sel
         total_mass += w
-        components = [(1.0, psi)] if branches == 1 else dephasing_components(psi, d, v0)
-        for w_branch, v in components:
-            vectors.append(v)
-            weights.append(w * w_branch)
+        dephased = dephased or branches != 1
+        parts.append((w, psi, None if branches == 1 else dephasing_partner(psi)))
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
@@ -311,9 +303,81 @@ def exact_outcome_probabilities(
     n = len(analyzers)
     operands = [x for i, a in enumerate(analyzers) for x in (a, (i, n + i))]
     kron = np.einsum(*operands, range(2 * n)).reshape(2**n, 2**n)
-    probs = np.asarray(weights) @ np.abs(np.stack(vectors) @ kron.T) ** 2
-    keys = ("".join(combo) for combo in itertools.product(*labels))
-    return {key: float(p) / total_mass for key, p in zip(keys, probs)}
+    keys = tuple(map("".join, itertools.product(*labels)))
+    # rows per case, built on first use; the pure case (d*v0 >= 1, or no
+    # two-branch pattern) stacks only the psi vectors, because numpy rounds a
+    # product of fewer rows differently
+    rows: dict[bool, np.ndarray] = {}
+
+    def evaluate(d: float, v0: float) -> dict[str, float]:
+        pure = True
+        if dephased:
+            w_psi = dephasing_weight(d, v0)
+            pure = d * v0 >= 1.0
+        weights: list[float] = []
+        vectors: list[np.ndarray] = []
+        for w, psi, phi in parts:
+            if phi is None or pure:
+                weights.append(w)
+                vectors.append(psi)
+            else:
+                weights += (w * w_psi, w * (1.0 - w_psi))
+                vectors += (psi, phi)
+        if pure not in rows:
+            rows[pure] = np.abs(np.stack(vectors) @ kron.T) ** 2
+        probs = np.asarray(weights) @ rows[pure]
+        return {key: float(p) / total_mass for key, p in zip(keys, probs)}
+
+    return evaluate
+
+
+def exact_outcome_probabilities(
+    apparatus: Apparatus,
+    setting: MeasurementSetting,
+    delay: DelayElement | None = None,
+    v0: float = VISIBILITY_ZERO_DELAY,
+    pbs_error: float | None = None,
+) -> dict[str, float]:
+    """Probabilities over the 16 analyzer outcomes, conditioned on a
+    four-fold coincidence.
+
+    `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
+    count tables pass the PBS's configured rate; the exact path defaults to
+    the ideal PBS). Each call compiles `_exact_model` and evaluates it once.
+    """
+    d = 1.0 if delay is None else distinguishability(delay)
+    return _exact_model(apparatus, setting, pbs_error)(d, v0)
+
+
+def _check_integration_time(integration_time: float) -> None:
+    # a negated range test, so that NaN fails it too
+    if not 0 <= integration_time < math.inf:
+        raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
+
+
+def draw_counts(
+    probs: Mapping[str, float], rates: RateModel, integration_time: float, seed: int
+) -> CountTable:
+    """Seeded Poisson draw of four-fold coincidence counts per outcome.
+
+    Expected count per outcome = probability x desired four-fold rate x time,
+    plus a flat background (and dark-count accidental) floor. Deterministic
+    for a given seed (numpy PCG64).
+    """
+    _check_integration_time(integration_time)
+    rate = rates.effective_fourfold_rate()
+    floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for key, p in probs.items():
+        lam = (p * rate + floor) * integration_time
+        try:
+            counts[key] = int(rng.poisson(lam)) if lam > 0 else 0
+        except ValueError as exc:
+            raise StateError(
+                f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"
+            ) from exc
+    return CountTable(counts=counts, integration_time=integration_time, seed=seed)
 
 
 def monte_carlo_counts(
@@ -325,31 +389,13 @@ def monte_carlo_counts(
     delay: DelayElement | None = None,
     v0: float = VISIBILITY_ZERO_DELAY,
 ) -> CountTable:
-    """Seeded Poisson draw of four-fold coincidence counts per outcome.
-
-    Expected count per outcome = exact probability x desired four-fold rate
-    x time, plus a flat background (and dark-count accidental) floor.
-    Deterministic for a given seed (numpy PCG64).
-    """
-    # a negated range test, so that NaN fails it too
-    if not 0 <= integration_time < math.inf:
-        raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
+    """`draw_counts` from the exact probabilities with the PBS's error rate."""
+    # checked before the exact model too, so that it is reported first
+    _check_integration_time(integration_time)
     probs = exact_outcome_probabilities(
         apparatus, setting, delay=delay, v0=v0, pbs_error=apparatus.pbs.error_rate
     )
-    rate = rates.effective_fourfold_rate()
-    floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
-    rng = np.random.default_rng(seed)
-    counts = {}
-    for key in probs:
-        lam = (probs[key] * rate + floor) * integration_time
-        try:
-            counts[key] = int(rng.poisson(lam)) if lam > 0 else 0
-        except ValueError as exc:
-            raise StateError(
-                f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"
-            ) from exc
-    return CountTable(counts=counts, integration_time=integration_time, seed=seed)
+    return draw_counts(probs, rates, integration_time, seed)
 
 
 def derive_point_seed(seed: int, point_index: int) -> int:
@@ -367,19 +413,20 @@ def delay_scan(
     coherence_time_fs: float = COHERENCE_TIME_FS,
     v0: float = VISIBILITY_ZERO_DELAY,
 ) -> list[tuple[float, CountTable]]:
-    """One Monte Carlo count table per delay; independent stream per point."""
+    """One Monte Carlo count table per delay; independent stream per point.
+
+    The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`,
+    from one exact model compiled for the whole scan.
+    """
     out = []
+    evaluate = None
     for i, tau in enumerate(delays_fs):
-        table = monte_carlo_counts(
-            apparatus,
-            setting,
-            rates,
-            time_per_point,
-            derive_point_seed(seed, i),
-            delay=DelayElement(tau, coherence_time_fs),
-            v0=v0,
-        )
-        out.append((tau, table))
+        point_seed = derive_point_seed(seed, i)
+        d = distinguishability(DelayElement(tau, coherence_time_fs))
+        if evaluate is None:  # at the first point, so that an empty scan does no work
+            _check_integration_time(time_per_point)
+            evaluate = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
+        out.append((tau, draw_counts(evaluate(d, v0), rates, time_per_point, point_seed)))
     return out
 
 

@@ -5,6 +5,7 @@ fidelity/visibility/CHSH metrics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,20 +170,35 @@ def _analyzer_operator(angle_deg: float) -> np.ndarray:
     return np.array([[a[i] * a[j] - b[i] * b[j] for j in range(2)] for i in range(2)])
 
 
-def _expectation(rho_pair: DensityMatrix, sa: np.ndarray, sb: np.ndarray) -> float:
-    """<sa x sb>; the broadcast product is np.kron(sa, sb), one multiply per entry."""
+def _product(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """np.kron(sa, sb) as one broadcast product, one multiply per entry."""
+    return (sa[:, None, :, None] * sb[None, :, None, :]).reshape(4, 4)
+
+
+def _expectation(rho_pair: DensityMatrix, op: np.ndarray) -> float:
     if len(rho_pair.modes) != 2:
         raise StateError("correlation needs a two-photon density matrix")
-    op = (sa[:, None, :, None] * sb[None, :, None, :]).reshape(4, 4)
     return float(np.trace(rho_pair.matrix @ op).real)
 
 
 def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
-    return _expectation(rho_pair, _analyzer_operator(angle_a), _analyzer_operator(angle_b))
+    return _expectation(
+        rho_pair, _product(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
+    )
 
 
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
+
+
+@functools.lru_cache(maxsize=16)
+def _chsh_observables(a: float, ap: float, b: float, bp: float) -> tuple[np.ndarray, ...]:
+    """The four read-only CHSH observables sa x sb, sa x sb', sa' x sb, sa' x sb'."""
+    sa, sap, sb, sbp = map(_analyzer_operator, (a, ap, b, bp))
+    ops = (_product(sa, sb), _product(sa, sbp), _product(sap, sb), _product(sap, sbp))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
 def chsh_value(
@@ -194,10 +210,10 @@ def chsh_value(
     The default settings are optimal for |phi+> (S = 2 sqrt 2).
     """
     (a, ap), (b, bp) = settings
-    sa, sap, sb, sbp = map(_analyzer_operator, (a, ap, b, bp))
+    ab, abp, apb, apbp = _chsh_observables(a, ap, b, bp)
     return (
-        _expectation(rho_pair, sa, sb)
-        - _expectation(rho_pair, sa, sbp)
-        + _expectation(rho_pair, sap, sb)
-        + _expectation(rho_pair, sap, sbp)
+        _expectation(rho_pair, ab)
+        - _expectation(rho_pair, abp)
+        + _expectation(rho_pair, apb)
+        + _expectation(rho_pair, apbp)
     )

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from fourphoton import RateModel, default_apparatus, hv_setting, monte_carlo_counts
+from fourphoton import (
+    RateModel,
+    default_apparatus,
+    diagonal_setting,
+    exact_outcome_probabilities,
+    hv_setting,
+    monte_carlo_counts,
+)
+from fourphoton import cli
 from fourphoton.cli import SCENARIOS, main
 
 BEYOND_FLOAT = 10**400  # a JSON integer that no float holds
@@ -252,6 +260,45 @@ class TestScenarios:
         table = monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 5)
         rows = [l.split(",") for l in (out / "hv-table.csv").read_text().splitlines()[1:]]
         assert {r[0]: int(r[1]) for r in rows} == table.counts
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        """The keyword arguments of each `exact_outcome_probabilities` call of the CLI."""
+        seen = []
+        exact = cli.exact_outcome_probabilities
+        monkeypatch.setattr(cli, "exact_outcome_probabilities",
+                            lambda *a, **kw: seen.append(kw) or exact(*a, **kw))
+        return seen
+
+    @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 2)])
+    def test_hv_table_exact_calls(self, error_rate, calls, exact_calls, tmp_path):
+        # one table is drawn; with a PBS error the desired outcomes need the ideal one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": error_rate}},
+                                   "visibility_zero_delay": 0.5}))
+        out = tmp_path / "out"
+        assert run(["--scenario", "hv-table", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(exact_calls) == calls and exact_calls[0]["pbs_error"] == error_rate
+        assert all(kw["v0"] == 0.5 for kw in exact_calls)  # the draw too uses the config's v0
+        summary = (out / "hv-table_summary.txt").read_text().splitlines()
+        named = "desired outcomes (ideal PBS)" if error_rate else "desired outcomes"
+        assert summary[1] == f"{named}: HVVH, VHHV"
+
+    @pytest.mark.parametrize("error_rate", [0.0, 0.01])
+    def test_basis45_table_prints_the_drawn_table(self, error_rate, exact_calls, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": error_rate}}}))
+        out = tmp_path / "out"
+        assert run(["--scenario", "basis45-table", "--seed", "4", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        assert len(exact_calls) == 1
+        app = default_apparatus(error_rate)
+        probs = exact_outcome_probabilities(
+            app, diagonal_setting(app), v0=0.79, pbs_error=error_rate)
+        table = monte_carlo_counts(app, diagonal_setting(app), RateModel(), 6000.0, 4, v0=0.79)
+        rows = [r.split(",") for r in (out / "basis45-table.csv").read_text().splitlines()[1:]]
+        assert {r[0]: r[1] for r in rows} == {k: f"{p:.12g}" for k, p in probs.items()}
+        assert {r[0]: int(r[2]) for r in rows} == table.counts
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_bit_identical_reruns(self, scenario, tmp_path):

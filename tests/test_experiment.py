@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -6,6 +7,8 @@ import pytest
 from scipy import stats
 
 from fourphoton import experiment
+from fourphoton.elements import dephasing_components
+from fourphoton.states import POLS, analyzer_overlap
 from fourphoton import (
     Apparatus,
     DelayElement,
@@ -22,6 +25,8 @@ from fourphoton import (
     default_apparatus,
     delay_scan,
     diagonal_setting,
+    distinguishability,
+    draw_counts,
     exact_outcome_probabilities,
     feasibility_estimate,
     ghz_after_postselection,
@@ -198,6 +203,34 @@ def _random_call(rng, pbs_error: bool) -> tuple[MeasurementSetting, dict]:
         v0=float(rng.uniform(0, 1)),
         pbs_error=float(rng.uniform(1e-4, 0.05)) if pbs_error else None,
     )
+
+
+def ref_exact_probabilities(setting, d, v0, pbs_error):
+    """The exact probabilities on the default apparatus as one call computed
+    them before the model was compiled: one stack of this call's components
+    (only psi where d*v0 = 1), one product with the analyzers."""
+    err = pbs_error or 0.0
+    photons = [2, 3] if err > 0 else []  # the photons in PBS inputs "2" and "3"
+    vectors, weights, mass = [], [], 0.0
+    for r in range(len(photons) + 1):
+        for flipped in itertools.combinations(photons, r):
+            p_sel, psi, _ = experiment._compiled_pattern(APP, frozenset(flipped))
+            w = err**r * (1 - err) ** (len(photons) - r) * p_sel
+            mass += w
+            for w_branch, v in dephasing_components(psi, d, v0):
+                vectors.append(v)
+                weights.append(w * w_branch)
+    analyzers, labels = [], []
+    for det in APP.detector_ids():
+        ang = setting.angle(det)
+        labels.append(MeasurementSetting.labels(ang))
+        ang = 0.0 if ang is None else ang
+        analyzers.append([[analyzer_overlap(p, ang, b) for p in POLS] for b in ("pass", "reject")])
+    operands = [x for i, a in enumerate(analyzers) for x in (a, (i, 4 + i))]
+    kron = np.einsum(*operands, range(8)).reshape(16, 16)
+    probs = np.asarray(weights) @ np.abs(np.stack(vectors) @ kron.T) ** 2
+    keys = ("".join(combo) for combo in itertools.product(*labels))
+    return {key: float(p) / mass for key, p in zip(keys, probs)}
 
 
 class TestCompiledPatterns:
@@ -395,7 +428,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("count", [
         lambda t: monte_carlo_counts(APP, hv_setting(APP), RateModel(), t, seed=1),
         lambda t: delay_scan(APP, diagonal_setting(APP), [0.0, 100.0], RateModel(), t, seed=1),
-    ], ids=["monte_carlo_counts", "delay_scan"])
+        lambda t: draw_counts({"HVVH": 0.5, "VHHV": 0.5}, RateModel(), t, seed=1),
+    ], ids=["monte_carlo_counts", "delay_scan", "draw_counts"])
     @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf])
     def test_bad_integration_time_rejected(self, count, time):
         # not a silent all-zero table
@@ -404,6 +438,51 @@ class TestMonteCarlo:
 
 
 class TestDelayScan:
+    @pytest.mark.parametrize("pbs_error", [0.0, 0.01])
+    @pytest.mark.parametrize("v0", [0.79, 1.0])
+    def test_scan_matches_per_point_tables(self, pbs_error, v0):
+        # tau = 0 at v0 = 1 is the pure point: its rows come from another stack
+        app = default_apparatus(pbs_error)
+        setting, rates = diagonal_setting(app), RateModel()
+        delays = [-300.0, 0.0, 137.5, 2000.0, 0.0]
+        scan = delay_scan(app, setting, delays, rates, 24000.0, seed=9, v0=v0)
+        assert [tau for tau, _ in scan] == delays
+        for i, (tau, table) in enumerate(scan):
+            assert table == monte_carlo_counts(
+                app, setting, rates, 24000.0, experiment.derive_point_seed(9, i),
+                delay=DelayElement(tau), v0=v0,
+            )
+
+    @pytest.mark.parametrize("pbs_error", [None, 0.0, 0.01])
+    def test_compiled_model_matches_the_per_call_formula(self, pbs_error):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            setting, _ = _random_call(rng, pbs_error=False)
+            evaluate = experiment._exact_model(APP, setting, pbs_error)
+            # pure and dephased points in both orders, each row stack built once
+            for tau, v0 in [(0.0, 1.0), (250.0, 0.79), (0.0, 1.0), (-1e4, 1.0), (0.0, 0.3)]:
+                d = distinguishability(DelayElement(tau))
+                want = ref_exact_probabilities(setting, d, v0, pbs_error)
+                assert evaluate(d, v0) == want
+                assert exact_outcome_probabilities(
+                    APP, setting, delay=DelayElement(tau), v0=v0, pbs_error=pbs_error
+                ) == want
+
+    def test_empty_scan_does_no_work(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_exact_model", None)
+        assert delay_scan(APP, diagonal_setting(APP), [], RateModel(), -1.0, seed=1) == []
+
+    def test_integration_time_checked_before_postselection(self):
+        app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
+        for count in (
+            lambda t: monte_carlo_counts(app, hv_setting(app), RateModel(), t, seed=1),
+            lambda t: delay_scan(app, hv_setting(app), [0.0], RateModel(), t, seed=1),
+        ):
+            with pytest.raises(StateError, match="integration time"):
+                count(-1.0)
+            with pytest.raises(PostselectionError):
+                count(1.0)
+
     def test_visibility_peaks_at_zero_delay(self):
         rates = RateModel()
         delays = [-1100.0, -550.0, 0.0, 550.0, 1100.0]

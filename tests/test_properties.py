@@ -4,10 +4,12 @@ visibility in [0, 1], PBS delay in [-3000, 3000] fs, PBS error in [0, 0.05]
 and apparatus layouts with reordered sources, relabelled photons and modes, and
 the source modes shuffled between the pairs. The sparse analyzer step (basis
 change, polarizer, three-photon conditioning) is checked against the dense
-oracle at any angle.
+oracle at any angle. The swap chain meets its closed forms at any delay and
+zero-delay visibility, and CHSH stays within the Tsirelson bound.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import event, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 from fourphoton import (
+    BELL_KINDS,
     Apparatus,
     DelayElement,
     MeasurementSetting,
@@ -26,9 +29,16 @@ from fourphoton import (
     StateError,
     apply_polarizer,
     change_basis,
+    chsh_value,
     default_apparatus,
+    dephase_by_distinguishability,
+    distinguishability,
     exact_outcome_probabilities,
+    ghz_after_postselection,
     ghz_state,
+    phi_plus_via_45_coincidence,
+    project_bell,
+    state_from_terms,
     three_photon_ghz,
 )
 
@@ -194,3 +204,49 @@ def test_change_basis_twice_restores_the_state(amps, photon, angle):
     kets = [tuple(zip(pols, "ab")) for pols in itertools.product("HV", repeat=2)]
     state = PureState([1, 2], dict(zip(kets, amps)))
     assert change_basis(change_basis(state, photon, angle), photon, angle).allclose(state)
+
+
+# The swap chain at x = d*v0 conditions photons 1,4 on
+# ((1+x)/2)|phi+><phi+| + ((1-x)/2)|phi-><phi-| (event-ready swapping).
+GHZ = ghz_after_postselection(APP)[0]
+PHI = {sign: oracle.dense_from_terms({"HH": 2**-0.5, "VV": sign * 2**-0.5}, 2) for sign in (1, -1)}
+TSIRELSON = 2 * math.sqrt(2)
+
+
+@FAST
+@given(tau=INPUTS["tau"], v0=INPUTS["v0"])
+def test_swap_chain_meets_its_closed_forms(tau, v0):
+    d = distinguishability(DelayElement(tau))
+    x = d * v0
+    res = phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, d, v0))
+    pair = res.conditioned_state_14
+    want = sum(w * np.outer(PHI[sign], PHI[sign].conj())
+               for w, sign in (((1 + x) / 2, 1), ((1 - x) / 2, -1)))
+    assert np.max(np.abs(pair.matrix - want)) <= 1e-12
+    assert abs(res.projection_probability - 0.5) <= 1e-12
+    assert abs(res.fidelity_to_target - (1 + x) / 2) <= 1e-12
+    assert abs(res.visibility_45 - x) <= 1e-12
+    assert abs(chsh_value(pair) - math.sqrt(2) * (1 + x)) <= 1e-12
+
+
+@FAST
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(BELL_KINDS),
+    angles=st.lists(ANALYZER_ANGLE, min_size=4, max_size=4),
+    tau=INPUTS["tau"],
+    v0=INPUTS["v0"],
+)
+def test_chsh_within_tsirelson_bound(seed, kind, angles, tau, v0):
+    # a generic four-photon state, so that no Bell component nearly cancels
+    amps = np.random.default_rng(seed).normal(size=(16, 2)) @ (1, 1j)
+    kets = map("".join, itertools.product("HV", repeat=4))
+    state = state_from_terms([1, 2, 3, 4], GHZ_MODES, dict(zip(kets, amps)))
+    d = distinguishability(DelayElement(tau))
+    pairs = [
+        project_bell(state, ("2'", "3'"), kind, mode_order=GHZ_MODES),
+        phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, d, v0)),
+    ]
+    a, ap, b, bp = angles
+    for res in pairs:
+        assert abs(chsh_value(res.conditioned_state_14, ((a, ap), (b, bp)))) <= TSIRELSON + 1e-12

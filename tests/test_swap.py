@@ -441,6 +441,26 @@ class TestFixedOperators:
             assert correlation(res.conditioned_state_14, *angles) == ref_correlation(
                 res.conditioned_state_14, *angles)
 
+    def test_chsh_after_default_settings_matches_fresh_build(self):
+        pair = phi_plus_via_45_coincidence(
+            dephase_by_distinguishability(GHZ, 0.6, 0.79)).conditioned_state_14
+        others = ((10.0, 100.0), (33.0, 170.0))
+        default = chsh_value(pair)
+        after_default = chsh_value(pair, others)
+        swap._chsh_observables.cache_clear()
+        assert after_default == chsh_value(pair, others) == ref_chsh(pair, others)
+        assert default == chsh_value(pair) == ref_chsh(pair, swap.CHSH_PHI_PLUS_SETTINGS)
+        assert chsh_value(pair, [[10.0, 100.0], [33.0, 170.0]]) == after_default
+
+    def test_cached_chsh_observables_are_read_only(self):
+        ops = swap._chsh_observables(0.0, 45.0, 22.5, 67.5)
+        assert len(ops) == 4
+        assert swap._chsh_observables(0.0, 45.0, 22.5, 67.5) is ops
+        assert swap._chsh_observables.cache_info().maxsize is not None  # bounded
+        for op in ops:
+            with pytest.raises(ValueError):
+                op[0, 0] = 0
+
     def test_module_operators_are_read_only(self):
         fixed = [*swap._KRAUS_45, *swap._BELL_PROJECTORS.values(), *swap._BELL_VECS.values()]
         assert len(fixed) == 10
