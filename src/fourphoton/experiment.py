@@ -34,12 +34,12 @@ from .elements import (
 )
 from .states import (
     H,
-    POLS,
     PostselectionError,
     PureState,
     StateError,
     analyze,
-    analyzer_overlap,
+    analyzer_matrix,
+    kron,
     slot_in_mode,
     spdc_pair,
     tensor,
@@ -124,8 +124,10 @@ def default_apparatus(pbs_error: float = 0.0) -> Apparatus:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Per-detector analyzer angles in degrees. A None or missing angle is
-    analysed at 0 degrees, with outcomes labelled "+"/"-" instead of "H"/"V"."""
+    """Per-detector analyzer angles in degrees, keyed by the apparatus's
+    detector ids (an exact model raises StateError for any other key). A None
+    or missing angle is analysed at 0 degrees, with outcomes labelled "+"/"-"
+    instead of "H"/"V"."""
 
     angles: Mapping[str, float | None]
 
@@ -237,7 +239,8 @@ def ghz_after_postselection(
 
 def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
     """`ghz_after_postselection` once per apparatus and routing pattern, as
-    (p_sel, read-only dense vector, branch count); None if nothing survives."""
+    (p_sel, dense vector psi, its dephasing partner phi or None for a
+    one-branch pattern), both read-only; None if nothing survives."""
     memo = apparatus._compiled
     if flipped not in memo:
         try:
@@ -246,8 +249,11 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
             memo[flipped] = None
         else:
             psi = state.dense(apparatus.mode_order())
-            psi.flags.writeable = False
-            memo[flipped] = (p_sel, psi, len(state.amps))
+            phi = None if len(state.amps) == 1 else dephasing_partner(psi)
+            for v in (psi, phi):
+                if v is not None:
+                    v.flags.writeable = False
+            memo[flipped] = (p_sel, psi, phi)
     return memo[flipped]
 
 
@@ -260,6 +266,9 @@ def _exact_model(
     zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
     post-selected vectors and their dephasing partners.
     """
+    unknown = [d for d in setting.angles if d not in apparatus.detectors]
+    if unknown:
+        raise StateError(f"unknown detectors {unknown}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
 
     # the photon in each PBS input, in input order, so that the sum over
@@ -284,11 +293,11 @@ def _exact_model(
         compiled = _compiled_pattern(apparatus, flipped)
         if compiled is None:
             continue
-        p_sel, psi, branches = compiled
+        p_sel, psi, phi = compiled
         w = w_pat * p_sel
         total_mass += w
-        dephased = dephased or branches != 1
-        parts.append((w, psi, None if branches == 1 else dephasing_partner(psi)))
+        dephased = dephased or phi is not None
+        parts.append((w, psi, phi))
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
@@ -296,13 +305,9 @@ def _exact_model(
     for det in apparatus.detector_ids():
         ang = setting.angle(det)
         labels.append(MeasurementSetting.labels(ang))
-        ang = 0.0 if ang is None else ang
-        analyzers.append([[analyzer_overlap(p, ang, b) for p in POLS] for b in ("pass", "reject")])
-    # Kronecker product of the 2x2 analyzers (rows pass/reject, columns H/V),
-    # built by one einsum: a chain of np.kron costs several times more
-    n = len(analyzers)
-    operands = [x for i, a in enumerate(analyzers) for x in (a, (i, n + i))]
-    kron = np.einsum(*operands, range(2 * n)).reshape(2**n, 2**n)
+        analyzers.append(analyzer_matrix(0.0 if ang is None else ang))
+    # Kronecker product of the 2x2 analyzers in detector order, ((A1 x A2) x A3) x A4
+    analyzer = reduce(kron, analyzers)
     keys = tuple(map("".join, itertools.product(*labels)))
     # rows per case, built on first use; the pure case (d*v0 >= 1, or no
     # two-branch pattern) stacks only the psi vectors, because numpy rounds a
@@ -324,9 +329,9 @@ def _exact_model(
                 weights += (w * w_psi, w * (1.0 - w_psi))
                 vectors += (psi, phi)
         if pure not in rows:
-            rows[pure] = np.abs(np.stack(vectors) @ kron.T) ** 2
+            rows[pure] = np.abs(np.stack(vectors) @ analyzer.T) ** 2
         probs = np.asarray(weights) @ rows[pure]
-        return {key: float(p) / total_mass for key, p in zip(keys, probs)}
+        return dict(zip(keys, (probs / total_mass).tolist()))
 
     return evaluate
 

@@ -233,20 +233,32 @@ def ghz_state(
     return state_from_terms(photons, modes, {pattern: s, flipped: s}, normalize=False)
 
 
-def analyzer_overlap(pol: str, angle_deg: float, branch: str = "pass") -> float:
-    """Overlap of |H> or |V> with the analyzer eigenstate at `angle_deg`.
-
-    branch "pass" is |theta>; "reject" is the orthogonal port |theta_perp>.
+def analyzer_matrix(angle_deg: float) -> np.ndarray:
+    """The analyzer at `angle_deg` as a 2x2 matrix [[cos, sin], [sin, -cos]]:
+    rows are the pass and reject ports |theta>, |theta_perp>, columns H and V.
     The angle must be finite and lie in [0, 180).
     """
     if not 0.0 <= angle_deg < 180.0:
         raise StateError(f"analyzer angle must lie in [0, 180), got {angle_deg}")
     t = math.radians(angle_deg)
-    if branch == "pass":
-        return math.cos(t) if pol == H else math.sin(t)
-    if branch == "reject":
-        return math.sin(t) if pol == H else -math.cos(t)
-    raise StateError(f"unknown analyzer branch {branch!r}")
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, s], [s, -c]])
+
+
+def analyzer_overlap(pol: str, angle_deg: float, branch: str = "pass") -> float:
+    """Overlap of |H> or |V> with the analyzer eigenstate at `angle_deg`, an
+    entry of `analyzer_matrix`: branch "pass" is |theta>, "reject" |theta_perp>.
+    """
+    m = analyzer_matrix(angle_deg)
+    if branch not in ("pass", "reject"):
+        raise StateError(f"unknown analyzer branch {branch!r}")
+    return float(m[int(branch == "reject"), int(pol != H)])
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices as one broadcast product, one multiply per entry."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def slot_in_mode(mode: str):
@@ -269,11 +281,12 @@ def analyze(state: PureState, slot, angle_deg: float) -> dict[tuple, complex]:
     twice restores the original amplitudes.
     """
     out: dict[tuple, complex] = {}
+    rows = analyzer_matrix(angle_deg).tolist()  # the pass and reject ports
     for ket, a in state.amps.items():
         i = slot(ket)
         pol, mode = ket[i]
-        for port, branch in ((H, "pass"), (V, "reject")):
-            c = analyzer_overlap(pol, angle_deg, branch)
+        for port, row in zip(POLS, rows):
+            c = row[0 if pol == H else 1]
             if c != 0.0:
                 new_ket = ket[:i] + ((port, mode),) + ket[i + 1 :]
                 out[new_ket] = out.get(new_ket, 0.0) + a * c

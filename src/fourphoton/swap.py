@@ -15,13 +15,13 @@ import numpy as np
 
 from .states import (
     BELL_KINDS,
-    POLS,
     DensityMatrix,
     PostselectionError,
     PureState,
     StateError,
-    analyzer_overlap,
+    analyzer_matrix,
     bell_state,
+    kron,
     mix,
     tensor,
 )
@@ -165,14 +165,8 @@ def visibility_from_counts(
 
 def _analyzer_operator(angle_deg: float) -> np.ndarray:
     """+1/-1 valued polarization observable |a><a| - |b><b| at the given angle."""
-    a = [analyzer_overlap(p, angle_deg, "pass") for p in POLS]
-    b = [analyzer_overlap(p, angle_deg, "reject") for p in POLS]
-    return np.array([[a[i] * a[j] - b[i] * b[j] for j in range(2)] for i in range(2)])
-
-
-def _product(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """np.kron(sa, sb) as one broadcast product, one multiply per entry."""
-    return (sa[:, None, :, None] * sb[None, :, None, :]).reshape(4, 4)
+    m = analyzer_matrix(angle_deg)
+    return np.outer(m[0], m[0]) - np.outer(m[1], m[1])
 
 
 def _expectation(rho_pair: DensityMatrix, op: np.ndarray) -> float:
@@ -184,7 +178,7 @@ def _expectation(rho_pair: DensityMatrix, op: np.ndarray) -> float:
 def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
     return _expectation(
-        rho_pair, _product(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
+        rho_pair, kron(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
     )
 
 
@@ -195,7 +189,7 @@ CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
 def _chsh_observables(a: float, ap: float, b: float, bp: float) -> tuple[np.ndarray, ...]:
     """The four read-only CHSH observables sa x sb, sa x sb', sa' x sb, sa' x sb'."""
     sa, sap, sb, sbp = map(_analyzer_operator, (a, ap, b, bp))
-    ops = (_product(sa, sb), _product(sa, sbp), _product(sap, sb), _product(sap, sbp))
+    ops = (kron(sa, sb), kron(sa, sbp), kron(sap, sb), kron(sap, sbp))
     for op in ops:
         op.setflags(write=False)
     return ops

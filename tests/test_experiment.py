@@ -1,14 +1,15 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fourphoton import experiment
-from fourphoton.elements import dephasing_components
-from fourphoton.states import POLS, analyzer_overlap
+from fourphoton.elements import dephasing_components, dephasing_partner
+from fourphoton.states import POLS, analyzer_matrix, analyzer_overlap
 from fourphoton import (
     Apparatus,
     DelayElement,
@@ -189,6 +190,20 @@ class TestExactProbabilities:
             probs = exact_outcome_probabilities(APP, MeasurementSetting(angles))
             assert probs == expected
 
+    @pytest.mark.parametrize("count", [
+        lambda s: exact_outcome_probabilities(APP, s),
+        lambda s: monte_carlo_counts(APP, s, RateModel(), 6000.0, seed=1),
+        lambda s: delay_scan(APP, s, [0.0, 100.0], RateModel(), 600.0, seed=1),
+    ], ids=["exact", "monte_carlo_counts", "delay_scan"])
+    @pytest.mark.parametrize("angles, unknown", [
+        ({"d1": 45.0, "d2": 45.0, "d3": 45.0, "d4": 45.0}, ["d1", "d2", "d3", "d4"]),
+        ({"D1": 45.0, "D2": 45.0, "D3": 45.0, "D4": 45.0, "D5": None}, ["D5"]),
+    ], ids=["lower-case", "extra"])
+    def test_unknown_detector_rejected(self, count, angles, unknown):
+        # ignored, they would give the H/V table under "+"/"-" labels
+        with pytest.raises(StateError, match=re.escape(f"unknown detectors {unknown}")):
+            count(MeasurementSetting(angles))
+
     @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan")])
     def test_visibility_outside_unit_interval_rejected(self, v0):
         with pytest.raises(StateError, match="visibility"):
@@ -249,18 +264,31 @@ class TestCompiledPatterns:
         monkeypatch.setattr(experiment, "ghz_after_postselection", counted)
         return calls
 
+    @pytest.fixture
+    def partner_calls(self, monkeypatch):
+        calls = []
+        partner = experiment.dephasing_partner
+
+        def counted(psi):
+            calls.append(psi)
+            return partner(psi)
+
+        monkeypatch.setattr(experiment, "dephasing_partner", counted)
+        return calls
+
     @pytest.mark.parametrize("pbs_error, patterns", [(False, 1), (True, 4)])
-    def test_chain_runs_once_per_pattern(self, chain_calls, pbs_error, patterns):
+    def test_chain_runs_once_per_pattern(self, chain_calls, partner_calls, pbs_error, patterns):
+        # every pattern of the default apparatus has two branches, hence a partner
         app = default_apparatus()
         rng = np.random.default_rng(3)
         for _ in range(50):
             setting, kw = _random_call(rng, pbs_error)
             exact_outcome_probabilities(app, setting, **kw)
-        assert len(chain_calls) == patterns
+        assert len(chain_calls) == len(partner_calls) == patterns
         assert len({flipped for _, flipped in chain_calls}) == patterns
         monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 1)
         delay_scan(app, diagonal_setting(app), [-100.0, 0.0, 100.0], RateModel(), 10.0, 1)
-        assert len(chain_calls) == patterns
+        assert len(chain_calls) == len(partner_calls) == patterns
 
     def test_failed_pattern_is_remembered(self, chain_calls):
         app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
@@ -290,9 +318,29 @@ class TestCompiledPatterns:
 
     def test_compiled_vector_is_read_only(self):
         app = default_apparatus()
-        _, psi, _ = experiment._compiled_pattern(app, frozenset())
-        with pytest.raises(ValueError):
-            psi[0] = 1.0
+        exact_outcome_probabilities(app, hv_setting(app), pbs_error=0.01)
+        assert len(app._compiled) == 4
+        for _, psi, phi in app._compiled.values():
+            assert np.array_equal(phi, dephasing_partner(psi))
+            for v in (psi, phi):
+                with pytest.raises(ValueError):
+                    v[0] = 1.0
+
+    @pytest.mark.parametrize("pbs_error", [None, 0.0, 0.01])
+    def test_special_angles_match_the_per_call_formula(self, pbs_error):
+        # analyzer entries of exactly 0.0 and -1.0 make some products -0.0
+        rng = np.random.default_rng(44)
+        choices = [0.0, 22.5, 45.0, 67.5, 90.0, None]
+        for _ in range(40):
+            angles = [choices[i] for i in rng.integers(len(choices), size=4)]
+            setting = MeasurementSetting(dict(zip(APP.detector_ids(), angles)))
+            for tau, v0 in [(0.0, 1.0), (300.0, 0.79), (0.0, 0.5)]:
+                delay = DelayElement(tau)
+                want = ref_exact_probabilities(setting, distinguishability(delay), v0, pbs_error)
+                got = exact_outcome_probabilities(
+                    APP, setting, delay=delay, v0=v0, pbs_error=pbs_error
+                )
+                assert got == want and list(got) == list(want)
 
     def test_detectors_are_read_only(self):
         layout = {"D1": "1", "D2": "2'", "D3": "3'", "D4": "4"}
@@ -410,6 +458,42 @@ class TestMonteCarlo:
             if pval > 0.001:
                 passes += 1
         assert passes >= 99
+
+    def test_chi_square_consistency_away_from_defaults(self):
+        """Counts drawn from the exact table at 20 random configurations
+        (angles, None included; delay, v0, PBS error, rates, efficiency, dark
+        counts), 200 seeds each, no seed used twice. Per configuration the sum
+        of the 200 Pearson statistics is chi^2 with 200 x 16 degrees of
+        freedom; it must not exceed its upper 1e-4 quantile (family-wise level
+        2e-3 over the 20). Every expected count is at least 20, so the chi^2
+        law holds closely."""
+        alpha = 1e-4
+        rng = np.random.default_rng(2027)
+        for case in range(20):
+            seeds = range(200 * case, 200 * (case + 1))
+            angles = [None if rng.random() < 0.15 else float(rng.uniform(0, 180))
+                      for _ in range(4)]
+            setting = MeasurementSetting(dict(zip(APP.detector_ids(), angles)))
+            err = 0.0 if rng.random() < 0.3 else float(rng.uniform(1e-4, 0.2))
+            d = distinguishability(DelayElement(float(rng.uniform(-1500, 1500))))
+            v0 = float(rng.uniform(0, 1))
+            rates = RateModel(
+                fourfold_rate_desired=float(rng.uniform(0.1, 10.0)),
+                background_fourfold_rate=float(rng.uniform(1e-4, 1e-2)),
+                detector_efficiency=float(rng.uniform(0.5, 1.0)),
+                dark_count_rate=float(rng.uniform(0, 100.0)),
+                coincidence_window_s=1e-3,
+            )
+            probs = experiment._exact_model(default_apparatus(err), setting, err)(d, v0)
+            floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
+            cell_rates = np.array(list(probs.values())) * rates.effective_fourfold_rate() + floor
+            time = max(20.0 / cell_rates.min(), 1e5 / cell_rates.sum())
+            lam = cell_rates * time
+            counts = np.array([list(draw_counts(probs, rates, time, s).counts.values())
+                               for s in seeds])
+            chi2 = float(np.sum((counts - lam) ** 2 / lam))
+            p_value = stats.chi2.sf(chi2, df=len(seeds) * len(lam))
+            assert p_value > alpha, (angles, err, d, v0, rates)
 
 
     @pytest.mark.parametrize("fields", [
@@ -551,8 +635,9 @@ class TestThreePhotonGhz:
 
 
 class TestAnalyzerAngleRange:
-    """Every analyzer angle goes through `analyzer_overlap`, which takes only
-    finite angles in [0, 180)."""
+    """Every analyzer angle goes through `states.analyzer_matrix`, the one
+    analyzer primitive (`analyzer_overlap` reads one entry of it), which
+    takes only finite angles in [0, 180)."""
 
     RHO_14 = mix([(1.0, bell_state("phi+", 1, 4))])
     ENTRY_POINTS = {
@@ -563,6 +648,7 @@ class TestAnalyzerAngleRange:
         "correlation": lambda a: correlation(TestAnalyzerAngleRange.RHO_14, a, 45.0),
         "chsh_value": lambda a: chsh_value(TestAnalyzerAngleRange.RHO_14, ((0.0, a), (22.5, 67.5))),
         "change_basis": lambda a: change_basis(ghz_state("HH"), 1, a),
+        "analyzer_matrix": analyzer_matrix,
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

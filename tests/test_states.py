@@ -17,6 +17,7 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
+from fourphoton.states import POLS, analyzer_matrix, analyzer_overlap
 
 S2 = 1 / math.sqrt(2)
 
@@ -151,6 +152,22 @@ class TestChangeBasis:
     def test_angle_range(self):
         with pytest.raises(StateError):
             change_basis(ghz_state("HH"), 1, -45.0)
+
+
+class TestAnalyzerMatrix:
+    @pytest.mark.parametrize("angle", [0.0, 22.5, 45.0, 67.5, 90.0, 33.3, 123.4, 179.9])
+    def test_one_convention(self, angle):
+        # rows pass/reject, columns H/V; analyzer_overlap reads the same entries
+        t = math.radians(angle)
+        m = analyzer_matrix(angle)
+        assert m.tolist() == [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]]
+        assert m.tolist() == [
+            [analyzer_overlap(p, angle, b) for p in POLS] for b in ("pass", "reject")
+        ]
+
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(StateError, match="branch"):
+            analyzer_overlap("H", 45.0, "both")
 
 
 class TestMixAndFidelity:
