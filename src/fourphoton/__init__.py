@@ -24,8 +24,6 @@ from .elements import (
     VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
-    PolarizerElement,
-    apply_polarizer,
     dephase_by_distinguishability,
     distinguishability,
 )

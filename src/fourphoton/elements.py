@@ -1,4 +1,4 @@
-"""Optical elements: polarizing beam-splitter, polarizer, delay line.
+"""Optical elements: polarizing beam-splitter and delay line.
 
 The PBS transmits horizontal and reflects vertical polarization; it only
 relabels spatial modes, amplitudes are untouched. Partial temporal overlap
@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    H,
-    V,
-    DensityMatrix,
-    PostselectionError,
-    PureState,
-    StateError,
-    analyze,
-    slot_in_mode,
-)
+from .states import H, DensityMatrix, PureState, StateError, density_matrix
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -67,21 +58,6 @@ class PbsElement:
 
 
 @dataclass(frozen=True)
-class PolarizerElement:
-    """Linear polarizer in one spatial mode; pass or reject port."""
-
-    mode: str
-    angle: float
-    branch: str = "pass"
-
-    def __post_init__(self):
-        if not 0.0 <= self.angle < 180.0:
-            raise StateError(f"polarizer angle {self.angle} outside [0, 180)")
-        if self.branch not in ("pass", "reject"):
-            raise StateError(f"unknown polarizer branch {self.branch!r}")
-
-
-@dataclass(frozen=True)
 class DelayElement:
     """Relative arrival delay of the two PBS photons, in femtoseconds."""
 
@@ -94,24 +70,6 @@ class DelayElement:
             raise StateError(f"delay {self.delay_fs} fs is not finite")
         if not self.coherence_time_fs > 0:
             raise StateError("coherence time must be positive")
-
-
-def apply_polarizer(state: PureState, pol: PolarizerElement) -> tuple[PureState, float]:
-    """Project the photon in the polarizer's mode onto its analyzer state.
-
-    Returns the renormalized state and the projection probability. A
-    zero-probability projection raises PostselectionError.
-    """
-    slot = slot_in_mode(pol.mode)
-    port = H if pol.branch == "pass" else V
-    kept = {
-        ket: a for ket, a in analyze(state, slot, pol.angle).items() if ket[slot(ket)][0] == port
-    }
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob <= 1e-30:
-        raise PostselectionError("polarizer projection has zero probability")
-    projected = PureState(state.photons, kept, normalize=False)
-    return PureState(state.photons, analyze(projected, slot, pol.angle)), prob
 
 
 def distinguishability(delay: DelayElement) -> float:
@@ -136,7 +94,7 @@ def dephasing_weight(d: float, v0: float) -> float:
 def dephasing_partner(psi: np.ndarray) -> np.ndarray:
     """|phi>: the dense two-branch vector `psi` with its last nonzero entry
     negated. It does not depend on the delay."""
-    branches = np.flatnonzero(psi)
+    branches = psi.nonzero()[0]
     if len(branches) != 2:
         raise StateError("dephasing expects a two-branch superposition")
     phi = psi.copy()
@@ -166,8 +124,4 @@ def dephase_by_distinguishability(
     overlap, v0 the zero-delay visibility ceiling.
     """
     modes = sorted({m for ket in state_after_pbs.amps for _, m in ket})
-    rho = sum(
-        w * np.outer(v, v.conj())
-        for w, v in dephasing_components(state_after_pbs.dense(modes), d, v0)
-    )
-    return DensityMatrix(modes, rho)
+    return density_matrix(modes, dephasing_components(state_after_pbs.dense(modes), d, v0))

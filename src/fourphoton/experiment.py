@@ -270,6 +270,8 @@ def _exact_model(
     if unknown:
         raise StateError(f"unknown detectors {unknown}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
+    if not 0.0 <= err < 1.0:  # negated, so that NaN fails it too
+        raise StateError(f"PBS error_rate {err} outside [0, 1)")
 
     # the photon in each PBS input, in input order, so that the sum over
     # patterns does not depend on how the sources are listed or labelled
@@ -348,7 +350,8 @@ def exact_outcome_probabilities(
 
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
     count tables pass the PBS's configured rate; the exact path defaults to
-    the ideal PBS). Each call compiles `_exact_model` and evaluates it once.
+    None, the ideal PBS). Like that rate it must lie in [0, 1), else
+    StateError. Each call compiles `_exact_model` and evaluates it once.
     """
     d = 1.0 if delay is None else distinguishability(delay)
     return _exact_model(apparatus, setting, pbs_error)(d, v0)

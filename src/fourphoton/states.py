@@ -17,7 +17,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -134,11 +133,11 @@ class PureState:
 
     def dense(self, mode_order: Sequence[str]) -> np.ndarray:
         """Dense 2^n vector over mode-ordered H/V kets (H before V)."""
-        view = self.mode_view(mode_order)
         n = len(mode_order)
         vec = np.zeros(2**n, dtype=complex)
-        for i, key in enumerate(itertools.product(POLS, repeat=n)):
-            vec[i] = view.get(key, 0.0)
+        for key, a in self.mode_view(mode_order).items():
+            # the first mode is the most significant bit, V is 1
+            vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
         return vec
 
     def allclose(self, other: "PureState", tol: float = EXACT_TOL) -> bool:
@@ -245,16 +244,6 @@ def analyzer_matrix(angle_deg: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def analyzer_overlap(pol: str, angle_deg: float, branch: str = "pass") -> float:
-    """Overlap of |H> or |V> with the analyzer eigenstate at `angle_deg`, an
-    entry of `analyzer_matrix`: branch "pass" is |theta>, "reject" |theta_perp>.
-    """
-    m = analyzer_matrix(angle_deg)
-    if branch not in ("pass", "reject"):
-        raise StateError(f"unknown analyzer branch {branch!r}")
-    return float(m[int(branch == "reject"), int(pol != H)])
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron(a, b) of two matrices as one broadcast product, one multiply per entry."""
     (m, n), (p, q) = a.shape, b.shape
@@ -317,12 +306,15 @@ class DensityMatrix:
 
     def validate(self, tol: float = NORM_TOL) -> None:
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > tol:
+        # first, so that no check below computes with a NaN or inf entry
+        if not np.isfinite(m).all():
+            raise StateError("density matrix has a non-finite entry")
+        if abs(m - m.conj().T).max() > tol:
             raise StateError("density matrix is not Hermitian")
-        tr = np.trace(m)
+        tr = m.trace()
         if abs(tr.real - 1.0) > tol or abs(tr.imag) > tol:
             raise StateError(f"trace {tr}, expected 1")
-        if np.min(np.linalg.eigvalsh(m)) < -tol:
+        if np.linalg.eigvalsh(m)[0] < -tol:  # eigenvalues ascend
             raise StateError("density matrix has a negative eigenvalue")
 
     def purity(self) -> float:
@@ -348,12 +340,19 @@ def mix(components: Iterable[tuple[float, PureState]],
     if mode_order is None:
         first = components[0][1]
         mode_order = sorted({m for ket in first.amps for _, m in ket})
-    dim = 2 ** len(mode_order)
+    return density_matrix(mode_order, [(w, psi.dense(mode_order)) for w, psi in components])
+
+
+def density_matrix(
+    modes: Sequence[str], components: Iterable[tuple[float, np.ndarray]]
+) -> DensityMatrix:
+    """The `DensityMatrix` on `modes` that sums w |v><v| over weighted dense
+    vectors, added in order to a zero matrix. Weights are not checked here."""
+    dim = 2 ** len(modes)
     rho = np.zeros((dim, dim), dtype=complex)
-    for w, psi in components:
-        v = psi.dense(mode_order)
-        rho += w * np.outer(v, v.conj())
-    return DensityMatrix(mode_order, rho)
+    for w, v in components:
+        rho += w * (v[:, None] * v.conj())
+    return DensityMatrix(modes, rho)
 
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:

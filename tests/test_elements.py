@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fourphoton.elements import dephasing_components
 from fourphoton import (
     Apparatus,
     DelayElement,
     PairSource,
     PbsElement,
-    PolarizerElement,
-    PostselectionError,
-    PureState,
     StateError,
-    apply_polarizer,
     bell_state,
     default_apparatus,
     dephase_by_distinguishability,
@@ -87,42 +84,6 @@ class TestPbs:
             PbsElement(("2", "3"), ("2'", "3'"), error_rate=1.5)
 
 
-class TestPolarizer:
-    def test_h_through_45(self):
-        s = state_from_terms([1], ["m"], {"H": 1.0})
-        out, prob = apply_polarizer(s, PolarizerElement("m", 45.0))
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        view = out.mode_view(["m"])
-        assert view[("H",)] == pytest.approx(S2, abs=1e-12)
-        assert view[("V",)] == pytest.approx(S2, abs=1e-12)
-
-    def test_orthogonal_projection_impossible(self):
-        s = state_from_terms([1], ["m"], {"V": 1.0})
-        with pytest.raises(PostselectionError):
-            apply_polarizer(s, PolarizerElement("m", 0.0))
-
-    def test_reject_branch(self):
-        s = state_from_terms([1], ["m"], {"V": 1.0})
-        out, prob = apply_polarizer(s, PolarizerElement("m", 0.0, branch="reject"))
-        assert prob == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            amps = {((p, "m"),): complex(*rng.normal(size=2)) for p in ("H", "V")}
-            s = PureState([1], amps)
-            pol = PolarizerElement("m", float(rng.uniform(0, 180)))
-            once, p1 = apply_polarizer(s, pol)
-            twice, p2 = apply_polarizer(once, pol)
-            assert p2 == pytest.approx(1.0, abs=1e-9)
-            assert twice.allclose(once, tol=1e-9)
-
-    def test_ghz_45_polarizer_success_half(self):
-        s = ghz_state("HVVH", modes=["1", "2'", "3'", "4"])
-        out, prob = apply_polarizer(s, PolarizerElement("2'", 45.0))
-        assert prob == pytest.approx(0.5, abs=1e-12)
-
-
 class TestDistinguishability:
     def test_zero_delay(self):
         from fourphoton import distinguishability
@@ -182,6 +143,21 @@ class TestDephasing:
         rho = dephase_by_distinguishability(psi, 0.0, v0=0.79)
         assert fidelity(rho, psi) == pytest.approx(0.5, abs=1e-12)
         assert fidelity(rho, phi) == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_sum_of_outer_products_bit_for_bit(self):
+        # sum(w |v><v|) over dephasing_components, added to 0 in order
+        ghz, _ = ghz_after_postselection(APP)
+        signed = state_from_terms(
+            [1, 2, 3, 4], MODES, {"HVVH": -S2, "VHHV": -1j * S2}, normalize=False
+        )
+        for psi in (ghz, signed):
+            v = psi.dense(MODES)
+            for d, v0 in ((0.0, 0.79), (0.37, 0.79), (1.0, 0.79), (0.5, 0.0), (1.0, 1.0)):
+                terms = [w * np.outer(u, u.conj()) for w, u in dephasing_components(v, d, v0)]
+                rho = dephase_by_distinguishability(psi, d, v0).matrix
+                assert rho.tobytes() == sum(terms).tobytes()
+        # the last, pure case: its one term holds a -0.0 that the zero start makes +0.0
+        assert rho.tobytes() != terms[0].tobytes()
 
     def test_invariants(self):
         psi = ghz_state("HVVH")

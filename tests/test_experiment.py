@@ -9,7 +9,7 @@ from scipy import stats
 
 from fourphoton import experiment
 from fourphoton.elements import dephasing_components, dephasing_partner
-from fourphoton.states import POLS, analyzer_matrix, analyzer_overlap
+from fourphoton.states import analyzer_matrix
 from fourphoton import (
     Apparatus,
     DelayElement,
@@ -150,6 +150,17 @@ class TestExactProbabilities:
         # wrong-polarization coincidences appear at the error scale
         assert 0 < probs["HVHV"] < 5e-3
 
+    @pytest.mark.parametrize("err", [1.5, 2.0, -0.5, math.nan, math.inf])
+    def test_pbs_error_outside_unit_interval_rejected(self, err):
+        # the wording of PbsElement's own check
+        with pytest.raises(StateError, match=r"PBS error_rate .* outside \[0, 1\)"):
+            exact_outcome_probabilities(APP, hv_setting(APP), pbs_error=err)
+
+    def test_zero_pbs_error_is_the_ideal_pbs(self):
+        ideal = exact_outcome_probabilities(APP, diagonal_setting(APP), pbs_error=None)
+        assert exact_outcome_probabilities(APP, diagonal_setting(APP), pbs_error=0.0) == ideal
+        assert exact_outcome_probabilities(APP, diagonal_setting(APP)) == ideal
+
 
     def test_pbs_error_agrees_with_dense_oracle(self):
         # routing patterns enumerated by the oracle, not by the sparse code
@@ -240,7 +251,7 @@ def ref_exact_probabilities(setting, d, v0, pbs_error):
         ang = setting.angle(det)
         labels.append(MeasurementSetting.labels(ang))
         ang = 0.0 if ang is None else ang
-        analyzers.append([[analyzer_overlap(p, ang, b) for p in POLS] for b in ("pass", "reject")])
+        analyzers.append(analyzer_matrix(ang))
     operands = [x for i, a in enumerate(analyzers) for x in (a, (i, 4 + i))]
     kron = np.einsum(*operands, range(8)).reshape(16, 16)
     probs = np.asarray(weights) @ np.abs(np.stack(vectors) @ kron.T) ** 2
@@ -636,8 +647,7 @@ class TestThreePhotonGhz:
 
 class TestAnalyzerAngleRange:
     """Every analyzer angle goes through `states.analyzer_matrix`, the one
-    analyzer primitive (`analyzer_overlap` reads one entry of it), which
-    takes only finite angles in [0, 180)."""
+    analyzer primitive, which takes only finite angles in [0, 180)."""
 
     RHO_14 = mix([(1.0, bell_state("phi+", 1, 4))])
     ENTRY_POINTS = {

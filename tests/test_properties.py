@@ -3,8 +3,8 @@ not only at the paper's points: analyzer angles in [0, 180) or None, zero-delay
 visibility in [0, 1], PBS delay in [-3000, 3000] fs, PBS error in [0, 0.05]
 and apparatus layouts with reordered sources, relabelled photons and modes, and
 the source modes shuffled between the pairs. The sparse analyzer step (basis
-change, polarizer, three-photon conditioning) is checked against the dense
-oracle at any angle. The swap chain meets its closed forms at any delay and
+change, three-photon conditioning) is checked against the dense oracle at any
+angle. The swap chain meets its closed forms at any delay and
 zero-delay visibility, and CHSH stays within the Tsirelson bound.
 """
 
@@ -23,11 +23,9 @@ from fourphoton import (
     MeasurementSetting,
     PairSource,
     PbsElement,
-    PolarizerElement,
     PostselectionError,
     PureState,
     StateError,
-    apply_polarizer,
     change_basis,
     chsh_value,
     default_apparatus,
@@ -35,7 +33,6 @@ from fourphoton import (
     distinguishability,
     exact_outcome_probabilities,
     ghz_after_postselection,
-    ghz_state,
     phi_plus_via_45_coincidence,
     project_bell,
     state_from_terms,
@@ -149,13 +146,11 @@ GHZ_DENSE = oracle.dense_from_terms({"HVVH": 2**-0.5, "VHHV": 2**-0.5}, 4)
 ANALYZER_ANGLE = st.floats(0.0, 180.0, exclude_max=True)
 
 
-def dense_projection(position: int, angle: float, branch: str, keep_qubit: bool):
-    """Project the GHZ qubit at `position` onto an analyzer port: the
-    normalised result (that qubit kept in the port state, or traced out) and
-    the probability."""
-    ket = oracle.analyzer_ket(angle, branch)
-    op = np.outer(ket, ket.conj()) if keep_qubit else ket.conj()[None, :]
-    full = np.kron(np.kron(np.eye(2**position), op), np.eye(2 ** (3 - position)))
+def dense_projection(position: int, angle: float):
+    """Project the GHZ qubit at `position` onto the analyzer's pass port: the
+    normalised state of the other three qubits and the probability."""
+    bra = oracle.analyzer_ket(angle, "pass").conj()[None, :]
+    full = np.kron(np.kron(np.eye(2**position), bra), np.eye(2 ** (3 - position)))
     reduced = full @ GHZ_DENSE
     prob = float(np.linalg.norm(reduced) ** 2)
     return reduced / np.sqrt(prob), prob
@@ -171,22 +166,11 @@ def assert_same_up_to_phase(got: np.ndarray, want: np.ndarray):
 @given(position=st.integers(0, 3), angle=ANALYZER_ANGLE)
 def test_three_photon_ghz_matches_dense_projection(position, angle):
     mode = GHZ_MODES[position]
-    want, p_want = dense_projection(position, angle, "pass", keep_qubit=False)
+    want, p_want = dense_projection(position, angle)
     state, prob = three_photon_ghz(APP, mode, angle)
     assert abs(prob - p_want) <= 1e-12
     rest = [m for m in GHZ_MODES if m != mode]
     assert_same_up_to_phase(state.dense(rest), want)
-
-
-@FAST
-@given(branch=st.sampled_from(["pass", "reject"]), angle=ANALYZER_ANGLE)
-def test_apply_polarizer_matches_dense_projector(branch, angle):
-    want, p_want = dense_projection(1, angle, branch, keep_qubit=True)
-    state, prob = apply_polarizer(
-        ghz_state("HVVH", modes=GHZ_MODES), PolarizerElement("2'", angle, branch)
-    )
-    assert abs(prob - p_want) <= 1e-12
-    assert_same_up_to_phase(state.dense(GHZ_MODES), want)
 
 
 # amplitudes are 0 or at least 1 in size, so that the canonical phase rests

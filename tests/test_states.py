@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
-from fourphoton.states import POLS, analyzer_matrix, analyzer_overlap
+from fourphoton.states import analyzer_matrix
 
 S2 = 1 / math.sqrt(2)
 
@@ -157,17 +159,10 @@ class TestChangeBasis:
 class TestAnalyzerMatrix:
     @pytest.mark.parametrize("angle", [0.0, 22.5, 45.0, 67.5, 90.0, 33.3, 123.4, 179.9])
     def test_one_convention(self, angle):
-        # rows pass/reject, columns H/V; analyzer_overlap reads the same entries
+        # rows pass/reject, columns H/V
         t = math.radians(angle)
         m = analyzer_matrix(angle)
         assert m.tolist() == [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]]
-        assert m.tolist() == [
-            [analyzer_overlap(p, angle, b) for p in POLS] for b in ("pass", "reject")
-        ]
-
-    def test_unknown_branch_rejected(self):
-        with pytest.raises(StateError, match="branch"):
-            analyzer_overlap("H", 45.0, "both")
 
 
 class TestMixAndFidelity:
@@ -218,6 +213,31 @@ class TestMixAndFidelity:
             rho = mix(comps, mode_order=["1", "2"])
             rho.validate()  # Hermitian, unit trace, PSD
 
+    def test_matches_in_place_sum_bit_for_bit(self):
+        # mix adds w |v><v| to a zero matrix in component order
+        signed = state_from_terms([1, 2], ["1", "2"], {"HH": -S2, "VV": -1j * S2}, normalize=False)
+        v = signed.dense(["1", "2"])
+        term = np.outer(v, v.conj())
+        want = np.zeros((4, 4), dtype=complex)
+        want += term
+        assert mix([(1.0, signed)]).matrix.tobytes() == want.tobytes()
+        # the term holds a -0.0 that the zero start makes +0.0
+        assert want.tobytes() != term.tobytes()
+        psi, phi = self.ghz_pair()
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            amps = rng.normal(size=(16, 2)) @ (1, 1j)
+            amps[rng.random(16) < 0.5] = 0
+            kets = ("".join(k) for k in itertools.product("HV", repeat=4))
+            rnd = state_from_terms([1, 2, 3, 4], ["1", "2", "3", "4"], dict(zip(kets, amps)))
+            w = rng.dirichlet(np.ones(3)).tolist()
+            comps = [(w[0], rnd), (w[1], phi), (0.0, psi), (w[2], psi)]
+            want = np.zeros((16, 16), dtype=complex)
+            for wi, state in comps:
+                v = state.dense(["1", "2", "3", "4"])
+                want += wi * np.outer(v, v.conj())
+            assert mix(comps).matrix.tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self):
         psi, _ = self.ghz_pair()
         rho = mix([(1.0, bell_state("phi+", 1, 2))], mode_order=["1", "2"])
@@ -231,6 +251,19 @@ class TestDensityMatrixValidation:
         m[0, 1] = 1.0
         with pytest.raises(StateError):
             DensityMatrix(["1"], m / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_rejects_non_finite_entries_without_a_warning(self, bad, where):
+        m = np.eye(2, dtype=complex) / 2
+        if where == "diagonal":
+            m[0, 0] = bad
+        else:
+            m[0, 1], m[1, 0] = bad, np.conj(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match="non-finite"):
+                DensityMatrix(["1"], m)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(StateError):

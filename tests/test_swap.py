@@ -30,7 +30,7 @@ from fourphoton import (
     tensor,
     visibility_from_counts,
 )
-from fourphoton.states import BELL_KINDS, POLS, analyzer_overlap
+from fourphoton.states import BELL_KINDS, analyzer_matrix
 
 import oracle
 
@@ -333,8 +333,7 @@ class TestChsh:
 # The swap analysis as written before its fixed operators were built once:
 # np.outer / np.kron on every call. The module must match it bit for bit.
 def ref_analyzer(angle):
-    a = np.array([analyzer_overlap(p, angle, "pass") for p in POLS])
-    b = np.array([analyzer_overlap(p, angle, "reject") for p in POLS])
+    a, b = analyzer_matrix(angle)  # the pass and reject rows
     return np.outer(a, a) - np.outer(b, b)
 
 
@@ -414,6 +413,14 @@ class TestFixedOperators:
         for chsh_settings in (swap.CHSH_PHI_PLUS_SETTINGS, ((a, ap), (b, bp))):
             s = chsh_value(pair, chsh_settings)
             assert s == ref_chsh(pair, chsh_settings) == chsh_value(pair, chsh_settings)
+            # the batched contraction gives each correlation's own trace, bit for bit
+            (x, xp), (y, yp) = chsh_settings
+            assert s == (
+                correlation(pair, x, y)
+                - correlation(pair, x, yp)
+                + correlation(pair, xp, y)
+                + correlation(pair, xp, yp)
+            )
             for x in chsh_settings[0]:
                 for y in chsh_settings[1]:
                     assert correlation(pair, x, y) == ref_correlation(pair, x, y)
