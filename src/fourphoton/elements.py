@@ -82,15 +82,6 @@ def distinguishability(delay: DelayElement) -> float:
     return math.exp(-(x * x))
 
 
-def dephasing_weight(d: float, v0: float) -> float:
-    """Weight (1 + d*v0)/2 of |psi> in the dephasing channel; |phi> gets the rest."""
-    if not 0.0 <= d <= 1.0:
-        raise StateError(f"distinguishability {d} outside [0, 1]")
-    if not 0.0 <= v0 <= 1.0:
-        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
-    return (1.0 + d * v0) / 2.0
-
-
 def dephasing_partner(psi: np.ndarray) -> np.ndarray:
     """|phi>: the dense two-branch vector `psi` with its last nonzero entry
     negated. It does not depend on the delay."""
@@ -103,14 +94,18 @@ def dephasing_partner(psi: np.ndarray) -> np.ndarray:
 
 
 def dephasing_components(
-    psi: np.ndarray, d: float, v0: float
+    psi: np.ndarray, phi: np.ndarray | None, d: float, v0: float
 ) -> list[tuple[float, np.ndarray]]:
-    """The channel of `dephase_by_distinguishability` on a dense vector:
-    its weighted pure components. At d*v0 = 1 the state stays pure."""
-    w = dephasing_weight(d, v0)
-    phi = dephasing_partner(psi)
-    if d * v0 >= 1.0:
+    """The dephasing channel on a dense vector `psi` with partner `phi`, as
+    weighted pure components: (1 + d*v0)/2 on psi and the rest on phi. At
+    d*v0 = 1, or for a one-branch vector (`phi` None), psi stays pure."""
+    if not 0.0 <= d <= 1.0:
+        raise StateError(f"distinguishability {d} outside [0, 1]")
+    if not 0.0 <= v0 <= 1.0:
+        raise StateError(f"zero-delay visibility {v0} outside [0, 1]")
+    if phi is None or d * v0 >= 1.0:
         return [(1.0, psi)]
+    w = (1.0 + d * v0) / 2.0
     return [(w, psi), (1.0 - w, phi)]
 
 
@@ -124,4 +119,5 @@ def dephase_by_distinguishability(
     overlap, v0 the zero-delay visibility ceiling.
     """
     modes = sorted({m for ket in state_after_pbs.amps for _, m in ket})
-    return density_matrix(modes, dephasing_components(state_after_pbs.dense(modes), d, v0))
+    psi = state_after_pbs.dense(modes)
+    return density_matrix(modes, dephasing_components(psi, dephasing_partner(psi), d, v0))

@@ -28,8 +28,8 @@ from .elements import (
     VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
+    dephasing_components,
     dephasing_partner,
-    dephasing_weight,
     distinguishability,
 )
 from .states import (
@@ -57,7 +57,7 @@ class PairSource:
         photons, modes = self.photons, self.modes
         if not (
             len(photons) == 2
-            and all(isinstance(p, Integral) for p in photons)
+            and all(isinstance(p, Integral) and not isinstance(p, bool) for p in photons)
             and photons[0] != photons[1]
         ):
             raise StateError(f"a pair source needs two distinct photon indices, got {photons}")
@@ -290,7 +290,6 @@ def _exact_model(
     # (weight, psi, dephasing partner or None) per surviving pattern
     parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
     total_mass = 0.0
-    dephased = False
     for w_pat, flipped in patterns:
         compiled = _compiled_pattern(apparatus, flipped)
         if compiled is None:
@@ -298,7 +297,6 @@ def _exact_model(
         p_sel, psi, phi = compiled
         w = w_pat * p_sel
         total_mass += w
-        dephased = dephased or phi is not None
         parts.append((w, psi, phi))
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
@@ -311,28 +309,21 @@ def _exact_model(
     # Kronecker product of the 2x2 analyzers in detector order, ((A1 x A2) x A3) x A4
     analyzer = reduce(kron, analyzers)
     keys = tuple(map("".join, itertools.product(*labels)))
-    # rows per case, built on first use; the pure case (d*v0 >= 1, or no
-    # two-branch pattern) stacks only the psi vectors, because numpy rounds a
+    # rows per number of channel components, built on first use: a pure
+    # channel (d*v0 >= 1) stacks only the psi vectors, because numpy rounds a
     # product of fewer rows differently
-    rows: dict[bool, np.ndarray] = {}
+    rows: dict[int, np.ndarray] = {}
 
     def evaluate(d: float, v0: float) -> dict[str, float]:
-        pure = True
-        if dephased:
-            w_psi = dephasing_weight(d, v0)
-            pure = d * v0 >= 1.0
         weights: list[float] = []
         vectors: list[np.ndarray] = []
         for w, psi, phi in parts:
-            if phi is None or pure:
-                weights.append(w)
-                vectors.append(psi)
-            else:
-                weights += (w * w_psi, w * (1.0 - w_psi))
-                vectors += (psi, phi)
-        if pure not in rows:
-            rows[pure] = np.abs(np.stack(vectors) @ analyzer.T) ** 2
-        probs = np.asarray(weights) @ rows[pure]
+            for w_branch, v in dephasing_components(psi, phi, d, v0):
+                weights.append(w * w_branch)
+                vectors.append(v)
+        if len(vectors) not in rows:
+            rows[len(vectors)] = np.abs(np.stack(vectors) @ analyzer.T) ** 2
+        probs = np.asarray(weights) @ rows[len(vectors)]
         return dict(zip(keys, (probs / total_mass).tolist()))
 
     return evaluate
@@ -465,7 +456,7 @@ def three_photon_ghz(
 def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     """Seconds of continuous measurement needed for `target_events`
     usable four-fold events at the calibrated rates."""
-    if target_events < 0:
+    if not target_events >= 0:  # negated, so that NaN fails it too
         raise StateError("target event count must be nonnegative")
     if target_events == 0:
         return 0.0

@@ -333,9 +333,10 @@ def mix(components: Iterable[tuple[float, PureState]],
     if not components:
         raise StateError("mix needs at least one component")
     weights = [w for w, _ in components]
-    if any(w < 0 for w in weights):
-        raise StateError(f"negative mixture weight in {weights}")
-    if abs(sum(weights) - 1.0) > NORM_TOL:
+    # negated tests, so that a NaN weight fails them too
+    if not all(w >= 0 for w in weights):
+        raise StateError(f"negative or NaN mixture weight in {weights}")
+    if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
     if mode_order is None:
         first = components[0][1]

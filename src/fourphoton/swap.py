@@ -22,7 +22,6 @@ from .states import (
     analyzer_matrix,
     bell_state,
     kron,
-    mix,
     tensor,
 )
 
@@ -73,16 +72,11 @@ def bell_decompose(
     return out
 
 
-def _as_density(state_or_rho, mode_order: Sequence[str] | None) -> DensityMatrix:
-    if isinstance(state_or_rho, DensityMatrix):
-        return state_or_rho
-    return mix([(1.0, state_or_rho)], mode_order)
-
-
-def _conditioned_pair_state(
+def _condition(
     rho: DensityMatrix, pair_modes: Sequence[str], kraus_ops: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float, tuple[str, ...]]:
-    """Sum of Kraus-projected states, traced down to the remaining pair."""
+) -> SwapResult:
+    """Sum of Kraus-projected states, traced down to the remaining pair and
+    renormalized, with its fidelity to |phi+>."""
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
@@ -93,12 +87,7 @@ def _conditioned_pair_state(
     t = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])
     t = t.reshape(4, 4, 4, 4)
     reduced = sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus_ops)
-    return reduced, float(reduced.trace().real), rest_modes
-
-
-def _finish(
-    reduced: np.ndarray, prob: float, rest_modes: tuple[str, ...]
-) -> SwapResult:
+    prob = float(reduced.trace().real)
     if prob <= 1e-30:
         raise PostselectionError("zero-probability Bell projection")
     rho14 = DensityMatrix(rest_modes, reduced / prob)
@@ -111,27 +100,20 @@ def _finish(
     )
 
 
-def project_bell(
-    state_or_rho,
-    pair_modes: Sequence[str],
-    kind: str,
-    mode_order: Sequence[str] | None = None,
-) -> SwapResult:
-    """Project the photons in `pair_modes` onto a Bell state.
+def project_bell(rho: DensityMatrix, pair_modes: Sequence[str], kind: str) -> SwapResult:
+    """Project the photons in `pair_modes` of a four-photon density matrix
+    onto a Bell state.
 
     Returns the conditional state of the remaining two photons, the
     projection probability, and fidelity/visibility relative to |phi+>.
     """
     if kind not in BELL_KINDS:
         raise StateError(f"unknown Bell kind {kind!r}")
-    rho = _as_density(state_or_rho, mode_order)
-    return _finish(*_conditioned_pair_state(rho, pair_modes, [_BELL_PROJECTORS[kind]]))
+    return _condition(rho, pair_modes, [_BELL_PROJECTORS[kind]])
 
 
 def phi_plus_via_45_coincidence(
-    state_or_rho,
-    pair_modes: Sequence[str] = ("2'", "3'"),
-    mode_order: Sequence[str] | None = None,
+    rho: DensityMatrix, pair_modes: Sequence[str] = ("2'", "3'")
 ) -> SwapResult:
     """Operational phi+ identification: +45/+45 or -45/-45 coincidences.
 
@@ -140,8 +122,7 @@ def phi_plus_via_45_coincidence(
     coincidence subspace (no psi+- component in the analyzed pair) this
     equals the abstract phi+ projection.
     """
-    rho = _as_density(state_or_rho, mode_order)
-    return _finish(*_conditioned_pair_state(rho, pair_modes, _KRAUS_45))
+    return _condition(rho, pair_modes, _KRAUS_45)
 
 
 def visibility_from_counts(
@@ -169,17 +150,12 @@ def _analyzer_operator(angle_deg: float) -> np.ndarray:
     return np.outer(m[0], m[0]) - np.outer(m[1], m[1])
 
 
-def _expectation(rho_pair: DensityMatrix, op: np.ndarray) -> float:
-    if len(rho_pair.modes) != 2:
-        raise StateError("correlation needs a two-photon density matrix")
-    return float(np.trace(rho_pair.matrix @ op).real)
-
-
 def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
-    return _expectation(
-        rho_pair, kron(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
-    )
+    if len(rho_pair.modes) != 2:
+        raise StateError("correlation needs a two-photon density matrix")
+    op = kron(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
+    return float(np.trace(rho_pair.matrix @ op).real)
 
 
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))

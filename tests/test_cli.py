@@ -157,6 +157,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("apparatus", [
         {"sources": [{"photons": [1], "modes": ["1", "2"]},
                      {"photons": [3, 4], "modes": ["3", "4"]}]},
+        # a JSON boolean is not a photon index
+        {"sources": [{"photons": [True, 2], "modes": ["1", "2"]},
+                     {"photons": [3, 4], "modes": ["3", "4"]}]},
         {"pbs": {"inputs": ["2"]}},
         {"detectors": {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}},
         {"detectors": {"D1": "1"}},

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fourphoton.elements import dephasing_components
+from fourphoton.elements import dephasing_components, dephasing_partner
 from fourphoton import (
     Apparatus,
     DelayElement,
@@ -153,7 +153,7 @@ class TestDephasing:
         for psi in (ghz, signed):
             v = psi.dense(MODES)
             for d, v0 in ((0.0, 0.79), (0.37, 0.79), (1.0, 0.79), (0.5, 0.0), (1.0, 1.0)):
-                terms = [w * np.outer(u, u.conj()) for w, u in dephasing_components(v, d, v0)]
+                terms = [w * np.outer(u, u.conj()) for w, u in dephasing_components(v, dephasing_partner(v), d, v0)]
                 rho = dephase_by_distinguishability(psi, d, v0).matrix
                 assert rho.tobytes() == sum(terms).tobytes()
         # the last, pure case: its one term holds a -0.0 that the zero start makes +0.0
@@ -167,3 +167,40 @@ class TestDephasing:
     def test_d_out_of_range(self):
         with pytest.raises(StateError):
             dephase_by_distinguishability(ghz_state("HVVH"), 1.2)
+
+    def test_one_branch_state_reports_its_branches_first(self):
+        # the partner is built before the channel checks d and v0
+        one_branch = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": 1.0})
+        for d, v0 in ((0.5, 0.79), (1.2, 0.79), (0.5, math.nan)):
+            with pytest.raises(StateError, match="two-branch"):
+                dephase_by_distinguishability(one_branch, d, v0)
+
+
+class TestDephasingComponents:
+    """The one dephasing channel, shared by the exact model and the swap chain."""
+
+    PSI = ghz_state("HVVH").dense(["1", "2", "3", "4"])
+
+    def test_weights(self):
+        phi = dephasing_partner(self.PSI)
+        (w, psi), (w_phi, partner) = dephasing_components(self.PSI, phi, 0.5, 0.79)
+        assert (w, w_phi) == ((1 + 0.5 * 0.79) / 2, 1 - (1 + 0.5 * 0.79) / 2)
+        assert psi is self.PSI and partner is phi
+
+    def test_pure_cases(self):
+        # d*v0 = 1 keeps psi pure, and so does a one-branch vector at any d*v0
+        phi = dephasing_partner(self.PSI)
+        for partner, d, v0 in ((phi, 1.0, 1.0), (None, 1.0, 1.0), (None, 0.3, 0.79)):
+            [(w, psi)] = dephasing_components(self.PSI, partner, d, v0)
+            assert w == 1.0 and psi is self.PSI
+
+    @pytest.mark.parametrize("one_branch", [False, True])
+    @pytest.mark.parametrize("d, v0, name", [
+        (1.2, 0.79, "distinguishability"), (-0.1, 0.79, "distinguishability"),
+        (math.nan, 0.79, "distinguishability"), (0.5, 1.5, "visibility"),
+        (0.5, math.nan, "visibility"),
+    ])
+    def test_range_checked_for_every_pattern(self, one_branch, d, v0, name):
+        phi = None if one_branch else dephasing_partner(self.PSI)
+        with pytest.raises(StateError, match=name):
+            dephasing_components(self.PSI, phi, d, v0)

@@ -240,10 +240,10 @@ def ref_exact_probabilities(setting, d, v0, pbs_error):
     vectors, weights, mass = [], [], 0.0
     for r in range(len(photons) + 1):
         for flipped in itertools.combinations(photons, r):
-            p_sel, psi, _ = experiment._compiled_pattern(APP, frozenset(flipped))
+            p_sel, psi, phi = experiment._compiled_pattern(APP, frozenset(flipped))
             w = err**r * (1 - err) ** (len(photons) - r) * p_sel
             mass += w
-            for w_branch, v in dephasing_components(psi, d, v0):
+            for w_branch, v in dephasing_components(psi, phi, d, v0):
                 vectors.append(v)
                 weights.append(w * w_branch)
     analyzers, labels = [], []
@@ -378,6 +378,7 @@ class TestApparatusShape:
         lambda: PairSource((1, 2, 5), ("1", "2")),
         lambda: PairSource((1, 1), ("1", "2")),
         lambda: PairSource((1, "x"), ("1", "2")),
+        lambda: PairSource((True, 2), ("1", "2")),
         lambda: PairSource((1, 2), (1, "2")),
         lambda: PairSource((1, 2), ("1",)),
         lambda: PbsElement(("2",), ("2'", "3'")),
@@ -408,6 +409,7 @@ class TestApparatusShape:
         ),
     ], ids=[
         "one-photon-source", "three-photon-source", "same-photon-twice", "string-photon",
+        "bool-photon",
         "int-source-mode", "one-source-mode", "one-pbs-input", "same-pbs-input",
         "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs", "one-detector",
         "int-detector-mode", "five-detectors", "one-source", "same-modes-in-pair",
@@ -671,6 +673,11 @@ class TestAnalyzerAngleRange:
 class TestFeasibility:
     def test_zero_target(self):
         assert feasibility_estimate(0, RateModel()) == 0.0
+
+    @pytest.mark.parametrize("target", [-1, math.nan])
+    def test_negative_or_nan_target_rejected(self, target):
+        with pytest.raises(StateError, match="target event count"):
+            feasibility_estimate(target, RateModel())
 
     def test_linear_in_rate(self):
         r1 = RateModel()

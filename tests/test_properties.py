@@ -5,11 +5,14 @@ and apparatus layouts with reordered sources, relabelled photons and modes, and
 the source modes shuffled between the pairs. The sparse analyzer step (basis
 change, three-photon conditioning) is checked against the dense oracle at any
 angle. The swap chain meets its closed forms at any delay and
-zero-delay visibility, and CHSH stays within the Tsirelson bound.
+zero-delay visibility, and CHSH stays within the Tsirelson bound. The exact
+probabilities are the analyzer-basis diagonal of the swap chain's dephased
+density matrix, so the two users of the one dephasing channel agree.
 """
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 from hypothesis import event, given, settings
@@ -33,11 +36,13 @@ from fourphoton import (
     distinguishability,
     exact_outcome_probabilities,
     ghz_after_postselection,
+    mix,
     phi_plus_via_45_coincidence,
     project_bell,
     state_from_terms,
     three_photon_ghz,
 )
+from fourphoton.states import analyzer_matrix, kron
 
 APP = default_apparatus()
 
@@ -215,6 +220,27 @@ def test_swap_chain_meets_its_closed_forms(tau, v0):
 
 @FAST
 @given(
+    angles=INPUTS["angles"],
+    # None is d = 1; |tau| past ~15000 fs is d = 0
+    tau=st.one_of(st.none(), st.floats(-20000.0, 20000.0)),
+    v0=INPUTS["v0"],
+)
+def test_exact_model_measures_the_swap_chains_density_matrix(angles, tau, v0):
+    # both use the one dephasing channel: the exact probabilities are the
+    # diagonal of K rho K^dagger, K the analyzers in detector order
+    delay = None if tau is None else DelayElement(tau)
+    d = 1.0 if delay is None else distinguishability(delay)
+    rho = dephase_by_distinguishability(GHZ, d, v0)
+    assert list(rho.modes) == [APP.detectors[det] for det in APP.detector_ids()]
+    k = reduce(kron, (analyzer_matrix(0.0 if a is None else a) for a in angles))
+    want = np.real(np.diag(k @ rho.matrix @ k.conj().T))
+    setting = MeasurementSetting(dict(zip(APP.detector_ids(), angles)))
+    got = exact_outcome_probabilities(APP, setting, delay=delay, v0=v0)
+    assert np.max(np.abs(np.array(list(got.values())) - want)) <= 1e-12
+
+
+@FAST
+@given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(BELL_KINDS),
     angles=st.lists(ANALYZER_ANGLE, min_size=4, max_size=4),
@@ -228,7 +254,7 @@ def test_chsh_within_tsirelson_bound(seed, kind, angles, tau, v0):
     state = state_from_terms([1, 2, 3, 4], GHZ_MODES, dict(zip(kets, amps)))
     d = distinguishability(DelayElement(tau))
     pairs = [
-        project_bell(state, ("2'", "3'"), kind, mode_order=GHZ_MODES),
+        project_bell(mix([(1.0, state)], GHZ_MODES), ("2'", "3'"), kind),
         phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, d, v0)),
     ]
     a, ap, b, bp = angles

@@ -197,6 +197,11 @@ class TestMixAndFidelity:
         with pytest.raises(StateError):
             mix([(0.6, psi), (0.6, phi)])
 
+    def test_nan_weight_named(self):
+        psi, phi = self.ghz_pair()
+        with pytest.raises(StateError, match="mixture weight"):
+            mix([(math.nan, psi), (1.0, phi)])
+
     def test_invariants_over_random_pure_states(self):
         # density-matrix invariants hold for any valid weight list
         rng = np.random.default_rng(23)
