@@ -44,8 +44,6 @@ from .experiment import (
 )
 from .states import StateError
 
-SCENARIOS = ("hv-table", "basis45-table", "delay-scan", "swap-report", "feasibility")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
@@ -95,21 +93,17 @@ def default_config() -> dict:
     }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_config(path: str | None) -> Config:
     """The defaults with the user's JSON merged in, checked, as a `Config`."""
     if path is None:
         return Config()
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise StateError(f"config file not found: {path}")
     try:
         user = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise StateError(f"config is not valid JSON: {exc}") from exc
     tree = default_config()
     _merge(tree, user, "")
     delays = tree["scan_delays_fs"]
@@ -130,7 +124,7 @@ def load_config(path: str | None) -> Config:
         (_finite(pbs["error_rate"]), "apparatus.pbs.error_rate must be a finite number"),
     ):
         if not ok:
-            raise ConfigError(problem)
+            raise StateError(problem)
     try:
         apparatus = Apparatus(
             tuple(PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]),
@@ -138,22 +132,22 @@ def load_config(path: str | None) -> Config:
             dict(app["detectors"]),
         )
     except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
-        raise ConfigError(f"bad apparatus config: {exc}") from exc
+        raise StateError(f"bad apparatus config: {exc}") from exc
     try:
         rates = RateModel(**tree["rates"])
     except StateError as exc:
-        raise ConfigError(f"bad rates config: {exc}") from exc
+        raise StateError(f"bad rates config: {exc}") from exc
     return Config(**{**tree, "apparatus": apparatus, "rates": rates,
                      "scan_delays_fs": tuple(delays)})
 
 
 def _merge(tree: dict, user, section: str) -> None:
     if not isinstance(user, dict):
-        raise ConfigError(f"{section or 'config'} must be a JSON object")
+        raise StateError(f"{section or 'config'} must be a JSON object")
     for key, val in user.items():
         name = f"{section}.{key}" if section else key
         if key not in tree:
-            raise ConfigError(f"unknown config key: {name}")
+            raise StateError(f"unknown config key: {name}")
         if name in _MERGED_SECTIONS:
             _merge(tree[key], val, name)
         else:
@@ -332,6 +326,7 @@ RUNNERS = {
     "swap-report": run_swap_report,
     "feasibility": run_feasibility,
 }
+SCENARIOS = tuple(RUNNERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,17 +363,10 @@ def main(argv=None) -> int:
         print(json.dumps(default_config(), indent=2))
         return EXIT_OK
 
-    if args.scenario is None:
-        print("error: --scenario is required (see --help)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.scenario not in SCENARIOS:
-        print(
-            f"error: unknown scenario {args.scenario!r}; choose from {', '.join(SCENARIOS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
     for ok, problem in (
+        (args.scenario is not None, "--scenario is required (see --help)"),
+        (args.scenario in RUNNERS,
+         f"unknown scenario {args.scenario!r}; choose from {', '.join(SCENARIOS)}"),
         (args.seed >= 0, "--seed must be nonnegative"),
         (0 < args.time < math.inf, "--time must be positive and finite"),
         (math.isfinite(args.delay), "--delay must be finite"),
@@ -387,15 +375,11 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_USAGE
 
+    # config errors come before --out exists: load_config runs first
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         RUNNERS[args.scenario](cfg, args, out)
     except PostselectionError as exc:
         print(f"physically impossible: {exc}", file=sys.stderr)

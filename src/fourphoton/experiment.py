@@ -354,6 +354,11 @@ def _check_integration_time(integration_time: float) -> None:
         raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's seeding would end in a bare ValueError
+        raise StateError(f"seed {seed} must be nonnegative")
+
+
 def draw_counts(
     probs: Mapping[str, float], rates: RateModel, integration_time: float, seed: int
 ) -> CountTable:
@@ -364,6 +369,7 @@ def draw_counts(
     for a given seed (numpy PCG64).
     """
     _check_integration_time(integration_time)
+    _check_seed(seed)
     rate = rates.effective_fourfold_rate()
     floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
     rng = np.random.default_rng(seed)
@@ -399,6 +405,7 @@ def monte_carlo_counts(
 
 def derive_point_seed(seed: int, point_index: int) -> int:
     """Deterministic per-point stream seed for parallel-safe scans."""
+    _check_seed(seed)
     return int(np.random.SeedSequence([seed, point_index]).generate_state(1)[0])
 
 

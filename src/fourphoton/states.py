@@ -85,23 +85,11 @@ class PureState:
             amps = {k: a / (norm * phase) for k, a in amps.items()}
         self.amps = amps
 
-    @property
-    def photon_count(self) -> int:
-        return len(self.photons)
-
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.values())
 
     def kets(self) -> list[tuple]:
         return sorted(self.amps)
-
-    def inner(self, other: "PureState") -> complex:
-        """<self|other>; requires identical photon index sets."""
-        if self.photons != other.photons:
-            raise StateError("inner product needs matching photon labels")
-        return sum(
-            np.conj(a) * other.amps.get(k, 0.0) for k, a in self.amps.items()
-        )
 
     def fixed_mode(self, photon: int) -> str:
         """Mode of `photon` if it is the same in every ket, else error."""

@@ -22,19 +22,18 @@ from .states import (
     analyzer_matrix,
     bell_state,
     kron,
-    tensor,
 )
 
-# Fixed vectors and operators on the analyzed pair, built once, read-only.
-# Bell amplitudes over (HH, HV, VH, VV), and their projectors |v><v|
+# Fixed vectors and operators on the analyzed pair, built once, read-only:
+# Bell amplitudes over (HH, HV, VH, VV), their bras <v| stacked, their projectors |v><v|
 _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
+_BELL_BRAS = np.stack(list(_BELL_VECS.values())).conj()
 _BELL_PROJECTORS = {k: np.outer(v, v.conj()) for k, v in _BELL_VECS.items()}
 # Kraus pair of the +45/+45 and -45/-45 coincidences; exact 1/sqrt2 like the Bell
 # vectors: cos(45 deg) would move the last digits of the swap report
 _KRAUS_45 = tuple(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
     np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
-_PHI_PLUS_CONJ = _BELL_VECS["phi+"].conj()  # <phi+| of the fidelity
-for _op in (*_BELL_VECS.values(), *_BELL_PROJECTORS.values(), *_KRAUS_45, _PHI_PLUS_CONJ):
+for _op in (*_BELL_VECS.values(), _BELL_BRAS, *_BELL_PROJECTORS.values(), *_KRAUS_45):
     _op.setflags(write=False)
 
 
@@ -56,20 +55,12 @@ def bell_decompose(
     Keys are (kind on pair_a, kind on pair_b). Summing coefficient x basis
     state reproduces the input.
     """
-    if state.photon_count != 4:
-        raise StateError("Bell decomposition needs a four-photon state")
-    if set(pair_a) | set(pair_b) != set(state.photons):
-        raise StateError("pairs must partition the state's photons")
-    modes_a = tuple(state.fixed_mode(p) for p in pair_a)
-    modes_b = tuple(state.fixed_mode(p) for p in pair_b)
-    out: dict[tuple[str, str], complex] = {}
-    for ka, kb in itertools.product(BELL_KINDS, repeat=2):
-        basis = tensor(
-            bell_state(ka, *pair_a, modes=modes_a),
-            bell_state(kb, *pair_b, modes=modes_b),
-        )
-        out[(ka, kb)] = basis.inner(state)
-    return out
+    if not len(pair_a) == len(pair_b) == 2 or sorted((*pair_a, *pair_b)) != list(state.photons):
+        raise StateError("Bell decomposition needs two pairs that partition a four-photon state")
+    # amplitudes psi[pair_a bits, pair_b bits], contracted with <ka| and <kb|
+    psi = state.dense([state.fixed_mode(p) for p in (*pair_a, *pair_b)]).reshape(4, 4)
+    coeffs = (_BELL_BRAS @ psi @ _BELL_BRAS.T).ravel().tolist()
+    return dict(zip(itertools.product(BELL_KINDS, repeat=2), coeffs))
 
 
 def _condition(
@@ -91,7 +82,7 @@ def _condition(
     if prob <= 1e-30:
         raise PostselectionError("zero-probability Bell projection")
     rho14 = DensityMatrix(rest_modes, reduced / prob)
-    f = float((_PHI_PLUS_CONJ @ rho14.matrix @ _BELL_VECS["phi+"]).real)
+    f = float((_BELL_BRAS[BELL_KINDS.index("phi+")] @ rho14.matrix @ _BELL_VECS["phi+"]).real)
     return SwapResult(
         conditioned_state_14=rho14,
         projection_probability=prob,
@@ -134,6 +125,9 @@ def visibility_from_counts(
 
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
+    for k in (*even_parity_keys, *odd_parity_keys):
+        if counts[k] < 0:
+            raise StateError(f"count {k!r} is negative: {counts[k]}")
     ne = sum(counts[k] for k in even_parity_keys)
     no = sum(counts[k] for k in odd_parity_keys)
     total = ne + no
@@ -144,18 +138,18 @@ def visibility_from_counts(
     return v, err
 
 
-def _analyzer_operator(angle_deg: float) -> np.ndarray:
-    """+1/-1 valued polarization observable |a><a| - |b><b| at the given angle."""
-    m = analyzer_matrix(angle_deg)
-    return np.outer(m[0], m[0]) - np.outer(m[1], m[1])
+def _observable(angle_a: float, angle_b: float) -> np.ndarray:
+    """sigma(a) x sigma(b); sigma = |theta><theta| - |theta_perp><theta_perp|."""
+    sa, sb = (np.outer(m[0], m[0]) - np.outer(m[1], m[1])
+              for m in map(analyzer_matrix, (angle_a, angle_b)))
+    return kron(sa, sb)
 
 
 def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
     """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
     if len(rho_pair.modes) != 2:
         raise StateError("correlation needs a two-photon density matrix")
-    op = kron(_analyzer_operator(angle_a), _analyzer_operator(angle_b))
-    return float(np.trace(rho_pair.matrix @ op).real)
+    return float(np.trace(rho_pair.matrix @ _observable(angle_a, angle_b)).real)
 
 
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
@@ -165,8 +159,7 @@ CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
 def _chsh_observables(a: float, ap: float, b: float, bp: float) -> np.ndarray:
     """The CHSH observables sa x sb, sa x sb', sa' x sb, sa' x sb' as one
     read-only (4, 4, 4) stack."""
-    sa, sap, sb, sbp = map(_analyzer_operator, (a, ap, b, bp))
-    ops = np.stack((kron(sa, sb), kron(sa, sbp), kron(sap, sb), kron(sap, sbp)))
+    ops = np.stack([_observable(x, y) for x, y in ((a, b), (a, bp), (ap, b), (ap, bp))])
     ops.setflags(write=False)
     return ops
 

@@ -17,6 +17,7 @@ from fourphoton import (
     bell_state,
     default_apparatus,
     diagonal_setting,
+    draw_counts,
     exact_outcome_probabilities,
     feasibility_estimate,
     ghz_after_postselection,
@@ -64,9 +65,13 @@ def test_criterion_2_hv_table():
         if k not in ("HVVH", "VHHV")
     )
     rates = RateModel()
+    # monte_carlo_counts' tables, drawn from one exact table
+    table = exact_outcome_probabilities(APP, hv_setting(APP), pbs_error=APP.pbs.error_rate)
+    first = monte_carlo_counts(APP, hv_setting(APP), rates, 6000.0, seed=0)
+    assert draw_counts(table, rates, 6000.0, seed=0).counts == first.counts
     des, bg = [], []
     for seed in range(1000):
-        t = monte_carlo_counts(APP, hv_setting(APP), rates, 6000.0, seed=seed)
+        t = draw_counts(table, rates, 6000.0, seed=seed)
         des += [t.counts["HVVH"], t.counts["VHHV"]]
         bg += [c for k, c in t.counts.items() if k not in ("HVVH", "VHHV")]
     mean_bg = float(np.mean(bg))

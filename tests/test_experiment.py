@@ -533,6 +533,18 @@ class TestMonteCarlo:
         with pytest.raises(StateError, match="integration time"):
             count(time)
 
+    @pytest.mark.parametrize("count", [
+        lambda s: monte_carlo_counts(APP, hv_setting(APP), RateModel(), 10.0, seed=s),
+        lambda s: delay_scan(APP, diagonal_setting(APP), [0.0, 100.0], RateModel(), 10.0, seed=s),
+        lambda s: draw_counts({"HVVH": 0.5, "VHHV": 0.5}, RateModel(), 10.0, seed=s),
+        lambda s: experiment.derive_point_seed(s, 0),
+    ], ids=["monte_carlo_counts", "delay_scan", "draw_counts", "derive_point_seed"])
+    def test_negative_seed_rejected(self, count):
+        # a StateError of ours, not numpy's bare ValueError
+        with pytest.raises(StateError, match="seed -1 must be nonnegative"):
+            count(-1)
+        count(0)
+
 
 class TestDelayScan:
     @pytest.mark.parametrize("pbs_error", [0.0, 0.01])

@@ -1,16 +1,22 @@
 """Source hygiene of the package, checked with `ast` alone: no module imports
-a name it never uses, and no private module-level function or class is left
-without a reference anywhere in the package. Deleting a caller must take its
-orphaned helpers and imports with it.
+a name it never uses, no private module-level function or class is left
+without a reference anywhere in the package, and no public function, class or
+method is left without a reference anywhere in the repository's code. Deleting
+a caller must take its orphaned helpers and imports with it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fourphoton"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fourphoton"
 MODULES = sorted(SRC.glob("*.py"))
+# the code that may use a public name of the package
+CODE = [p for part in ("src", "tests", "demos", "perfbench")
+        for p in sorted((ROOT / part).rglob("*.py"))]
 
 
 def annotations(tree: ast.AST) -> list[ast.expr]:
@@ -27,19 +33,19 @@ def annotations(tree: ast.AST) -> list[ast.expr]:
     return out
 
 
-def used_names(tree: ast.AST) -> set[str]:
-    """Every name a tree reads: bare names, attribute names, and the names
-    inside string annotations such as "PureState"."""
-    names = set()
+def used_names(tree: ast.AST) -> Counter:
+    """Every name a tree reads, with how often: bare names, attribute names,
+    and the names inside string annotations such as "PureState"."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names |= used_names(ast.parse(node.value, mode="eval"))
+                names.update(used_names(ast.parse(node.value, mode="eval")))
     return names
 
 
@@ -68,16 +74,47 @@ def private_definitions(source: str) -> list[str]:
     ]
 
 
-def referenced_names(sources: list[str]) -> set[str]:
-    """Names read or imported by name anywhere in `sources`."""
-    names = set()
+def referenced_names(sources: list[str], reexports: str | None = None) -> Counter:
+    """Names read or imported by name anywhere in `sources`, with how often.
+    The imports of the `reexports` source are no use: exporting a name from
+    the package does not use it."""
+    names = Counter()
     for source in sources:
         tree = ast.parse(source)
-        names |= used_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names |= {alias.name for alias in node.names}
+        names.update(used_names(tree))
+        if source != reexports:
+            names.update(
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            )
     return names
+
+
+def public_definitions(source: str) -> list[tuple[str, ast.AST]]:
+    """The public functions and classes at module level, and the public
+    methods of those classes, as (qualified name, node). A method of a
+    private class, such as an overridden library hook, is not public."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                        if isinstance(sub, defs) and not sub.name.startswith("_")]
+    return out
+
+
+def unreferenced_public(source: str, referenced: Counter) -> list[str]:
+    """The public definitions of `source` that `referenced` names nowhere
+    but inside the definition itself."""
+    return [
+        qualname
+        for qualname, node in public_definitions(source)
+        if referenced[node.name] <= used_names(node)[node.name]
+    ]
 
 
 class TestRules:
@@ -103,8 +140,28 @@ class TestRules:
             "def public(): return _used()\n"
         )
         assert private_definitions(source) == ["_used", "_orphan", "_Orphan"]
-        orphans = set(private_definitions(source)) - referenced_names([source])
+        orphans = set(private_definitions(source)) - set(referenced_names([source]))
         assert orphans == {"_orphan", "_Orphan"}
+
+    def test_unreferenced_public_definition_found(self):
+        source = (
+            "def used(): pass\n"
+            "def unused(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Shape:\n"
+            "    def area(self): return self.area()\n"
+            "    def size(self): pass\n"
+            "    def _hidden(self): pass\n"
+            "class _Parser:\n"
+            "    def error(self): pass\n"
+        )
+        caller = "from shapes import Shape, used\nused()\nShape().size()\n"
+        reexport = "from .shapes import unused, recursive\n"
+        referenced = referenced_names([source, caller, reexport], reexports=reexport)
+        # a reference inside its own definition, or a re-export, is no use
+        assert unreferenced_public(source, referenced) == ["unused", "recursive", "Shape.area"]
+        referenced = referenced_names([source, caller, reexport])
+        assert unreferenced_public(source, referenced) == ["Shape.area"]
 
 
 def test_package_modules_found():
@@ -116,6 +173,17 @@ def test_package_modules_found():
 def test_no_unused_import(module):
     # __init__ imports to re-export: its imports are the public API
     assert unused_imports(module.read_text()) == []
+
+
+def test_every_public_definition_is_referenced():
+    sources = {p: p.read_text() for p in CODE}
+    referenced = referenced_names(list(sources.values()), reexports=sources[SRC / "__init__.py"])
+    unreferenced = [
+        f"{p.name}:{name}"
+        for p in MODULES
+        for name in unreferenced_public(sources[p], referenced)
+    ]
+    assert unreferenced == []
 
 
 def test_no_orphaned_private_definition():

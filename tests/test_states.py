@@ -84,8 +84,8 @@ class TestBellStates:
 
     def test_orthonormal_basis(self):
         kinds = ("psi+", "psi-", "phi+", "phi-")
-        states = [bell_state(k, 1, 2) for k in kinds]
-        gram = np.array([[a.inner(b) for b in states] for a in states])
+        vecs = [bell_state(k, 1, 2).dense(["1", "2"]) for k in kinds]
+        gram = np.array([[a.conj() @ b for b in vecs] for a in vecs])
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     def test_bad_kind(self):

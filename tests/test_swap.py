@@ -55,7 +55,50 @@ def random_two_branch_state(rng):
     return state_from_terms([1, 2, 3, 4], MODES, {"HVVH": a, "VHHV": b})
 
 
+# bell_decompose as the sparse algebra computed it before the dense contraction:
+# the inner product of each Bell x Bell basis state with the input.
+def ref_bell_decompose(state, pair_a, pair_b):
+    modes_a = tuple(state.fixed_mode(p) for p in pair_a)
+    modes_b = tuple(state.fixed_mode(p) for p in pair_b)
+    out = {}
+    for ka, kb in itertools.product(BELL_KINDS, repeat=2):
+        basis = tensor(
+            bell_state(ka, *pair_a, modes=modes_a),
+            bell_state(kb, *pair_b, modes=modes_b),
+        )
+        out[(ka, kb)] = sum(np.conj(a) * state.amps.get(k, 0.0) for k, a in basis.amps.items())
+    return out
+
+
+PAIRINGS = [((1, 4), (2, 3)), ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((4, 1), (3, 2))]
+
+
+def random_four_photon_state(rng):
+    """A random state of photons 1-4, each in its own mode, the modes
+    relabelled and shuffled so that no photon sits in a mode named after it."""
+    modes = [str(m) for m in rng.permutation(["a", "b'", "c", "x4"])]
+    kets = map("".join, itertools.product("HV", repeat=4))
+    terms = {pols: complex(*rng.normal(size=2)) for pols in kets}
+    return state_from_terms([1, 2, 3, 4], modes, terms), modes
+
+
 class TestBellDecompose:
+    @pytest.mark.parametrize("pair_a, pair_b", PAIRINGS)
+    def test_matches_sparse_formula(self, pair_a, pair_b):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            state, _ = random_four_photon_state(rng)
+            dec = bell_decompose(state, pair_a, pair_b)
+            ref = ref_bell_decompose(state, pair_a, pair_b)
+            assert list(dec) == list(ref)
+            assert max(abs(dec[k] - ref[k]) for k in ref) < 1e-12
+
+    def test_pairs_must_partition_the_photons(self):
+        state, _ = random_four_photon_state(np.random.default_rng(3))
+        for pair_a, pair_b in (((1, 2), (3, 5)), ((1, 1), (2, 3, 4)), ((1, 2), (2, 3))):
+            with pytest.raises(StateError, match="partition"):
+                bell_decompose(state, pair_a, pair_b)
+
     def test_two_pair_state_diagonal_coefficients(self):
         dec = bell_decompose(two_pair_state(), pair_a=(1, 4), pair_b=(2, 3))
         expected = {
@@ -91,17 +134,22 @@ class TestBellDecompose:
                 1.0, abs=1e-12
             )
 
-    def test_reconstruction(self):
-        s = two_pair_state()
-        dec = bell_decompose(s)
-        rebuilt = np.zeros(16, dtype=complex)
-        for (ka, kb), c in dec.items():
-            basis = tensor(
-                bell_state(ka, 1, 4, modes=("1", "4")),
-                bell_state(kb, 2, 3, modes=("2", "3")),
-            )
-            rebuilt += c * basis.dense(["1", "2", "3", "4"])
-        assert np.max(np.abs(rebuilt - s.dense(["1", "2", "3", "4"]))) < 1e-12
+    @pytest.mark.parametrize("pair_a, pair_b", PAIRINGS)
+    def test_reconstruction(self, pair_a, pair_b):
+        rng = np.random.default_rng(61)
+        inputs = [(two_pair_state(), ["1", "2", "3", "4"])]
+        inputs += [random_four_photon_state(rng) for _ in range(20)]
+        for state, modes in inputs:
+            modes_a = [state.fixed_mode(p) for p in pair_a]
+            modes_b = [state.fixed_mode(p) for p in pair_b]
+            rebuilt = np.zeros(16, dtype=complex)
+            for (ka, kb), c in bell_decompose(state, pair_a, pair_b).items():
+                basis = tensor(
+                    bell_state(ka, *pair_a, modes=modes_a),
+                    bell_state(kb, *pair_b, modes=modes_b),
+                )
+                rebuilt += c * basis.dense(modes)
+            assert np.max(np.abs(rebuilt - state.dense(modes))) < 1e-12
 
     def test_wrong_photon_count(self):
         with pytest.raises(StateError):
@@ -282,6 +330,15 @@ class TestVisibilityFromCounts:
         with pytest.raises(StateError):
             visibility_from_counts({"e": 0, "o": 0}, ["e"], ["o"])
 
+    @pytest.mark.parametrize("counts", [
+        {"e": -5, "o": 10}, {"e": -10, "o": 10}, {"e": 5, "o": -1},
+    ])
+    def test_negative_count_rejected(self, counts):
+        # not a math domain error, nor "needs at least one count"
+        key = min(counts, key=counts.get)
+        with pytest.raises(StateError, match=f"count '{key}' is negative: {counts[key]}"):
+            visibility_from_counts(counts, ["e"], ["o"])
+
 
 class TestChsh:
     def test_phi_plus_reaches_tsirelson(self):
@@ -298,6 +355,11 @@ class TestChsh:
             assert correlation(rho, a, b) == pytest.approx(
                 oracle.pair_correlation_dense(rho.matrix, a, b), abs=1e-12
             )
+
+    def test_correlation_accepts_0d_array_angles(self):
+        rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
+        assert correlation(rho, np.array(10.0), 20.0) == correlation(rho, 10.0, 20.0)
+        assert correlation(rho, 10.0, np.float64(20.0)) == correlation(rho, 10.0, 20.0)
 
     def test_eq3_conditioned_chsh_value(self):
         # w phi+ + (1-w) phi- at phi+-optimal settings gives sqrt2 (1 + (2w-1));
@@ -464,8 +526,9 @@ class TestFixedOperators:
                 op[0, 0] = 0
 
     def test_module_operators_are_read_only(self):
-        fixed = [*swap._KRAUS_45, *swap._BELL_PROJECTORS.values(), *swap._BELL_VECS.values()]
-        assert len(fixed) == 10
+        fixed = [*swap._KRAUS_45, *swap._BELL_PROJECTORS.values(), *swap._BELL_VECS.values(),
+                 swap._BELL_BRAS]
+        assert len(fixed) == 11
         for op in fixed:
             with pytest.raises(ValueError):
                 op[0, ...] = 0
