@@ -11,9 +11,7 @@ from .states import (
     PureState,
     StateError,
     bell_state,
-    change_basis,
     fidelity,
-    ghz_state,
     mix,
     spdc_pair,
     state_from_terms,

@@ -8,8 +8,9 @@ Scenarios:
   swap-report    entanglement-swapping fidelity/visibility/CHSH report
   feasibility    measurement-time estimate for a full Bell test on photons 1,4
 
-Exit codes: 0 success, 1 usage error, 2 config error, 3 physically
-impossible request (zero-probability post-selection).
+Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
+(also an unreadable config file), 3 physically impossible request
+(zero-probability post-selection).
 """
 
 from __future__ import annotations
@@ -97,13 +98,10 @@ def load_config(path: str | None) -> Config:
     """The defaults with the user's JSON merged in, checked, as a `Config`."""
     if path is None:
         return Config()
-    p = Path(path)
-    if not p.exists():
-        raise StateError(f"config file not found: {path}")
     try:
-        user = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise StateError(f"config is not valid JSON: {exc}") from exc
+        user = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise StateError(f"cannot read config {path!r} as UTF-8 JSON: {exc}") from exc
     tree = default_config()
     _merge(tree, user, "")
     delays = tree["scan_delays_fs"]
@@ -387,6 +385,9 @@ def main(argv=None) -> int:
     except StateError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # --out cannot be made or written
+        print(f"error: cannot write output to {args.out!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

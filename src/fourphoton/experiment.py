@@ -33,15 +33,14 @@ from .elements import (
     distinguishability,
 )
 from .states import (
-    H,
+    POLS,
     PostselectionError,
     PureState,
     StateError,
-    analyze,
     analyzer_matrix,
     kron,
-    slot_in_mode,
     spdc_pair,
+    state_from_terms,
     tensor,
 )
 
@@ -441,23 +440,27 @@ def three_photon_ghz(
 ) -> tuple[PureState, float]:
     """Condition the four-photon GHZ state on a polarizer in one output.
 
-    Returns the conditional state of the remaining three photons and the
-    projection probability, given that post-selection already produced the
-    four-photon GHZ state.
+    The pass row of `analyzer_matrix(angle)` is contracted with that mode's
+    qubit of the dense GHZ vector. Returns the renormalized state of the other
+    three photons on the other modes, and the projection probability, given
+    that post-selection already produced the four-photon GHZ state. The
+    dropped photon is the one that the last ket puts in `polarizer_mode`.
     """
     state, _ = ghz_after_postselection(apparatus)
-    slot = slot_in_mode(polarizer_mode)
-    amps = {
-        tuple((p, m) for p, m in ket if m != polarizer_mode): a
-        for ket, a in analyze(state, slot, angle).items()
-        if ket[slot(ket)][0] == H
-    }
-    if not amps:
-        raise PostselectionError("polarizer projection has zero probability")
-    p_proj = sum(abs(a) ** 2 for a in amps.values())
-    dropped = state.photons[slot(next(reversed(state.amps)))]
-    photons = tuple(p for p in state.photons if p != dropped)
-    return PureState(photons, amps), p_proj
+    passed = analyzer_matrix(angle)[0]
+    modes = sorted(apparatus.mode_order())
+    if polarizer_mode not in modes:
+        raise StateError(f"mode {polarizer_mode!r} has no detector; watched: {modes}")
+    k = modes.index(polarizer_mode)
+    psi = state.dense(modes).reshape(2**k, 2, -1)
+    reduced = (passed[0] * psi[:, 0] + passed[1] * psi[:, 1]).ravel()
+    last = next(reversed(state.amps))
+    kept = [p for p, (_, m) in zip(state.photons, last) if m != polarizer_mode]
+    kets = ("".join(ket) for ket in itertools.product(POLS, repeat=len(modes) - 1))
+    rest = modes[:k] + modes[k + 1 :]
+    # Python floats: their `** 2` can round apart from numpy's square in the last bit
+    prob = sum(abs(a) ** 2 for a in reduced.tolist())
+    return state_from_terms(kept, rest, dict(zip(kets, reduced))), prob
 
 
 def feasibility_estimate(target_events: int, rates: RateModel) -> float:

@@ -27,7 +27,6 @@ V = "V"
 POLS = (H, V)
 
 NORM_TOL = 1e-9
-EXACT_TOL = 1e-12
 PRUNE_TOL = 1e-14
 
 BELL_KINDS = ("psi+", "psi-", "phi+", "phi-")
@@ -88,9 +87,6 @@ class PureState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.values())
 
-    def kets(self) -> list[tuple]:
-        return sorted(self.amps)
-
     def fixed_mode(self, photon: int) -> str:
         """Mode of `photon` if it is the same in every ket, else error."""
         i = self.photons.index(photon)
@@ -127,14 +123,6 @@ class PureState:
             # the first mode is the most significant bit, V is 1
             vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
         return vec
-
-    def allclose(self, other: "PureState", tol: float = EXACT_TOL) -> bool:
-        if self.photons != other.photons:
-            return False
-        kets = set(self.amps) | set(other.amps)
-        return all(
-            abs(self.amps.get(k, 0.0) - other.amps.get(k, 0.0)) <= tol for k in kets
-        )
 
     def __repr__(self) -> str:
         terms = ", ".join(
@@ -200,26 +188,6 @@ def bell_state(
     return state_from_terms([i, j], modes, terms, normalize=False)
 
 
-def ghz_state(
-    pattern: str,
-    photons: Sequence[int] | None = None,
-    modes: Sequence[str] | None = None,
-) -> PureState:
-    """(|p1..pn> + |p1bar..pnbar>)/sqrt2 for a polarization pattern like "HVVH"."""
-    n = len(pattern)
-    if n < 2:
-        raise StateError("GHZ state needs at least 2 photons")
-    if any(p not in POLS for p in pattern):
-        raise StateError(f"pattern must use H/V symbols, got {pattern!r}")
-    if photons is None:
-        photons = list(range(1, n + 1))
-    if modes is None:
-        modes = [str(p) for p in photons]
-    flipped = "".join(V if p == H else H for p in pattern)
-    s = 1 / math.sqrt(2)
-    return state_from_terms(photons, modes, {pattern: s, flipped: s}, normalize=False)
-
-
 def analyzer_matrix(angle_deg: float) -> np.ndarray:
     """The analyzer at `angle_deg` as a 2x2 matrix [[cos, sin], [sin, -cos]]:
     rows are the pass and reject ports |theta>, |theta_perp>, columns H and V.
@@ -238,48 +206,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def slot_in_mode(mode: str):
-    """Slot lookup for `analyze`: the index of the one photon in `mode`."""
-
-    def slot(ket: tuple) -> int:
-        hits = [i for i, (_, m) in enumerate(ket) if m == mode]
-        if len(hits) != 1:
-            raise StateError(f"mode {mode!r} must hold exactly one photon, ket {ket}")
-        return hits[0]
-
-    return slot
-
-
-def analyze(state: PureState, slot, angle_deg: float) -> dict[tuple, complex]:
-    """Re-express photon `slot(ket)` of each ket in the analyzer basis.
-
-    That photon's H/V symbol then names the pass/reject port, |theta> and
-    |theta_perp>. The map is a reflection, hence self-inverse: analyzing
-    twice restores the original amplitudes.
-    """
-    out: dict[tuple, complex] = {}
-    rows = analyzer_matrix(angle_deg).tolist()  # the pass and reject ports
-    for ket, a in state.amps.items():
-        i = slot(ket)
-        pol, mode = ket[i]
-        for port, row in zip(POLS, rows):
-            c = row[0 if pol == H else 1]
-            if c != 0.0:
-                new_ket = ket[:i] + ((port, mode),) + ket[i + 1 :]
-                out[new_ket] = out.get(new_ket, 0.0) + a * c
-    return out
-
-
-def change_basis(state: PureState, photon: int, angle_deg: float) -> PureState:
-    """Re-express one photon's amplitudes in the rotated linear basis.
-
-    The output's H/V slots for that photon denote |theta> and |theta_perp>;
-    applying the same basis change twice restores the original state.
-    """
-    idx = state.photons.index(photon)
-    return PureState(state.photons, analyze(state, lambda ket: idx, angle_deg))
-
-
 class DensityMatrix:
     """Dense Hermitian operator over mode-ordered H/V basis kets."""
 
@@ -292,21 +218,18 @@ class DensityMatrix:
         self.matrix = matrix
         self.validate()
 
-    def validate(self, tol: float = NORM_TOL) -> None:
+    def validate(self) -> None:
         m = self.matrix
         # first, so that no check below computes with a NaN or inf entry
         if not np.isfinite(m).all():
             raise StateError("density matrix has a non-finite entry")
-        if abs(m - m.conj().T).max() > tol:
+        if abs(m - m.conj().T).max() > NORM_TOL:
             raise StateError("density matrix is not Hermitian")
         tr = m.trace()
-        if abs(tr.real - 1.0) > tol or abs(tr.imag) > tol:
+        if abs(tr.real - 1.0) > NORM_TOL or abs(tr.imag) > NORM_TOL:
             raise StateError(f"trace {tr}, expected 1")
-        if np.linalg.eigvalsh(m)[0] < -tol:  # eigenvalues ascend
+        if np.linalg.eigvalsh(m)[0] < -NORM_TOL:  # eigenvalues ascend
             raise StateError("density matrix has a negative eigenvalue")
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 def mix(components: Iterable[tuple[float, PureState]],

@@ -21,7 +21,6 @@ from fourphoton import (
     exact_outcome_probabilities,
     feasibility_estimate,
     ghz_after_postselection,
-    ghz_state,
     hv_setting,
     mix,
     monte_carlo_counts,
@@ -137,7 +136,7 @@ def test_criterion_5_bell_decomposition():
 
 
 def test_criterion_6_swapping_fidelity():
-    psi = ghz_state("HVVH", modes=MODES)
+    psi = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": S2}, normalize=False)
     phi = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": -S2})
     rho = mix([(0.89, psi), (0.11, phi)], mode_order=MODES)
     op = phi_plus_via_45_coincidence(rho)

@@ -7,6 +7,11 @@ another type or numbers out of range. The run must exit 0, 1, 2 or 3. A
 nonzero exit prints exactly one stderr line, and exits 1 and 2 write no output
 file. Exit 0 prints nothing on stderr, writes no NaN, and names in its summary
 a count table that holds no counts.
+
+A second property draws the config file's bytes (invalid UTF-8, a BOM, deep
+nesting, duplicate keys, an empty file) and the kind of path given to --config
+and --out (missing, a file, a directory, a path below a file). An unreadable
+config exits 2 before --out is made; an --out that cannot be made exits 1.
 """
 
 import contextlib
@@ -112,3 +117,73 @@ def test_every_input_ends_in_a_documented_exit(scenario, user, flags):
             assert not any("nan" in p.read_text() for p in written)
             if scenario in COUNT_COLUMNS and count_total(scenario, out) == 0:
                 assert "no counts" in (out / f"{scenario}_summary.txt").read_text()
+
+
+# The bytes of a config file, with the exit they must give: 0 for a config
+# that holds valid values, 2 for anything else. Duplicate keys are valid
+# JSON, and the last one decides.
+VALID_JSON = b'{"rates": {}, "visibility_zero_delay": 0.79}'
+CONFIG_BYTES = st.one_of(
+    st.just((VALID_JSON, 0)),
+    st.tuples(st.integers(0, len(VALID_JSON)), st.sampled_from([b"\xff", b"\x80", b"\xc3("]))
+    .map(lambda cut: (VALID_JSON[:cut[0]] + cut[1] + VALID_JSON[cut[0]:], 2)),
+    st.just((b"\xef\xbb\xbf" + VALID_JSON, 2)),
+    st.tuples(st.sampled_from([1, 50, 5_000, 200_000]), st.booleans())
+    .map(lambda deep: (b"[" * deep[0] + (b"]" * deep[0] if deep[1] else b""), 2)),
+    st.tuples(st.sampled_from([0.5, 2.0]), st.sampled_from([0.5, 2.0])).map(
+        lambda vs: (b'{"visibility_zero_delay": %r, "visibility_zero_delay": %r}' % vs,
+                    0 if vs[1] <= 1 else 2)),
+    st.sampled_from([(b"", 2), (b" \n", 2)]),
+)
+PATH_KINDS = ("missing", "file", "directory", "below a file")
+
+
+def make_path(tmp: Path, name: str, kind: str, content: bytes = b"") -> Path:
+    """A path of the given kind under `tmp`; a file holds `content`."""
+    path = tmp / name
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "file":
+        path.write_bytes(content)
+    elif kind == "below a file":
+        path.write_bytes(b"")
+        path = path / "below"
+    return path
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(scenario=st.sampled_from(SCENARIOS), config=CONFIG_BYTES,
+       config_kind=st.sampled_from(PATH_KINDS), out_kind=st.sampled_from(PATH_KINDS))
+@example("feasibility", (VALID_JSON, 0), "file", "file")
+@example("feasibility", (VALID_JSON, 0), "file", "below a file")
+@example("feasibility", (VALID_JSON, 0), "directory", "missing")
+@example("feasibility", (b"\xff" + VALID_JSON, 2), "file", "missing")
+@example("feasibility", (b"[" * 200_000, 2), "file", "missing")
+def test_unreadable_config_or_unwritable_out_exits_cleanly(
+    scenario, config, config_kind, out_kind
+):
+    content, config_code = config
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = make_path(Path(tmp), "cfg.json", config_kind, content)
+        out = make_path(Path(tmp), "out", out_kind, b"kept")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--scenario", scenario, "--config", str(cfg), "--out", str(out)])
+        err = stderr.getvalue()
+
+        if config_kind != "file" or config_code:
+            expected = 2  # config errors come before --out is made
+        elif out_kind in ("file", "below a file"):
+            expected = 1
+        else:
+            expected = 0
+        assert code == expected, err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert err.startswith("config error" if code == 2 else "error: cannot write")
+        if out_kind == "missing":
+            assert out.exists() == (code == 0)
+        if out_kind in ("missing", "directory") and out.exists():
+            assert bool(list(out.iterdir())) == (code == 0)
+        if out_kind == "file":
+            assert out.read_bytes() == b"kept"

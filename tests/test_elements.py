@@ -15,7 +15,6 @@ from fourphoton import (
     dephase_by_distinguishability,
     fidelity,
     ghz_after_postselection,
-    ghz_state,
     source_state,
     state_from_terms,
 )
@@ -24,6 +23,9 @@ S2 = 1 / math.sqrt(2)
 PBS = PbsElement(("2", "3"), ("2'", "3'"))
 APP = default_apparatus()
 MODES = ["1", "2'", "3'", "4"]
+GHZ_HVVH = state_from_terms(
+    [1, 2, 3, 4], ["1", "2", "3", "4"], {"HVVH": S2, "VHHV": S2}, normalize=False
+)
 
 
 def pols(ket):
@@ -125,18 +127,18 @@ class TestDistinguishability:
 
 class TestDephasing:
     def test_full_indistinguishability_is_pure(self):
-        psi = ghz_state("HVVH")
+        psi = GHZ_HVVH
         rho = dephase_by_distinguishability(psi, 1.0, v0=1.0)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_paper_weights_at_v0(self):
-        psi = ghz_state("HVVH")
+        psi = GHZ_HVVH
         rho = dephase_by_distinguishability(psi, 1.0, v0=0.79)
         assert fidelity(rho, psi) == pytest.approx((1 + 0.79) / 2, abs=1e-12)
 
     def test_fully_distinguishable_equal_mixture(self):
-        psi = ghz_state("HVVH")
+        psi = GHZ_HVVH
         phi = state_from_terms(
             [1, 2, 3, 4], ["1", "2", "3", "4"], {"HVVH": S2, "VHHV": -S2}
         )
@@ -160,13 +162,13 @@ class TestDephasing:
         assert rho.tobytes() != terms[0].tobytes()
 
     def test_invariants(self):
-        psi = ghz_state("HVVH")
+        psi = GHZ_HVVH
         for d in (0.0, 0.3, 0.72, 1.0):
             dephase_by_distinguishability(psi, d, v0=0.79).validate()
 
     def test_d_out_of_range(self):
         with pytest.raises(StateError):
-            dephase_by_distinguishability(ghz_state("HVVH"), 1.2)
+            dephase_by_distinguishability(GHZ_HVVH, 1.2)
 
     def test_one_branch_state_reports_its_branches_first(self):
         # the partner is built before the channel checks d and v0
@@ -179,7 +181,7 @@ class TestDephasing:
 class TestDephasingComponents:
     """The one dephasing channel, shared by the exact model and the swap chain."""
 
-    PSI = ghz_state("HVVH").dense(["1", "2", "3", "4"])
+    PSI = GHZ_HVVH.dense(["1", "2", "3", "4"])
 
     def test_weights(self):
         phi = dephasing_partner(self.PSI)

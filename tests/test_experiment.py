@@ -20,7 +20,6 @@ from fourphoton import (
     RateModel,
     StateError,
     bell_state,
-    change_basis,
     chsh_value,
     correlation,
     default_apparatus,
@@ -31,7 +30,6 @@ from fourphoton import (
     exact_outcome_probabilities,
     feasibility_estimate,
     ghz_after_postselection,
-    ghz_state,
     hv_setting,
     mix,
     monte_carlo_counts,
@@ -656,7 +654,20 @@ class TestThreePhotonGhz:
         state90, prob90 = three_photon_ghz(APP, "2'", 90.0)
         assert prob90 == pytest.approx(0.5, abs=1e-12)
         assert len(state90.amps) == 1
-        assert state.kets() != state90.kets()
+        assert state.amps.keys() != state90.amps.keys()
+
+    @pytest.mark.parametrize("mode, photons", [
+        ("1", (2, 3, 4)), ("2'", (1, 3, 4)), ("3'", (1, 2, 4)), ("4", (1, 2, 3)),
+    ])
+    def test_remaining_photons(self, mode, photons):
+        # the photon that the last ket puts in the polarizer's mode is dropped
+        state, _ = three_photon_ghz(APP, mode, 45.0)
+        assert state.photons == photons
+
+    def test_unwatched_mode_rejected(self):
+        # "2" is a PBS input: no detector watches it
+        with pytest.raises(StateError, match="no detector"):
+            three_photon_ghz(APP, "2", 45.0)
 
 
 class TestAnalyzerAngleRange:
@@ -671,7 +682,6 @@ class TestAnalyzerAngleRange:
         "three_photon_ghz": lambda a: three_photon_ghz(APP, "2'", a),
         "correlation": lambda a: correlation(TestAnalyzerAngleRange.RHO_14, a, 45.0),
         "chsh_value": lambda a: chsh_value(TestAnalyzerAngleRange.RHO_14, ((0.0, a), (22.5, 67.5))),
-        "change_basis": lambda a: change_basis(ghz_state("HH"), 1, a),
         "analyzer_matrix": analyzer_matrix,
     }
 

@@ -2,7 +2,8 @@
 a name it never uses, no private module-level function or class is left
 without a reference anywhere in the package, and no public function, class or
 method is left without a reference anywhere in the repository's code. Deleting
-a caller must take its orphaned helpers and imports with it.
+a caller must take its orphaned helpers and imports with it. A public name
+that only tests reference is on an explicit keep-list with its reason.
 """
 
 import ast
@@ -17,6 +18,15 @@ MODULES = sorted(SRC.glob("*.py"))
 # the code that may use a public name of the package
 CODE = [p for part in ("src", "tests", "demos", "perfbench")
         for p in sorted((ROOT / part).rglob("*.py"))]
+# the public names that only tests reference, each kept for a reason; any
+# other public name that only tests reference is dead code and goes
+TEST_ONLY_KEEP = {
+    "three_photon_ghz": "the paper's three-photon GHZ state (acceptance criterion 7)",
+    "project_bell": "the abstract Bell projection, reference for the 45-degree coincidence",
+    "correlation": "README's one-setting correlation E(a, b), reference for chsh_value",
+    "mix": "README's convex mixture of pure states, the tests' density-matrix builder",
+    "fidelity": "README's <target|rho|target>, reference for the swap fidelity",
+}
 
 
 def annotations(tree: ast.AST) -> list[ast.expr]:
@@ -184,6 +194,16 @@ def test_every_public_definition_is_referenced():
         for name in unreferenced_public(sources[p], referenced)
     ]
     assert unreferenced == []
+
+
+def test_public_names_only_tests_reference_are_kept_on_purpose():
+    sources = {p: p.read_text() for p in CODE}
+    outside_tests = [s for p, s in sources.items() if ROOT / "tests" not in p.parents]
+    referenced = referenced_names(outside_tests, reexports=sources[SRC / "__init__.py"])
+    test_only = {
+        name for p in MODULES for name in unreferenced_public(sources[p], referenced)
+    }
+    assert test_only == set(TEST_ONLY_KEEP)
 
 
 def test_no_orphaned_private_definition():

@@ -2,12 +2,12 @@
 not only at the paper's points: analyzer angles in [0, 180) or None, zero-delay
 visibility in [0, 1], PBS delay in [-3000, 3000] fs, PBS error in [0, 0.05]
 and apparatus layouts with reordered sources, relabelled photons and modes, and
-the source modes shuffled between the pairs. The sparse analyzer step (basis
-change, three-photon conditioning) is checked against the dense oracle at any
-angle. The swap chain meets its closed forms at any delay and
-zero-delay visibility, and CHSH stays within the Tsirelson bound. The exact
-probabilities are the analyzer-basis diagonal of the swap chain's dephased
-density matrix, so the two users of the one dephasing channel agree.
+the source modes shuffled between the pairs. Three-photon conditioning is
+checked against the dense oracle at any angle. The swap chain meets its
+closed forms at any delay and zero-delay visibility, and CHSH stays within
+the Tsirelson bound. The exact probabilities are the analyzer-basis diagonal
+of the swap chain's dephased density matrix, so the two users of the one
+dephasing channel agree.
 """
 
 import itertools
@@ -27,9 +27,7 @@ from fourphoton import (
     PairSource,
     PbsElement,
     PostselectionError,
-    PureState,
     StateError,
-    change_basis,
     chsh_value,
     default_apparatus,
     dephase_by_distinguishability,
@@ -176,23 +174,6 @@ def test_three_photon_ghz_matches_dense_projection(position, angle):
     assert abs(prob - p_want) <= 1e-12
     rest = [m for m in GHZ_MODES if m != mode]
     assert_same_up_to_phase(state.dense(rest), want)
-
-
-# amplitudes are 0 or at least 1 in size, so that the canonical phase rests
-# on a ket whose amplitude rounding cannot turn
-AMPLITUDE = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
-
-
-@FAST
-@given(
-    amps=st.lists(AMPLITUDE, min_size=4, max_size=4).filter(any),
-    photon=st.sampled_from([1, 2]),
-    angle=ANALYZER_ANGLE,
-)
-def test_change_basis_twice_restores_the_state(amps, photon, angle):
-    kets = [tuple(zip(pols, "ab")) for pols in itertools.product("HV", repeat=2)]
-    state = PureState([1, 2], dict(zip(kets, amps)))
-    assert change_basis(change_basis(state, photon, angle), photon, angle).allclose(state)
 
 
 # The swap chain at x = d*v0 conditions photons 1,4 on

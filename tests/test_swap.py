@@ -21,7 +21,6 @@ from fourphoton import (
     dephase_by_distinguishability,
     distinguishability,
     ghz_after_postselection,
-    ghz_state,
     mix,
     phi_plus_via_45_coincidence,
     project_bell,
@@ -36,6 +35,7 @@ import oracle
 
 S2 = 1 / math.sqrt(2)
 MODES = ["1", "2'", "3'", "4"]
+GHZ_HVVH = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": S2}, normalize=False)
 
 
 def two_pair_state():
@@ -43,7 +43,7 @@ def two_pair_state():
 
 
 def eq3_mixture(w=0.89):
-    psi = ghz_state("HVVH", modes=MODES)
+    psi = GHZ_HVVH
     phi = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": -S2})
     return mix([(w, psi), (1 - w, phi)], mode_order=MODES)
 
@@ -158,13 +158,13 @@ class TestBellDecompose:
 
 class TestProjectBell:
     def test_ghz_phi_plus_projection(self):
-        psi = ghz_state("HVVH", modes=MODES)
+        psi = GHZ_HVVH
         res = project_bell(mix([(1.0, psi)], MODES), ("2'", "3'"), "phi+")
         assert res.projection_probability == pytest.approx(0.5, abs=1e-12)
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_psi_projection_impossible(self):
-        psi = ghz_state("HVVH", modes=MODES)
+        psi = GHZ_HVVH
         with pytest.raises(StateError):
             project_bell(mix([(1.0, psi)], MODES), ("2'", "3'"), "psi+")
 
@@ -208,7 +208,7 @@ class TestProjectBell:
 
 class TestOperationalPhiPlus:
     def test_ideal_ghz(self):
-        psi = ghz_state("HVVH", modes=MODES)
+        psi = GHZ_HVVH
         res = phi_plus_via_45_coincidence(mix([(1.0, psi)], MODES))
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
         assert res.projection_probability == pytest.approx(0.5, abs=1e-12)
@@ -235,7 +235,7 @@ class TestOperationalPhiPlus:
 
     def test_cross_coincidence_projects_onto_phi_minus(self):
         # +45/-45 and -45/+45 coincidences identify phi- instead
-        psi = ghz_state("HVVH", modes=MODES)
+        psi = GHZ_HVVH
         rho = mix([(1.0, psi)], mode_order=MODES)
         s = 1 / math.sqrt(2)
         plus = np.array([s, s], dtype=complex)
@@ -303,7 +303,7 @@ class TestPairPlacement:
             self.check(swap._condition(dm, pair, kraus), rho, pair, kraus)
 
     def test_remaining_photons_not_a_pair(self):
-        rho = mix([(1.0, ghz_state("HVV", modes=["1", "2'", "3'"]))])
+        rho = mix([(1.0, state_from_terms([1, 2, 3], ["1", "2'", "3'"], {"HVV": S2, "VHH": S2}))])
         with pytest.raises(StateError):
             project_bell(rho, ("2'", "3'"), "phi+")
         with pytest.raises(StateError):
