@@ -3,9 +3,10 @@ not only at the paper's points: analyzer angles in [0, 180) or None, zero-delay
 visibility in [0, 1], PBS delay in [-3000, 3000] fs, PBS error in [0, 0.05]
 and apparatus layouts with reordered sources, relabelled photons and modes, and
 the source modes shuffled between the pairs. Three-photon conditioning is
-checked against the dense oracle at any angle. The swap chain meets its
-closed forms at any delay and zero-delay visibility, and CHSH stays within
-the Tsirelson bound. The exact probabilities are the analyzer-basis diagonal
+checked against the dense oracle at any angle, and the analyzer, a
+reflection, restores any two-photon state when applied twice. The swap chain
+meets its closed forms at any delay and zero-delay visibility, and CHSH stays
+within the Tsirelson bound. The exact probabilities are the analyzer-basis diagonal
 of the swap chain's dephased density matrix, so the two users of the one
 dephasing channel agree.
 """
@@ -174,6 +175,24 @@ def test_three_photon_ghz_matches_dense_projection(position, angle):
     assert abs(prob - p_want) <= 1e-12
     rest = [m for m in GHZ_MODES if m != mode]
     assert_same_up_to_phase(state.dense(rest), want)
+
+
+# amplitudes are small Gaussian integers, so no rounding hides a wrong sign
+AMPLITUDE = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@FAST
+@given(
+    amps=st.lists(AMPLITUDE, min_size=4, max_size=4).filter(any),
+    position=st.integers(0, 1),
+    angle=ANALYZER_ANGLE,
+)
+def test_analyzer_twice_restores_the_state(amps, position, angle):
+    vec = np.array(amps)
+    ops = [np.eye(2), np.eye(2)]
+    ops[position] = analyzer_matrix(angle)
+    k = kron(*ops)
+    assert np.max(np.abs(k @ (k @ vec) - vec)) <= 1e-12
 
 
 # The swap chain at x = d*v0 conditions photons 1,4 on

@@ -17,7 +17,9 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
-from fourphoton.states import analyzer_matrix
+from fourphoton.states import NORM_TOL, analyzer_matrix, kron
+
+import oracle
 
 S2 = 1 / math.sqrt(2)
 
@@ -98,6 +100,43 @@ class TestAnalyzerMatrix:
         t = math.radians(angle)
         m = analyzer_matrix(angle)
         assert m.tolist() == [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]]
+
+    def test_h_at_45(self):
+        # |H> leaves by the pass and the reject port with amplitude 1/sqrt2 each
+        out = analyzer_matrix(45.0) @ np.array([1.0, 0.0])
+        assert out == pytest.approx([S2, S2], abs=1e-12)
+
+    def test_ghz_eight_even_parity_terms(self):
+        # four 45-degree analyzers on (|HVVH> + |VHHV>)/sqrt2 fire only in the
+        # eight outcomes with an even number of reject ports, 1/8 each
+        modes = ["1", "2", "3", "4"]
+        ghz = state_from_terms([1, 2, 3, 4], modes, {"HVVH": S2, "VHHV": S2}, normalize=False)
+        m = analyzer_matrix(45.0)
+        out = (kron(kron(m, m), kron(m, m)) @ ghz.dense(modes)).reshape(2, 2, 2, 2)
+        for ports in itertools.product((0, 1), repeat=4):
+            want = 0.125 if sum(ports) % 2 == 0 else 0.0
+            assert abs(out[ports]) ** 2 == pytest.approx(want, abs=1e-12)
+
+    def test_self_inverse(self):
+        # the analyzer is a reflection: applied twice it is the identity
+        for angle in (0.0, 22.5, 45.0, 67.5, 90.0, 33.3, 123.4, 179.9):
+            m = analyzer_matrix(angle)
+            assert np.max(np.abs(m @ m - np.eye(2))) <= 1e-15
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            vec /= np.linalg.norm(vec)
+            # the analyzer on the second of two photons
+            m = kron(np.eye(2), analyzer_matrix(float(rng.uniform(0, 180))))
+            assert np.linalg.norm(m @ vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_are_the_oracle_ports(self):
+        for angle in (0.0, 30.0, 45.0, 100.0, 179.0):
+            m = analyzer_matrix(angle)
+            assert np.max(np.abs(m[0] - oracle.analyzer_ket(angle, "pass"))) <= 1e-15
+            assert np.max(np.abs(m[1] - oracle.analyzer_ket(angle, "reject"))) <= 1e-15
 
 
 class TestMixAndFidelity:
@@ -207,3 +246,17 @@ class TestDensityMatrixValidation:
     def test_rejects_bad_trace(self):
         with pytest.raises(StateError):
             DensityMatrix(["1"], np.eye(2, dtype=complex))
+
+    def test_rejects_negative_eigenvalue(self):
+        # Hermitian with unit trace, eigenvalues 1.25 and -0.25
+        m = np.array([[0.5, 0.75], [0.75, 0.5]], dtype=complex)
+        with pytest.raises(StateError, match="negative eigenvalue"):
+            DensityMatrix(["1"], m)
+
+    def test_trace_tolerance_is_norm_tol(self):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 0] += NORM_TOL / 2
+        DensityMatrix(["1"], m)
+        m[0, 0] += 2 * NORM_TOL
+        with pytest.raises(StateError, match="trace"):
+            DensityMatrix(["1"], m)
