@@ -100,7 +100,8 @@ class Apparatus:
 
     @cached_property
     def _compiled(self) -> dict:
-        """Routing pattern -> entry of `_compiled_pattern`, filled on first use."""
+        """Routing pattern -> the post-selected state and its vectors, or the
+        PostselectionError message; see `_compiled_pattern`."""
         return {}
 
     def detector_ids(self) -> list[str]:
@@ -212,16 +213,23 @@ def ghz_after_postselection(
     coincidences: the kets with one photon in each detector mode.
 
     `flipped_photons` routes the named photons to the wrong port (the
-    incoherent PBS error model). Returns the renormalized state and the
-    kept probability mass.
+    incoherent PBS error model). Returns the renormalized, immutable state
+    and the kept probability mass. Each apparatus routes each pattern once:
+    a repeat call returns the identical tuple from its memo, and a pattern
+    that keeps nothing raises the same PostselectionError again.
     """
+    return _compiled_pattern(apparatus, frozenset(flipped_photons))[0]
+
+
+def _postselect(apparatus: Apparatus, flipped: frozenset) -> tuple[PureState, float]:
+    """The routing and post-selection of `ghz_after_postselection`, uncached."""
     source = source_state(apparatus)
     pbs = apparatus.pbs
     wanted = sorted(apparatus.mode_order())
     kept = {}
     for ket, a in source.amps.items():
         routed = tuple(
-            (pol, pbs.route(mode, pol, photon in flipped_photons))
+            (pol, pbs.route(mode, pol, photon in flipped))
             if mode in pbs.input_modes
             else (pol, mode)
             for (pol, mode), photon in zip(ket, source.photons)
@@ -237,23 +245,27 @@ def ghz_after_postselection(
 
 
 def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
-    """`ghz_after_postselection` once per apparatus and routing pattern, as
-    (p_sel, dense vector psi, its dephasing partner phi or None for a
-    one-branch pattern), both read-only; None if nothing survives."""
+    """The apparatus's memo entry of one routing pattern, filled on first use:
+    ((state, p_sel), its dense vector psi in detector order, the dephasing
+    partner phi or None for a one-branch pattern), both vectors read-only.
+    A pattern that keeps nothing is remembered by its message and raises
+    PostselectionError on every call."""
     memo = apparatus._compiled
     if flipped not in memo:
         try:
-            state, p_sel = ghz_after_postselection(apparatus, flipped)
-        except PostselectionError:
-            memo[flipped] = None
+            state, p_sel = _postselect(apparatus, flipped)
+        except PostselectionError as exc:
+            memo[flipped] = str(exc)
         else:
             psi = state.dense(apparatus.mode_order())
             phi = None if len(state.amps) == 1 else dephasing_partner(psi)
-            for v in (psi, phi):
-                if v is not None:
-                    v.flags.writeable = False
-            memo[flipped] = (p_sel, psi, phi)
-    return memo[flipped]
+            if phi is not None:
+                phi.flags.writeable = False
+            memo[flipped] = ((state, p_sel), psi, phi)
+    entry = memo[flipped]
+    if isinstance(entry, str):
+        raise PostselectionError(entry)
+    return entry
 
 
 def _exact_model(
@@ -290,10 +302,10 @@ def _exact_model(
     parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
     total_mass = 0.0
     for w_pat, flipped in patterns:
-        compiled = _compiled_pattern(apparatus, flipped)
-        if compiled is None:
+        try:
+            (_, p_sel), psi, phi = _compiled_pattern(apparatus, flipped)
+        except PostselectionError:
             continue
-        p_sel, psi, phi = compiled
         w = w_pat * p_sel
         total_mass += w
         parts.append((w, psi, phi))
@@ -353,9 +365,13 @@ def _check_integration_time(integration_time: float) -> None:
         raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # numpy's seeding would end in a bare ValueError
-        raise StateError(f"seed {seed} must be nonnegative")
+def _check_seed(seed: int, name: str = "seed") -> None:
+    # numpy's seeding would end in a bare TypeError or ValueError; a plain int
+    # skips the ABC isinstance check, a Python-level call on the per-point path
+    if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, Integral)):
+        raise StateError(f"{name} {seed!r} must be an integer")
+    if seed < 0:
+        raise StateError(f"{name} {seed} must be nonnegative")
 
 
 def draw_counts(
@@ -405,6 +421,7 @@ def monte_carlo_counts(
 def derive_point_seed(seed: int, point_index: int) -> int:
     """Deterministic per-point stream seed for parallel-safe scans."""
     _check_seed(seed)
+    _check_seed(point_index, "point index")
     return int(np.random.SeedSequence([seed, point_index]).generate_state(1)[0])
 
 

@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,7 +56,14 @@ def _check_ket(ket: tuple, n: int) -> None:
 
 
 class PureState:
-    """Normalized sparse superposition over labeled polarization kets."""
+    """Normalized sparse superposition over labeled polarization kets.
+
+    Immutable, so that a memoised state cannot go stale: `photons` is a tuple,
+    `amps` a read-only mapping, and neither can be rebound. `dense` computes
+    each mode order's vector once and returns it read-only.
+    """
+
+    __slots__ = ("photons", "amps", "_dense")
 
     def __init__(
         self,
@@ -67,7 +75,6 @@ class PureState:
         if len(set(photons)) != len(photons):
             raise LabelCollisionError(f"duplicate photon indices in {photons}")
         order = sorted(range(len(photons)), key=lambda k: photons[k])
-        self.photons = tuple(photons[k] for k in order)
         amps: dict[tuple, complex] = {}
         for ket, a in amplitudes.items():
             ket = tuple(tuple(slot) for slot in ket)
@@ -82,7 +89,29 @@ class PureState:
             first = amps[min(amps)]
             phase = first / abs(first)
             amps = {k: a / (norm * phase) for k, a in amps.items()}
-        self.amps = amps
+        self._set_fields(tuple(photons[k] for k in order), amps)
+
+    def _set_fields(self, photons: tuple, amps: dict) -> None:
+        object.__setattr__(self, "photons", photons)
+        object.__setattr__(self, "amps", MappingProxyType(amps))
+        object.__setattr__(self, "_dense", {})  # tuple(mode_order) -> read-only vector
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PureState is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PureState is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from its fields as they are, without the dense memo: the
+        # constructor's sum would turn an amplitude's -0.0 part into 0.0
+        return (PureState._from_fields, (self.photons, dict(self.amps)))
+
+    @classmethod
+    def _from_fields(cls, photons: tuple, amps: dict) -> PureState:
+        state = cls.__new__(cls)
+        state._set_fields(photons, amps)
+        return state
 
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amps.values())
@@ -116,12 +145,18 @@ class PureState:
         return out
 
     def dense(self, mode_order: Sequence[str]) -> np.ndarray:
-        """Dense 2^n vector over mode-ordered H/V kets (H before V)."""
-        n = len(mode_order)
-        vec = np.zeros(2**n, dtype=complex)
-        for key, a in self.mode_view(mode_order).items():
-            # the first mode is the most significant bit, V is 1
-            vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
+        """Dense 2^n vector over mode-ordered H/V kets (H before V), read-only
+        and computed once per mode order."""
+        order = tuple(mode_order)
+        vec = self._dense.get(order)
+        if vec is None:
+            n = len(order)
+            vec = np.zeros(2**n, dtype=complex)
+            for key, a in self.mode_view(order).items():
+                # the first mode is the most significant bit, V is 1
+                vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
+            vec.flags.writeable = False
+            self._dense[order] = vec
         return vec
 
     def __repr__(self) -> str:

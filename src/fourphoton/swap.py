@@ -33,7 +33,7 @@ _BELL_PROJECTORS = {k: np.outer(v, v.conj()) for k, v in _BELL_VECS.items()}
 # vectors: cos(45 deg) would move the last digits of the swap report
 _KRAUS_45 = tuple(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
     np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
-for _op in (*_BELL_VECS.values(), _BELL_BRAS, *_BELL_PROJECTORS.values(), *_KRAUS_45):
+for _op in (_BELL_BRAS, *_BELL_PROJECTORS.values(), *_KRAUS_45):  # `dense` is read-only already
     _op.setflags(write=False)
 
 
@@ -177,6 +177,7 @@ def chsh_value(
     if len(rho_pair.modes) != 2:
         raise StateError("correlation needs a two-photon density matrix")
     (a, ap), (b, bp) = settings
-    products = rho_pair.matrix @ _chsh_observables(a, ap, b, bp)
+    # floats as cache keys: a 0-d numpy angle is not hashable
+    products = rho_pair.matrix @ _chsh_observables(float(a), float(ap), float(b), float(bp))
     ab, abp, apb, apbp = products.trace(axis1=1, axis2=2).real.tolist()
     return ab - abp + apb + apbp

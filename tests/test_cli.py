@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +188,48 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error") and err.count("\n") == 1
             assert not (tmp_path / "out").exists()
+
+
+class TestOutputErrors:
+    """`--out` failures that the tests cannot make for real: they run as root,
+    and no disk is filled. Each exits 1 with one stderr line."""
+
+    def test_permission_denied_mkdir(self, monkeypatch, tmp_path, capsys):
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", denied)
+        out = tmp_path / "out"
+        assert run(["--scenario", "hv-table", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert "Permission denied" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_full_disk_on_second_write(self, scenario, monkeypatch, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        assert run(["--scenario", scenario, "--out", str(clean)]) == 0
+        written = []
+        write = cli._write
+
+        def second_fails(path, lines, end="\n"):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            written.append(path.name)
+            write(path, lines, end)
+
+        monkeypatch.setattr(cli, "_write", second_fails)
+        out = tmp_path / "out"
+        assert run(["--scenario", scenario, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert "Traceback" not in err and "No space left" in err
+        # what was written before the failure stays, as a clean run wrote it
+        first = "swap-report.json" if scenario == "swap-report" else f"{scenario}.csv"
+        assert written == [first]
+        assert sorted(p.name for p in out.iterdir()) == [first]
+        assert (out / first).read_bytes() == (clean / first).read_bytes()
 
 
 class TestPhysicsErrors:

@@ -24,6 +24,7 @@ from fourphoton import (
     correlation,
     default_apparatus,
     delay_scan,
+    dephase_by_distinguishability,
     diagonal_setting,
     distinguishability,
     draw_counts,
@@ -33,6 +34,7 @@ from fourphoton import (
     hv_setting,
     mix,
     monte_carlo_counts,
+    phi_plus_via_45_coincidence,
     three_photon_ghz,
 )
 
@@ -238,7 +240,7 @@ def ref_exact_probabilities(setting, d, v0, pbs_error):
     vectors, weights, mass = [], [], 0.0
     for r in range(len(photons) + 1):
         for flipped in itertools.combinations(photons, r):
-            p_sel, psi, phi = experiment._compiled_pattern(APP, frozenset(flipped))
+            (_, p_sel), psi, phi = experiment._compiled_pattern(APP, frozenset(flipped))
             w = err**r * (1 - err) ** (len(photons) - r) * p_sel
             mass += w
             for w_branch, v in dephasing_components(psi, phi, d, v0):
@@ -263,14 +265,15 @@ class TestCompiledPatterns:
 
     @pytest.fixture
     def chain_calls(self, monkeypatch):
+        # the routing itself, which the memo of `_compiled_pattern` calls
         calls = []
-        chain = experiment.ghz_after_postselection
+        chain = experiment._postselect
 
-        def counted(apparatus, flipped=frozenset()):
+        def counted(apparatus, flipped):
             calls.append((apparatus, flipped))
             return chain(apparatus, flipped)
 
-        monkeypatch.setattr(experiment, "ghz_after_postselection", counted)
+        monkeypatch.setattr(experiment, "_postselect", counted)
         return calls
 
     @pytest.fixture
@@ -325,11 +328,62 @@ class TestCompiledPatterns:
         fresh = Apparatus(APP.sources, APP.pbs, dict(swapped.detectors))
         assert exact_outcome_probabilities(fresh, hv_setting(fresh)) == probs
 
+    def test_repeat_calls_return_the_identical_state(self, chain_calls):
+        app = default_apparatus()
+        first = ghz_after_postselection(app)
+        assert ghz_after_postselection(app) is first
+        exact_outcome_probabilities(app, hv_setting(app), pbs_error=0.01)
+        assert ghz_after_postselection(app, frozenset()) is first
+        # any set of photons names the same entry as its frozenset
+        assert ghz_after_postselection(app, {2}) is ghz_after_postselection(app, frozenset({2}))
+        assert len(chain_calls) == 4
+        (state, _), psi, _ = experiment._compiled_pattern(app, frozenset())
+        assert state is first[0] and psi is state.dense(app.mode_order())
+
+    def test_swapped_layouts_keep_their_own_entries(self):
+        app = default_apparatus()
+        swapped = Apparatus(APP.sources, APP.pbs, {"D1": "2'", "D2": "1", "D3": "3'", "D4": "4"})
+        ours, theirs = ghz_after_postselection(app), ghz_after_postselection(swapped)
+        assert ours[0] is not theirs[0] and ghz_after_postselection(swapped) is theirs
+        psi = experiment._compiled_pattern(app, frozenset())[1]
+        psi_swapped = experiment._compiled_pattern(swapped, frozenset())[1]
+        assert not np.array_equal(psi, psi_swapped)
+        assert psi_swapped is theirs[0].dense(swapped.mode_order())
+
+    def test_failing_pattern_keeps_its_message(self, chain_calls):
+        app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
+        message = "no amplitude with one photon in each of ['1', \"2'\", \"3'\", 'x']"
+        for call in (ghz_after_postselection, ghz_after_postselection,
+                     lambda a: experiment._compiled_pattern(a, frozenset())):
+            with pytest.raises(PostselectionError) as info:
+                call(app)
+            assert str(info.value) == message
+        assert len(chain_calls) == 1
+
+    def test_swap_chain_on_a_memoised_state_matches_a_fresh_one(self):
+        # d = v0 = 1 is the pure channel, which stacks psi alone
+        app = default_apparatus()
+        memoised, _ = ghz_after_postselection(app)
+        rng = np.random.default_rng(17)
+        draws = [(1.0, 1.0), (0.0, 0.0)] + [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(40)]
+        for d, v0 in draws:
+            fresh, _ = experiment._postselect(default_apparatus(), frozenset())
+            chains = []
+            for state in (fresh, memoised, fresh, memoised):
+                rho = dephase_by_distinguishability(state, d, v0)
+                res = phi_plus_via_45_coincidence(rho)
+                pair = res.conditioned_state_14
+                chains.append((
+                    rho.matrix.tobytes(), pair.matrix.tobytes(), res.projection_probability,
+                    res.fidelity_to_target, res.visibility_45, chsh_value(pair),
+                ))
+            assert chains[0] == chains[1] == chains[2] == chains[3], (d, v0)
+
     def test_compiled_vector_is_read_only(self):
         app = default_apparatus()
         exact_outcome_probabilities(app, hv_setting(app), pbs_error=0.01)
         assert len(app._compiled) == 4
-        for _, psi, phi in app._compiled.values():
+        for _, psi, phi in app._compiled.values():  # ((state, p_sel), psi, phi)
             assert np.array_equal(phi, dephasing_partner(psi))
             for v in (psi, phi):
                 with pytest.raises(ValueError):
@@ -542,6 +596,30 @@ class TestMonteCarlo:
         with pytest.raises(StateError, match="seed -1 must be nonnegative"):
             count(-1)
         count(0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: experiment.derive_point_seed(1, -1), "point index -1 must be nonnegative"),
+        (lambda: experiment.derive_point_seed(1, 0.0), "point index 0.0 must be an integer"),
+        (lambda: experiment.derive_point_seed(1.5, 0), "seed 1.5 must be an integer"),
+        (lambda: experiment.derive_point_seed(True, 0), "seed True must be an integer"),
+        (lambda: draw_counts({"HVVH": 1.0}, RateModel(), 1.0, 1.5), "seed 1.5 must be an integer"),
+        (lambda: draw_counts({"HVVH": 1.0}, RateModel(), 1.0, False), "seed False must be an integer"),
+        (lambda: monte_carlo_counts(APP, hv_setting(APP), RateModel(), 1.0, "1"),
+         "seed '1' must be an integer"),
+    ])
+    def test_malformed_seed_or_point_index_rejected(self, call, message):
+        # a StateError naming the value, not numpy's bare TypeError or ValueError
+        with pytest.raises(StateError, match=re.escape(message)):
+            call()
+
+    def test_numpy_integer_seeds_draw_the_same_stream(self):
+        probs = exact_outcome_probabilities(APP, diagonal_setting(APP))
+        for seed in np.random.default_rng(6).integers(0, 2**32, 5, dtype=np.uint32):
+            point_seed = experiment.derive_point_seed(seed, np.int64(3))
+            assert point_seed == experiment.derive_point_seed(int(seed), 3)
+            assert draw_counts(probs, RateModel(), 6000.0, seed).counts == (
+                draw_counts(probs, RateModel(), 6000.0, int(seed)).counts
+            )
 
 
 class TestDelayScan:

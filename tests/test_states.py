@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from fourphoton import (
     PureState,
     StateError,
     bell_state,
+    default_apparatus,
     fidelity,
+    ghz_after_postselection,
     mix,
     spdc_pair,
     state_from_terms,
@@ -58,6 +61,55 @@ class TestTensor:
     def test_label_collision(self):
         with pytest.raises(LabelCollisionError):
             tensor(spdc_pair(1, 2), spdc_pair(2, 3))
+
+
+class TestImmutablePureState:
+    """A memoised state cannot go stale: nothing of a PureState can be changed."""
+
+    MODES = ["1", "2", "3", "4"]
+
+    def test_amps_cannot_be_assigned_into(self):
+        s = two_pair_state()
+        ket = next(iter(s.amps))
+        with pytest.raises(TypeError):
+            s.amps[ket] = 1.0
+        with pytest.raises(TypeError):
+            del s.amps[ket]
+
+    @pytest.mark.parametrize("name", ["amps", "photons", "_dense", "extra"])
+    def test_attributes_cannot_be_rebound(self, name):
+        s = two_pair_state()
+        with pytest.raises(AttributeError):
+            setattr(s, name, {})
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+
+    def test_dense_is_read_only_and_computed_once_per_mode_order(self):
+        s = two_pair_state()
+        v = s.dense(self.MODES)
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        with pytest.raises(ValueError):
+            v.reshape(4, 4)[0, 0] = 1.0
+        assert s.dense(tuple(self.MODES)) is v
+        w = s.dense(self.MODES[::-1])
+        assert w is not v and not w.flags.writeable
+        fresh = two_pair_state()
+        assert fresh.dense(self.MODES[::-1]).tobytes() == w.tobytes()
+        assert fresh.dense(self.MODES).tobytes() == v.tobytes()
+
+    def test_pickle_round_trip_keeps_every_bit(self):
+        # the post-selected amplitudes carry -0.0 imaginary parts
+        state, _ = ghz_after_postselection(default_apparatus())
+        modes = ["1", "2'", "3'", "4"]
+        v = state.dense(modes)
+        again = pickle.loads(pickle.dumps(state))
+        assert again.photons == state.photons
+        assert pickle.dumps(dict(again.amps)) == pickle.dumps(dict(state.amps))
+        assert again._dense == {}  # the memo is left out
+        assert again.dense(modes).tobytes() == v.tobytes()
+        with pytest.raises(AttributeError):
+            again.amps = {}
 
 
 class TestSpdcPair:

@@ -361,6 +361,20 @@ class TestChsh:
         assert correlation(rho, np.array(10.0), 20.0) == correlation(rho, 10.0, 20.0)
         assert correlation(rho, 10.0, np.float64(20.0)) == correlation(rho, 10.0, 20.0)
 
+    def test_chsh_accepts_0d_array_angles(self):
+        # the cached observables are keyed by float(); a 0-d array is not hashable
+        rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
+        settings = ((np.array(0.0), np.float64(45.0)), (np.float32(22.5), np.array(67.5)))
+        s = chsh_value(rho, settings)
+        (a, ap), (b, bp) = settings
+        assert s == (
+            correlation(rho, a, b)
+            - correlation(rho, a, bp)
+            + correlation(rho, ap, b)
+            + correlation(rho, ap, bp)
+        )
+        assert s == chsh_value(rho, ((0.0, 45.0), (22.5, 67.5)))
+
     def test_eq3_conditioned_chsh_value(self):
         # w phi+ + (1-w) phi- at phi+-optimal settings gives sqrt2 (1 + (2w-1));
         # verified against the dense oracle
