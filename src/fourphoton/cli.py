@@ -179,13 +179,11 @@ def run_hv_table(cfg: Config, args, out: Path) -> None:
     lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(table.counts.items())]
     # CRLF line ends, the csv module's default: the published format of this table
     _write(out / "hv-table.csv", lines, end="\r\n")
-    # the desired outcomes are the GHZ terms: with a PBS error, the drawn table
-    # also holds wrong-port outcomes, so they come from the ideal-PBS table
-    desired_from = "desired outcomes"
-    if app.pbs.error_rate > 0:
-        probs = exact_outcome_probabilities(app, setting, v0=v0)
-        desired_from += " (ideal PBS)"
-    desired = [k for k, p in probs.items() if p > 1e-9]
+    # the desired outcomes are the GHZ terms, the ideal PBS's: with a PBS
+    # error, the drawn table also holds wrong-port outcomes
+    ghz, _ = experiment.ghz_after_postselection(app)
+    desired = ["".join(k) for k in ghz.mode_view(app.mode_order())]
+    desired_from = "desired outcomes" + (" (ideal PBS)" if app.pbs.error_rate > 0 else "")
     n_des = sum(table.counts[k] for k in desired) / len(desired)
     others = [k for k in table.counts if k not in desired]
     n_bg = sum(table.counts[k] for k in others) / len(others)
@@ -297,7 +295,7 @@ def run_swap_report(cfg: Config, args, out: Path) -> None:
 def run_feasibility(cfg: Config, args, out: Path) -> None:
     target = cfg.bell_test_target_events
     # phi+ identification succeeds on half of the four-fold events
-    usable_rate = cfg.rates.effective_fourfold_rate() * 0.5
+    usable_rate = cfg.rates.fourfold_rate_desired * 0.5
     seconds = feasibility_estimate(target, cfg.rates) / 0.5
     months = seconds / (30 * 86400)
     _write(

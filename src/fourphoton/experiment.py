@@ -161,35 +161,15 @@ class RateModel:
 
     fourfold_rate_desired: float = 200.0 / 6000.0
     background_fourfold_rate: float = 0.5 / 6000.0
-    detector_efficiency: float = 1.0
-    dark_count_rate: float = 0.0
-    coincidence_window_s: float = 3e-9
 
     def __post_init__(self):
-        # negated range tests, so that NaN fails them too
         for rate in (self.fourfold_rate_desired, self.background_fourfold_rate):
-            if not 0 <= rate < math.inf:
+            try:
+                finite = math.isfinite(rate)
+            except OverflowError:  # an integer beyond float range
+                raise StateError("a rate overflows a float") from None
+            if not (finite and rate >= 0):
                 raise StateError("rates must be finite and nonnegative")
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise StateError("detector efficiency must lie in (0, 1]")
-        if not 0 <= self.dark_count_rate < math.inf:
-            raise StateError("dark count rate must be finite and nonnegative")
-        if not 0 < self.coincidence_window_s < math.inf:
-            raise StateError("coincidence window must be finite and positive")
-        try:
-            derived = (self.effective_fourfold_rate(), self.accidental_fourfold_rate())
-            finite = all(map(math.isfinite, derived))
-        except OverflowError:  # float ** past float range, or too large an integer
-            finite = False
-        if not finite:
-            raise StateError("the derived four-fold rates overflow a float")
-
-    def effective_fourfold_rate(self) -> float:
-        return self.fourfold_rate_desired * self.detector_efficiency**4
-
-    def accidental_fourfold_rate(self) -> float:
-        # four independent dark counts landing in one window
-        return self.dark_count_rate**4 * self.coincidence_window_s**3
 
 
 @dataclass(frozen=True)
@@ -206,23 +186,21 @@ def source_state(apparatus: Apparatus) -> PureState:
     return reduce(tensor, (spdc_pair(*s.photons, modes=s.modes) for s in apparatus.sources))
 
 
-def ghz_after_postselection(
-    apparatus: Apparatus, flipped_photons: frozenset = frozenset()
-) -> tuple[PureState, float]:
-    """Route the source photons through the PBS and keep the four-fold
+def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
+    """Route the source photons through the ideal PBS and keep the four-fold
     coincidences: the kets with one photon in each detector mode.
 
-    `flipped_photons` routes the named photons to the wrong port (the
-    incoherent PBS error model). Returns the renormalized, immutable state
-    and the kept probability mass. Each apparatus routes each pattern once:
-    a repeat call returns the identical tuple from its memo, and a pattern
-    that keeps nothing raises the same PostselectionError again.
+    Returns the renormalized, immutable state and the kept probability mass.
+    Each apparatus routes once: a repeat call returns the identical tuple
+    from its memo, and an apparatus whose routing keeps nothing raises the
+    same PostselectionError again.
     """
-    return _compiled_pattern(apparatus, frozenset(flipped_photons))[0]
+    return _compiled_pattern(apparatus, frozenset())[0]
 
 
 def _postselect(apparatus: Apparatus, flipped: frozenset) -> tuple[PureState, float]:
-    """The routing and post-selection of `ghz_after_postselection`, uncached."""
+    """`ghz_after_postselection`, uncached, with the photons in `flipped` routed
+    to the wrong port (the incoherent PBS error model)."""
     source = source_state(apparatus)
     pbs = apparatus.pbs
     wanted = sorted(apparatus.mode_order())
@@ -379,14 +357,12 @@ def draw_counts(
 ) -> CountTable:
     """Seeded Poisson draw of four-fold coincidence counts per outcome.
 
-    Expected count per outcome = probability x desired four-fold rate x time,
-    plus a flat background (and dark-count accidental) floor. Deterministic
-    for a given seed (numpy PCG64).
+    Expected count per outcome = (probability x desired four-fold rate + the
+    flat background rate) x time. Deterministic for a given seed (numpy PCG64).
     """
     _check_integration_time(integration_time)
     _check_seed(seed)
-    rate = rates.effective_fourfold_rate()
-    floor = rates.background_fourfold_rate + rates.accidental_fourfold_rate()
+    rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
     rng = np.random.default_rng(seed)
     counts = {}
     for key, p in probs.items():
@@ -487,7 +463,7 @@ def feasibility_estimate(target_events: int, rates: RateModel) -> float:
         raise StateError("target event count must be nonnegative")
     if target_events == 0:
         return 0.0
-    rate = rates.effective_fourfold_rate()
+    rate = rates.fourfold_rate_desired
     if rate <= 0.0:
         return math.inf
     return target_events / rate

@@ -113,9 +113,6 @@ class PureState:
         state._set_fields(photons, amps)
         return state
 
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amps.values())
-
     def fixed_mode(self, photon: int) -> str:
         """Mode of `photon` if it is the same in every ket, else error."""
         i = self.photons.index(photon)
@@ -226,10 +223,10 @@ def bell_state(
 def analyzer_matrix(angle_deg: float) -> np.ndarray:
     """The analyzer at `angle_deg` as a 2x2 matrix [[cos, sin], [sin, -cos]]:
     rows are the pass and reject ports |theta>, |theta_perp>, columns H and V.
-    The angle must be finite and lie in [0, 180).
+    The angle must be a finite number in [0, 180); a string is none.
     """
-    if not 0.0 <= angle_deg < 180.0:
-        raise StateError(f"analyzer angle must lie in [0, 180), got {angle_deg}")
+    if isinstance(angle_deg, str) or not 0.0 <= angle_deg < 180.0:
+        raise StateError(f"analyzer angle must be a number in [0, 180), got {angle_deg!r}")
     t = math.radians(angle_deg)
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, s], [s, -c]])

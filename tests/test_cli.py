@@ -1,14 +1,19 @@
 import errno
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from fourphoton import (
+    Apparatus,
+    PairSource,
+    PbsElement,
     RateModel,
     default_apparatus,
     diagonal_setting,
     exact_outcome_probabilities,
+    ghz_after_postselection,
     hv_setting,
     monte_carlo_counts,
 )
@@ -59,7 +64,8 @@ class TestUsage:
         assert run(["--print-default-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["visibility_zero_delay"] == 0.79
-        assert cfg["rates"]["background_fourfold_rate"] == pytest.approx(0.5 / 6000)
+        assert cfg["rates"] == {"fourfold_rate_desired": 200.0 / 6000.0,
+                                "background_fourfold_rate": 0.5 / 6000.0}
 
 
 class TestConfigErrors:
@@ -83,6 +89,17 @@ class TestConfigErrors:
                         "--out", str(tmp_path)]) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["detector_efficiency", "dark_count_rate",
+                                     "coincidence_window_s"])
+    def test_removed_rate_key_is_unknown(self, key, tmp_path, capsys):
+        # the rates are the two numbers the draw uses; older configs set three more
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rates": {key: 1.0}}))
+        assert run(["--scenario", "hv-table", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key: rates.{key}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_rate_value(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"rates": {"fourfold_rate_desired": -1}}))
@@ -95,25 +112,25 @@ class TestConfigErrors:
         {"scan_delays_fs": []},
         {"scan_delays_fs": [0.0, float("nan")]},
         {"scan_delays_fs": 0.0},
-        {"rates": {"detector_efficiency": "0.5"}},
-        {"rates": {"dark_count_rate": float("nan")}},
+        {"rates": {"background_fourfold_rate": "0.5"}},
+        {"rates": {"background_fourfold_rate": float("nan")}},
         {"rates": {"fourfold_rate_desired": float("inf")}},
         {"visibility_zero_delay": 1.5},
         {"visibility_zero_delay": "0.79"},
         {"scan_time_per_point_s": -1},
         {"coherence_time_fs": float("nan")},
         {"bell_test_target_events": "x"},
-        # numbers beyond float range, booleans, and rates whose derived rate overflows
+        # numbers beyond float range, booleans, and negative rates
         {"visibility_zero_delay": BEYOND_FLOAT},
         {"coherence_time_fs": BEYOND_FLOAT},
         {"scan_delays_fs": [0.0, -BEYOND_FLOAT]},
         {"bell_test_target_events": BEYOND_FLOAT},
         {"rates": {"fourfold_rate_desired": BEYOND_FLOAT}},
         {"apparatus": {"pbs": {"error_rate": BEYOND_FLOAT}}},
-        {"rates": {"detector_efficiency": True}},
+        {"rates": {"fourfold_rate_desired": True}},
         {"apparatus": {"pbs": {"error_rate": False}}},
-        {"rates": {"dark_count_rate": 1e100}},
-        {"rates": {"coincidence_window_s": 1e200, "dark_count_rate": 1}},
+        {"rates": {"background_fourfold_rate": BEYOND_FLOAT}},
+        {"rates": {"background_fourfold_rate": -1e-300}},
     ])
     def test_out_of_range_config(self, user, scenario, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -142,7 +159,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("scenario, user", [
         ("feasibility", {"apparatus": {"pbs": {"error_rate": 2}}}),
-        ("swap-report", {"rates": {"detector_efficiency": 5}}),
+        ("swap-report", {"rates": {"background_fourfold_rate": -1}}),
         ("hv-table", {"apparatus": {"pbs": {"error_rate": 2}}}),
     ])
     def test_whole_config_validated_before_output(self, scenario, user, tmp_path, capsys):
@@ -317,9 +334,9 @@ class TestScenarios:
                             lambda *a, **kw: seen.append(kw) or exact(*a, **kw))
         return seen
 
-    @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 2)])
+    @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 1)])
     def test_hv_table_exact_calls(self, error_rate, calls, exact_calls, tmp_path):
-        # one table is drawn; with a PBS error the desired outcomes need the ideal one
+        # one table is drawn; the desired outcomes are the ideal PBS's GHZ terms
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": error_rate}},
                                    "visibility_zero_delay": 0.5}))
@@ -330,6 +347,22 @@ class TestScenarios:
         summary = (out / "hv-table_summary.txt").read_text().splitlines()
         named = "desired outcomes (ideal PBS)" if error_rate else "desired outcomes"
         assert summary[1] == f"{named}: HVVH, VHHV"
+
+    @pytest.mark.parametrize("error_rate", [0.0, 0.01, 0.3])
+    def test_hv_desired_outcomes_are_the_ghz_terms(self, error_rate):
+        # hv-table names the GHZ terms: the outcomes above 1e-9 of the ideal-PBS
+        # table, for every detector order and three listings of the sources
+        pairs = [PairSource((1, 2), ("1", "2")), PairSource((3, 4), ("3", "4"))]
+        relabelled = [PairSource((4, 3), ("4", "3")), PairSource((2, 1), ("2", "1"))]
+        pbs = PbsElement(("2", "3"), ("2'", "3'"), error_rate)
+        for sources, modes in itertools.product(
+            (pairs, pairs[::-1], relabelled), itertools.permutations(["1", "2'", "3'", "4"])
+        ):
+            app = Apparatus(tuple(sources), pbs, dict(zip(["D1", "D2", "D3", "D4"], modes)))
+            ghz, _ = ghz_after_postselection(app)
+            terms = {"".join(k) for k in ghz.mode_view(app.mode_order())}
+            probs = exact_outcome_probabilities(app, hv_setting(app), v0=0.79)
+            assert terms == {k for k, p in probs.items() if p > 1e-9} and len(terms) == 2
 
     @pytest.mark.parametrize("error_rate", [0.0, 0.01])
     def test_basis45_table_prints_the_drawn_table(self, error_rate, exact_calls, tmp_path):

@@ -88,8 +88,8 @@ def count_total(scenario: str, out: Path) -> int:
 @given(scenario=st.sampled_from(SCENARIOS), user=mutated_configs(), flags=FLAGS)
 @example("feasibility", {"visibility_zero_delay": BEYOND_FLOAT}, [])
 @example("feasibility", {"bell_test_target_events": BEYOND_FLOAT}, [])
-@example("delay-scan", {"rates": {"dark_count_rate": 1e100}}, [])
-@example("hv-table", {"rates": {"coincidence_window_s": 1e200, "dark_count_rate": 1}}, [])
+@example("delay-scan", {"rates": {"fourfold_rate_desired": 1e308}}, [])
+@example("hv-table", {"rates": {"background_fourfold_rate": 1e308}}, [])
 @example("delay-scan", {"coherence_time_fs": 1e-320}, [])
 @example("delay-scan", {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}, [])
 @example("basis45-table", {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}, [])

@@ -75,7 +75,8 @@ class TestPbs:
         for ket, a in phi.amps.items():
             assert a == pytest.approx(S2, abs=1e-12)
             assert sorted(PBS.route(m, p) for p, m in ket) == ["2'", "3'"]
-        assert phi.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        v = phi.dense(["2", "3"])
+        assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_input_mode(self):
         with pytest.raises(StateError, match="hold no source photon"):

@@ -3,10 +3,12 @@ a name it never uses, no private module-level function or class is left
 without a reference anywhere in the package, and no public function, class or
 method is left without a reference anywhere in the repository's code. Deleting
 a caller must take its orphaned helpers and imports with it. A public name
-that only tests reference is on an explicit keep-list with its reason.
+that only tests reference, and a defaulted parameter of a public function that
+only tests pass, is on an explicit keep-list with its reason.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +28,21 @@ TEST_ONLY_KEEP = {
     "correlation": "README's one-setting correlation E(a, b), reference for chsh_value",
     "mix": "README's convex mixture of pure states, the tests' density-matrix builder",
     "fidelity": "README's <target|rho|target>, reference for the swap fidelity",
+}
+# the defaulted parameters of public functions that only tests pass, each kept
+# for a reason; any other such parameter is an option nothing uses and goes
+TEST_ONLY_PARAMETERS = {
+    "default_apparatus.pbs_error": "the one-call apparatus with an imperfect PBS; "
+                                   "the CLI sets the rate through its config",
+    "monte_carlo_counts.delay": "one table at a delay, the single point of delay_scan",
+    "monte_carlo_counts.v0": "one table at a visibility ceiling, as delay_scan takes it",
+    "mix.mode_order": "the mode order of a mixture, as README's `mix([(1.0, psi)], modes)`",
+    "bell_decompose.pair_a": "README's decomposition over `pair_a + pair_b`; the paper's is "
+                             "(1,4) x (2,3), the default",
+    "bell_decompose.pair_b": "the second pair of that decomposition",
+    "phi_plus_via_45_coincidence.pair_modes": "the analyzed pair, by default the PBS outputs; "
+                                              "README projects any two of four photons",
+    "chsh_value.settings": "a CHSH value at any settings pair; the default is phi+'s optimum",
 }
 
 
@@ -127,6 +144,55 @@ def unreferenced_public(source: str, referenced: Counter) -> list[str]:
     ]
 
 
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(qualified name, parameter, call position) of each parameter with a
+    default of the public functions and methods of `source`. The position
+    counts a method's arguments after `self`; a keyword-only parameter has
+    none."""
+    out = []
+    for qualname, node in public_definitions(source):
+        if isinstance(node, ast.ClassDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if "." in qualname and not static else 0
+        first = len(positional) - len(args.defaults)
+        out += [(qualname, arg.arg, i - skip)
+                for i, arg in enumerate(positional[first:], first)]
+        out += [(qualname, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+    return out
+
+
+def call_arguments(sources: list[str]) -> dict[str, list[tuple[float, set]]]:
+    """Callee name -> (number of positional arguments, keyword names) of each
+    call in `sources`. A `*args` passes every position, a `**kwargs` every
+    keyword (the name None)."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unpassed_parameters(source: str, calls: dict) -> list[str]:
+    """The defaulted parameters of `source`, as "qualname.parameter", that no
+    call in `calls` passes by keyword or by position."""
+    return [
+        f"{qualname}.{param}"
+        for qualname, param, pos in defaulted_parameters(source)
+        if not any(param in kws or None in kws or (pos is not None and n > pos)
+                   for n, kws in calls.get(qualname.rsplit(".", 1)[-1], []))
+    ]
+
+
 class TestRules:
     """The rules themselves catch what they are for."""
 
@@ -174,6 +240,23 @@ class TestRules:
         assert unreferenced_public(source, referenced) == ["Shape.area"]
 
 
+    def test_test_only_parameter_found(self):
+        source = (
+            "def draw(n, seed=0, scale=1.0, *, fast=False, trace=None): pass\n"
+            "def _private(x=1): pass\n"
+            "class Box:\n"
+            "    def size(self, unit='m'): pass\n"
+            "    @staticmethod\n"
+            "    def make(kind='a'): pass\n"
+        )
+        caller = "draw(3, 1)\ndraw(4, trace=True)\nBox().size('cm')\n"
+        assert unpassed_parameters(source, call_arguments([caller])) == [
+            "draw.scale", "draw.fast", "Box.make.kind"]
+        # a *args passes every position, a **kwargs every keyword
+        caller += "draw(*xs)\nBox.make(**kw)\n"
+        assert unpassed_parameters(source, call_arguments([caller])) == ["draw.fast"]
+
+
 def test_package_modules_found():
     assert {"elements.py", "experiment.py", "states.py", "swap.py"} <= {p.name for p in MODULES}
 
@@ -204,6 +287,13 @@ def test_public_names_only_tests_reference_are_kept_on_purpose():
         name for p in MODULES for name in unreferenced_public(sources[p], referenced)
     }
     assert test_only == set(TEST_ONLY_KEEP)
+
+
+def test_parameters_only_tests_pass_are_kept_on_purpose():
+    outside_tests = [p.read_text() for p in CODE if ROOT / "tests" not in p.parents]
+    calls = call_arguments(outside_tests)
+    test_only = {name for p in MODULES for name in unpassed_parameters(p.read_text(), calls)}
+    assert test_only == set(TEST_ONLY_PARAMETERS)
 
 
 def test_no_orphaned_private_definition():

@@ -119,7 +119,8 @@ class TestSpdcPair:
         assert view[("V", "H")] == pytest.approx(-S2, abs=1e-12)
 
     def test_normalized(self):
-        assert spdc_pair(1, 2).norm_sq() == pytest.approx(1.0, abs=1e-12)
+        v = spdc_pair(1, 2).dense(["1", "2"])
+        assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
 
     def test_same_photon_rejected(self):
         with pytest.raises(StateError):
