@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import H, DensityMatrix, PureState, StateError, density_matrix
+from .states import H, DensityMatrix, PureState, StateError, as_number, density_matrix
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -45,7 +45,7 @@ class PbsElement:
                 and modes[0] != modes[1]
             ):
                 raise StateError(f"PBS needs two distinct string {side} modes, got {modes}")
-        if not 0.0 <= self.error_rate < 1.0:
+        if not 0.0 <= as_number(self.error_rate) < 1.0:
             raise StateError(f"PBS error_rate {self.error_rate} outside [0, 1)")
 
     def route(self, mode: str, pol: str, flipped: bool = False) -> str:
@@ -66,9 +66,9 @@ class DelayElement:
 
     def __post_init__(self):
         # negated range tests, so that NaN fails them too
-        if not -math.inf < self.delay_fs < math.inf:
+        if not -math.inf < as_number(self.delay_fs) < math.inf:
             raise StateError(f"delay {self.delay_fs} fs is not finite")
-        if not self.coherence_time_fs > 0:
+        if not as_number(self.coherence_time_fs) > 0:
             raise StateError("coherence time must be positive")
 
 

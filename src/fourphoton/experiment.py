@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from numbers import Integral
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -38,6 +38,7 @@ from .states import (
     PureState,
     StateError,
     analyzer_matrix,
+    as_number,
     kron,
     spdc_pair,
     state_from_terms,
@@ -74,6 +75,8 @@ class Apparatus:
         # read-only copies, so that the compiled patterns cannot go stale
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
+        # routing pattern -> its compiled entry or None; see `_compiled_pattern`
+        object.__setattr__(self, "_compiled", {})
         modes = list(self.detectors.values())
         if len(modes) != 4 or not all(isinstance(m, str) for m in modes):
             raise StateError(f"a four-fold needs four detectors on string modes, got {modes}")
@@ -97,12 +100,6 @@ class Apparatus:
     def __reduce__(self):
         # rebuilt from its fields: a mapping proxy does not pickle, the memo need not
         return (Apparatus, (self.sources, self.pbs, dict(self.detectors)))
-
-    @cached_property
-    def _compiled(self) -> dict:
-        """Routing pattern -> the post-selected state and its vectors, or the
-        PostselectionError message; see `_compiled_pattern`."""
-        return {}
 
     def detector_ids(self) -> list[str]:
         return sorted(self.detectors)
@@ -165,7 +162,7 @@ class RateModel:
     def __post_init__(self):
         for rate in (self.fourfold_rate_desired, self.background_fourfold_rate):
             try:
-                finite = math.isfinite(rate)
+                finite = math.isfinite(as_number(rate))
             except OverflowError:  # an integer beyond float range
                 raise StateError("a rate overflows a float") from None
             if not (finite and rate >= 0):
@@ -195,55 +192,45 @@ def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
     from its memo, and an apparatus whose routing keeps nothing raises the
     same PostselectionError again.
     """
-    return _compiled_pattern(apparatus, frozenset())[0]
-
-
-def _postselect(apparatus: Apparatus, flipped: frozenset) -> tuple[PureState, float]:
-    """`ghz_after_postselection`, uncached, with the photons in `flipped` routed
-    to the wrong port (the incoherent PBS error model)."""
-    source = source_state(apparatus)
-    pbs = apparatus.pbs
-    wanted = sorted(apparatus.mode_order())
-    kept = {}
-    for ket, a in source.amps.items():
-        routed = tuple(
-            (pol, pbs.route(mode, pol, photon in flipped))
-            if mode in pbs.input_modes
-            else (pol, mode)
-            for (pol, mode), photon in zip(ket, source.photons)
-        )
-        if sorted(m for _, m in routed) == wanted:
-            kept[routed] = a
-    prob = sum(abs(a) ** 2 for a in kept.values())
-    if prob <= 1e-30:
+    entry = _compiled_pattern(apparatus, frozenset())
+    if entry is None:
         raise PostselectionError(
             f"no amplitude with one photon in each of {apparatus.mode_order()}"
         )
-    return PureState(source.photons, kept), prob
+    return entry[0]
 
 
 def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
     """The apparatus's memo entry of one routing pattern, filled on first use:
-    ((state, p_sel), its dense vector psi in detector order, the dephasing
-    partner phi or None for a one-branch pattern), both vectors read-only.
-    A pattern that keeps nothing is remembered by its message and raises
-    PostselectionError on every call."""
+    the photons in the PBS input modes `flipped` go to the wrong port, and the
+    kets with one photon per detector mode are kept. The entry is ((state,
+    p_sel), its dense vector psi in detector order, the dephasing partner phi
+    or None for a one-branch pattern), both read-only; None if nothing is kept."""
     memo = apparatus._compiled
     if flipped not in memo:
-        try:
-            state, p_sel = _postselect(apparatus, flipped)
-        except PostselectionError as exc:
-            memo[flipped] = str(exc)
-        else:
+        source = source_state(apparatus)
+        pbs = apparatus.pbs
+        wanted = sorted(apparatus.mode_order())
+        kept = {}
+        for ket, a in source.amps.items():
+            routed = tuple(
+                (pol, pbs.route(mode, pol, mode in flipped))
+                if mode in pbs.input_modes
+                else (pol, mode)
+                for pol, mode in ket
+            )
+            if sorted(m for _, m in routed) == wanted:
+                kept[routed] = a
+        p_sel = sum(abs(a) ** 2 for a in kept.values())
+        memo[flipped] = None
+        if p_sel > 1e-30:
+            state = PureState(source.photons, kept)
             psi = state.dense(apparatus.mode_order())
             phi = None if len(state.amps) == 1 else dephasing_partner(psi)
             if phi is not None:
                 phi.flags.writeable = False
             memo[flipped] = ((state, p_sel), psi, phi)
-    entry = memo[flipped]
-    if isinstance(entry, str):
-        raise PostselectionError(entry)
-    return entry
+    return memo[flipped]
 
 
 def _exact_model(
@@ -259,34 +246,23 @@ def _exact_model(
     if unknown:
         raise StateError(f"unknown detectors {unknown}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
-    if not 0.0 <= err < 1.0:  # negated, so that NaN fails it too
+    if not 0.0 <= as_number(err) < 1.0:  # negated, so that NaN fails it too
         raise StateError(f"PBS error_rate {err} outside [0, 1)")
 
-    # the photon in each PBS input, in input order, so that the sum over
-    # patterns does not depend on how the sources are listed or labelled
-    pbs_photons: list[int] = []
-    if err > 0.0:
-        holder = {m: ph for src in apparatus.sources for ph, m in zip(src.photons, src.modes)}
-        pbs_photons = [holder[m] for m in apparatus.pbs.input_modes]
-
-    # with an ideal PBS this is the single pattern (1.0, frozenset())
-    patterns: list[tuple[float, frozenset]] = []
-    for r in range(len(pbs_photons) + 1):
-        for subset in itertools.combinations(pbs_photons, r):
-            w = err ** len(subset) * (1 - err) ** (len(pbs_photons) - len(subset))
-            patterns.append((w, frozenset(subset)))
-
+    # wrong-port patterns by PBS input; an ideal PBS has only frozenset()
+    inputs = apparatus.pbs.input_modes if err > 0.0 else ()
     # (weight, psi, dephasing partner or None) per surviving pattern
     parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
     total_mass = 0.0
-    for w_pat, flipped in patterns:
-        try:
-            (_, p_sel), psi, phi = _compiled_pattern(apparatus, flipped)
-        except PostselectionError:
-            continue
-        w = w_pat * p_sel
-        total_mass += w
-        parts.append((w, psi, phi))
+    for r in range(len(inputs) + 1):
+        for flipped in itertools.combinations(inputs, r):
+            entry = _compiled_pattern(apparatus, frozenset(flipped))
+            if entry is None:
+                continue
+            (_, p_sel), psi, phi = entry
+            w = err ** r * (1 - err) ** (len(inputs) - r) * p_sel
+            total_mass += w
+            parts.append((w, psi, phi))
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
@@ -367,8 +343,8 @@ def draw_counts(
     counts = {}
     for key, p in probs.items():
         lam = (p * rate + floor) * integration_time
-        try:
-            counts[key] = int(rng.poisson(lam)) if lam > 0 else 0
+        try:  # numpy rejects a negative or NaN count before it draws
+            counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
         except ValueError as exc:
             raise StateError(
                 f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"

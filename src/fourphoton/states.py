@@ -220,13 +220,28 @@ def bell_state(
     return state_from_terms([i, j], modes, terms, normalize=False)
 
 
+def as_number(value):
+    """`value` if it is a number, else NaN, which fails every negated range
+    test: a bool is no number, and None, a string or a complex number has no
+    order against a float."""
+    try:
+        value < 0.0  # the TypeError of a value with no order
+    except TypeError:
+        return math.nan
+    return math.nan if isinstance(value, bool) else value
+
+
+def check_angle(angle_deg: float) -> None:
+    if not 0.0 <= as_number(angle_deg) < 180.0:
+        raise StateError(f"analyzer angle must be a number in [0, 180), got {angle_deg!r}")
+
+
 def analyzer_matrix(angle_deg: float) -> np.ndarray:
     """The analyzer at `angle_deg` as a 2x2 matrix [[cos, sin], [sin, -cos]]:
     rows are the pass and reject ports |theta>, |theta_perp>, columns H and V.
-    The angle must be a finite number in [0, 180); a string is none.
+    The angle must pass `check_angle`.
     """
-    if isinstance(angle_deg, str) or not 0.0 <= angle_deg < 180.0:
-        raise StateError(f"analyzer angle must be a number in [0, 180), got {angle_deg!r}")
+    check_angle(angle_deg)
     t = math.radians(angle_deg)
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, s], [s, -c]])

@@ -21,6 +21,7 @@ from .states import (
     StateError,
     analyzer_matrix,
     bell_state,
+    check_angle,
     kron,
 )
 
@@ -177,10 +178,10 @@ def chsh_value(
     if len(rho_pair.modes) != 2:
         raise StateError("correlation needs a two-photon density matrix")
     (a, ap), (b, bp) = settings
-    # floats as cache keys, since a 0-d numpy angle is not hashable; float()
-    # would also parse a string, which analyzer_matrix refuses
-    if any(isinstance(x, str) for x in (a, ap, b, bp)):
-        raise StateError(f"analyzer angle must be a number, got {settings}")
+    # floats as cache keys, since a 0-d numpy angle is not hashable; checked
+    # first, because float() would parse a string and fail on None
+    for x in (a, ap, b, bp):
+        check_angle(x)
     products = rho_pair.matrix @ _chsh_observables(float(a), float(ap), float(b), float(bp))
     ab, abp, apb, apbp = products.trace(axis1=1, axis2=2).real.tolist()
     return ab - abp + apb + apbp

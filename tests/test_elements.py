@@ -119,6 +119,7 @@ class TestDistinguishability:
 
     @pytest.mark.parametrize("delay, coherence", [
         (math.nan, 550.0), (math.inf, 550.0), (-math.inf, 550.0), (0.0, math.nan),
+        ("x", 550.0), (None, 550.0), (True, 550.0), (0.0, "x"), (0.0, None), (0.0, True),
     ])
     def test_non_finite_input_rejected(self, delay, coherence):
         # NaN would otherwise surface only later, as a distinguishability of nan

@@ -150,7 +150,7 @@ class TestExactProbabilities:
         # wrong-polarization coincidences appear at the error scale
         assert 0 < probs["HVHV"] < 5e-3
 
-    @pytest.mark.parametrize("err", [1.5, 2.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("err", [1.5, 2.0, -0.5, math.nan, math.inf, "x", True])
     def test_pbs_error_outside_unit_interval_rejected(self, err):
         # the wording of PbsElement's own check
         with pytest.raises(StateError, match=r"PBS error_rate .* outside \[0, 1\)"):
@@ -236,12 +236,12 @@ def ref_exact_probabilities(setting, d, v0, pbs_error):
     them before the model was compiled: one stack of this call's components
     (only psi where d*v0 = 1), one product with the analyzers."""
     err = pbs_error or 0.0
-    photons = [2, 3] if err > 0 else []  # the photons in PBS inputs "2" and "3"
+    inputs = ["2", "3"] if err > 0 else []  # the PBS input modes
     vectors, weights, mass = [], [], 0.0
-    for r in range(len(photons) + 1):
-        for flipped in itertools.combinations(photons, r):
+    for r in range(len(inputs) + 1):
+        for flipped in itertools.combinations(inputs, r):
             (_, p_sel), psi, phi = experiment._compiled_pattern(APP, frozenset(flipped))
-            w = err**r * (1 - err) ** (len(photons) - r) * p_sel
+            w = err**r * (1 - err) ** (len(inputs) - r) * p_sel
             mass += w
             for w_branch, v in dephasing_components(psi, phi, d, v0):
                 vectors.append(v)
@@ -265,15 +265,16 @@ class TestCompiledPatterns:
 
     @pytest.fixture
     def chain_calls(self, monkeypatch):
-        # the routing itself, which the memo of `_compiled_pattern` calls
+        # the source state, built once per routing of a pattern that the memo
+        # of `_compiled_pattern` fills
         calls = []
-        chain = experiment._postselect
+        source = experiment.source_state
 
-        def counted(apparatus, flipped):
-            calls.append((apparatus, flipped))
-            return chain(apparatus, flipped)
+        def counted(apparatus):
+            calls.append(apparatus)
+            return source(apparatus)
 
-        monkeypatch.setattr(experiment, "_postselect", counted)
+        monkeypatch.setattr(experiment, "source_state", counted)
         return calls
 
     @pytest.fixture
@@ -296,8 +297,7 @@ class TestCompiledPatterns:
         for _ in range(50):
             setting, kw = _random_call(rng, pbs_error)
             exact_outcome_probabilities(app, setting, **kw)
-        assert len(chain_calls) == len(partner_calls) == patterns
-        assert len({flipped for _, flipped in chain_calls}) == patterns
+        assert len(chain_calls) == len(partner_calls) == len(app._compiled) == patterns
         monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 1)
         delay_scan(app, diagonal_setting(app), [-100.0, 0.0, 100.0], RateModel(), 10.0, 1)
         assert len(chain_calls) == len(partner_calls) == patterns
@@ -317,6 +317,21 @@ class TestCompiledPatterns:
             fresh = exact_outcome_probabilities(default_apparatus(), setting, **kw)
             assert exact_outcome_probabilities(reused, setting, **kw) == fresh
 
+    @pytest.mark.parametrize("sources", [
+        ((3, 4), ("3", "4"), (1, 2), ("1", "2")),  # listed in reverse
+        ((4, 3), ("1", "2"), (2, 1), ("3", "4")),  # each pair's labels reversed
+        ((3, 4), ("1", "2"), (1, 2), ("3", "4")),  # labels swapped between pairs
+    ])
+    def test_patterns_do_not_depend_on_how_sources_are_listed(self, sources):
+        # a PBS error sums over the wrong-port patterns in PBS input order
+        pa, ma, pb, mb = sources
+        app = Apparatus((PairSource(pa, ma), PairSource(pb, mb)), APP.pbs, dict(APP.detectors))
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            setting, kw = _random_call(rng, pbs_error=True)
+            want = exact_outcome_probabilities(APP, setting, **kw)
+            assert exact_outcome_probabilities(app, setting, **kw) == want
+
     def test_layouts_do_not_share_patterns(self, chain_calls):
         # D1 and D2 swapped: the same source and PBS, another mode order
         swapped = Apparatus(APP.sources, APP.pbs, {"D1": "2'", "D2": "1", "D3": "3'", "D4": "4"})
@@ -335,8 +350,8 @@ class TestCompiledPatterns:
         exact_outcome_probabilities(app, hv_setting(app), pbs_error=0.01)
         assert ghz_after_postselection(app) is first
         # a flipped pattern is routed once too, and its entry is kept
-        flipped = experiment._compiled_pattern(app, frozenset({2}))
-        assert experiment._compiled_pattern(app, frozenset({2})) is flipped
+        flipped = experiment._compiled_pattern(app, frozenset({"2"}))
+        assert experiment._compiled_pattern(app, frozenset({"2"})) is flipped
         assert len(chain_calls) == 4
         (state, _), psi, _ = experiment._compiled_pattern(app, frozenset())
         assert state is first[0] and psi is state.dense(app.mode_order())
@@ -354,11 +369,11 @@ class TestCompiledPatterns:
     def test_failing_pattern_keeps_its_message(self, chain_calls):
         app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
         message = "no amplitude with one photon in each of ['1', \"2'\", \"3'\", 'x']"
-        for call in (ghz_after_postselection, ghz_after_postselection,
-                     lambda a: experiment._compiled_pattern(a, frozenset())):
+        for _ in range(2):
             with pytest.raises(PostselectionError) as info:
-                call(app)
+                ghz_after_postselection(app)
             assert str(info.value) == message
+        assert experiment._compiled_pattern(app, frozenset()) is None
         assert len(chain_calls) == 1
 
     def test_swap_chain_on_a_memoised_state_matches_a_fresh_one(self):
@@ -368,7 +383,7 @@ class TestCompiledPatterns:
         rng = np.random.default_rng(17)
         draws = [(1.0, 1.0), (0.0, 0.0)] + [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(40)]
         for d, v0 in draws:
-            fresh, _ = experiment._postselect(default_apparatus(), frozenset())
+            fresh, _ = ghz_after_postselection(default_apparatus())
             chains = []
             for state in (fresh, memoised, fresh, memoised):
                 rho = dephase_by_distinguishability(state, d, v0)
@@ -439,6 +454,17 @@ class TestApparatusShape:
         lambda: PbsElement((2, 3), ("2'", "3'")),
         lambda: PbsElement(("2", "3"), ("2'", "2'")),
         lambda: PbsElement(("2", "3"), ("2'", "3'", "4'")),
+        # an error rate or a count rate that is no number, a bool included
+        lambda: PbsElement(("2", "3"), ("2'", "3'"), error_rate="x"),
+        lambda: PbsElement(("2", "3"), ("2'", "3'"), error_rate=None),
+        lambda: PbsElement(("2", "3"), ("2'", "3'"), error_rate=True),
+        lambda: PbsElement(("2", "3"), ("2'", "3'"), error_rate=False),
+        lambda: RateModel("x"),
+        lambda: RateModel(None),
+        lambda: RateModel(True),
+        lambda: RateModel(background_fourfold_rate="x"),
+        lambda: RateModel(background_fourfold_rate=None),
+        lambda: RateModel(background_fourfold_rate=False),
         lambda: Apparatus(APP.sources, APP.pbs, {"D1": "1"}),
         lambda: Apparatus(APP.sources, APP.pbs, {"D1": 1, "D2": "2'", "D3": "3'", "D4": "4"}),
         lambda: Apparatus(APP.sources, APP.pbs, {**APP.detectors, "D5": "5"}),
@@ -464,7 +490,10 @@ class TestApparatusShape:
         "one-photon-source", "three-photon-source", "same-photon-twice", "string-photon",
         "bool-photon",
         "int-source-mode", "one-source-mode", "one-pbs-input", "same-pbs-input",
-        "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs", "one-detector",
+        "int-pbs-inputs", "same-pbs-output", "three-pbs-outputs",
+        "string-pbs-error", "none-pbs-error", "true-pbs-error", "false-pbs-error",
+        "string-rate", "none-rate", "true-rate", "string-background", "none-background",
+        "false-background", "one-detector",
         "int-detector-mode", "five-detectors", "one-source", "same-modes-in-pair",
         "photon-in-two-sources", "no-sources", "one-pair-in-both-pbs-inputs",
         "one-pair-in-both-pbs-inputs-pbs-error",
@@ -579,6 +608,12 @@ class TestMonteCarlo:
         # not a silent all-zero table
         with pytest.raises(StateError, match="integration time"):
             count(time)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.5])
+    def test_nan_or_negative_probability_rejected(self, p):
+        # not a silent zero count
+        with pytest.raises(StateError, match="outcome VHHV: expected count"):
+            draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
 
     @pytest.mark.parametrize("count", [
         lambda s: monte_carlo_counts(APP, hv_setting(APP), RateModel(), 10.0, seed=s),
@@ -746,7 +781,8 @@ class TestThreePhotonGhz:
 class TestAnalyzerAngleRange:
     """Every analyzer angle goes through `states.analyzer_matrix`, the one
     analyzer primitive, which takes only finite numbers in [0, 180); a string
-    is none, though float() would parse it."""
+    is none, though float() would parse it, and neither is a complex number or
+    a bool."""
 
     RHO_14 = mix([(1.0, bell_state("phi+", 1, 4))])
     ENTRY_POINTS = {
@@ -760,10 +796,18 @@ class TestAnalyzerAngleRange:
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -30.0, 180.0, 200.0, "22.5"])
+    @pytest.mark.parametrize(
+        "angle", [math.nan, math.inf, -30.0, 180.0, 200.0, "22.5", 1j, 22.5 + 0j, True]
+    )
     def test_out_of_range_angle_rejected(self, entry, angle):
         with pytest.raises(StateError, match="analyzer angle"):
             self.ENTRY_POINTS[entry](angle)
+
+    # a None setting angle is analysed at 0 degrees; anywhere else it is no angle
+    @pytest.mark.parametrize("entry", sorted(set(ENTRY_POINTS) - {"exact"}))
+    def test_none_angle_rejected(self, entry):
+        with pytest.raises(StateError, match="analyzer angle"):
+            self.ENTRY_POINTS[entry](None)
 
 
 class TestFeasibility:
