@@ -43,7 +43,7 @@ from .experiment import (
     feasibility_estimate,
     hv_setting,
 )
-from .states import StateError
+from .states import StateError, as_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,18 +108,18 @@ def load_config(path: str | None) -> Config:
     vis = tree["visibility_zero_delay"]
     events = tree["bell_test_target_events"]
     app, pbs = tree["apparatus"], tree["apparatus"]["pbs"]
-    bad_rates = [key for key, val in tree["rates"].items() if not _finite(val)]
+    # the rates and the PBS error_rate are checked by RateModel and PbsElement
     for ok, problem in (
-        (isinstance(delays, list) and delays and all(map(_finite, delays)),
+        (isinstance(delays, list) and delays
+         and all(-math.inf < as_number(tau) < math.inf for tau in delays),
          "scan_delays_fs must be a non-empty list of finite numbers"),
-        (_finite(vis) and 0 <= vis <= 1, "visibility_zero_delay must be a number in [0, 1]"),
-        (_positive(tree["scan_time_per_point_s"]),
+        (0 <= as_number(vis) <= 1, "visibility_zero_delay must be a number in [0, 1]"),
+        (0 < as_number(tree["scan_time_per_point_s"]) < math.inf,
          "scan_time_per_point_s must be a positive finite number"),
-        (_positive(tree["coherence_time_fs"]), "coherence_time_fs must be a positive finite number"),
-        (isinstance(events, int) and _finite(events) and events >= 0,
+        (0 < as_number(tree["coherence_time_fs"]) < math.inf,
+         "coherence_time_fs must be a positive finite number"),
+        (isinstance(events, int) and 0 <= as_number(events) < math.inf,
          "bell_test_target_events must be a nonnegative integer within float range"),
-        (not bad_rates, f"rates {', '.join(bad_rates)} must be finite numbers"),
-        (_finite(pbs["error_rate"]), "apparatus.pbs.error_rate must be a finite number"),
     ):
         if not ok:
             raise StateError(problem)
@@ -150,20 +150,6 @@ def _merge(tree: dict, user, section: str) -> None:
             _merge(tree[key], val, name)
         else:
             tree[key] = val
-
-
-def _finite(value) -> bool:
-    """A JSON number, not a boolean, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
-
-
-def _positive(value) -> bool:
-    return _finite(value) and value > 0
 
 
 def _write(path: Path, lines: list[str], end: str = "\n") -> None:

@@ -160,13 +160,10 @@ class RateModel:
     background_fourfold_rate: float = 0.5 / 6000.0
 
     def __post_init__(self):
-        for rate in (self.fourfold_rate_desired, self.background_fourfold_rate):
-            try:
-                finite = math.isfinite(as_number(rate))
-            except OverflowError:  # an integer beyond float range
-                raise StateError("a rate overflows a float") from None
-            if not (finite and rate >= 0):
-                raise StateError("rates must be finite and nonnegative")
+        # the draw multiplies the rates: each must be finite, as a float
+        for name, rate in vars(self).items():
+            if not 0.0 <= as_number(rate) < math.inf:
+                raise StateError(f"rate {name} {rate!r} is not a finite nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ def _exact_model(
         raise StateError(f"unknown detectors {unknown}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
     if not 0.0 <= as_number(err) < 1.0:  # negated, so that NaN fails it too
-        raise StateError(f"PBS error_rate {err} outside [0, 1)")
+        raise StateError(f"PBS error_rate {err!r} outside [0, 1)")
 
     # wrong-port patterns by PBS input; an ideal PBS has only frozenset()
     inputs = apparatus.pbs.input_modes if err > 0.0 else ()
@@ -315,8 +312,8 @@ def exact_outcome_probabilities(
 
 def _check_integration_time(integration_time: float) -> None:
     # a negated range test, so that NaN fails it too
-    if not 0 <= integration_time < math.inf:
-        raise StateError(f"integration time {integration_time} s is not finite and nonnegative")
+    if not 0 <= as_number(integration_time) < math.inf:
+        raise StateError(f"integration time {integration_time!r} s is not finite and nonnegative")
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
@@ -343,9 +340,9 @@ def draw_counts(
     counts = {}
     for key, p in probs.items():
         lam = (p * rate + floor) * integration_time
-        try:  # numpy rejects a negative or NaN count before it draws
+        try:  # numpy rejects a negative, NaN or complex count before it draws
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise StateError(
                 f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"
             ) from exc
@@ -435,8 +432,8 @@ def three_photon_ghz(
 def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     """Seconds of continuous measurement needed for `target_events`
     usable four-fold events at the calibrated rates."""
-    if not target_events >= 0:  # negated, so that NaN fails it too
-        raise StateError("target event count must be nonnegative")
+    if not as_number(target_events) >= 0:  # negated, so that NaN fails it too
+        raise StateError(f"target event count {target_events!r} must be nonnegative")
     if target_events == 0:
         return 0.0
     rate = rates.fourfold_rate_desired

@@ -118,7 +118,7 @@ class PureState:
         i = self.photons.index(photon)
         modes = {ket[i][1] for ket in self.amps}
         if len(modes) != 1:
-            raise StateError(f"photon {photon} occupies several modes: {modes}")
+            raise StateError(f"photon {photon} occupies several modes: {sorted(modes)}")
         return modes.pop()
 
     def mode_view(self, mode_order: Sequence[str]) -> dict[tuple, complex]:
@@ -221,12 +221,15 @@ def bell_state(
 
 
 def as_number(value):
-    """`value` if it is a number, else NaN, which fails every negated range
-    test: a bool is no number, and None, a string or a complex number has no
-    order against a float."""
+    """`value` if it is a real number that a float can hold, else NaN, which
+    fails every negated range test: the one reading of a caller's scalar. A
+    bool is no number; None, a string or a complex number has no float sum
+    or no order against a float; an integer beyond float range overflows."""
+    if type(value) is float:  # the common case, on every delay point
+        return value
     try:
-        value < 0.0  # the TypeError of a value with no order
-    except TypeError:
+        value + 0.0 < 0.0
+    except (TypeError, OverflowError):
         return math.nan
     return math.nan if isinstance(value, bool) else value
 

@@ -20,6 +20,7 @@ from .states import (
     PureState,
     StateError,
     analyzer_matrix,
+    as_number,
     bell_state,
     check_angle,
     kron,
@@ -127,8 +128,8 @@ def visibility_from_counts(
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
     for k in (*even_parity_keys, *odd_parity_keys):
-        if counts[k] < 0:
-            raise StateError(f"count {k!r} is negative: {counts[k]}")
+        if not 0 <= as_number(counts[k]) < math.inf:
+            raise StateError(f"count {k!r} is not a finite nonnegative number: {counts[k]!r}")
     ne = sum(counts[k] for k in even_parity_keys)
     no = sum(counts[k] for k in odd_parity_keys)
     total = ne + no

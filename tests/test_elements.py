@@ -120,6 +120,8 @@ class TestDistinguishability:
     @pytest.mark.parametrize("delay, coherence", [
         (math.nan, 550.0), (math.inf, 550.0), (-math.inf, 550.0), (0.0, math.nan),
         ("x", 550.0), (None, 550.0), (True, 550.0), (0.0, "x"), (0.0, None), (0.0, True),
+        pytest.param(10**400, 550.0, id="10**400-550.0"),
+        pytest.param(1.0, 10**400, id="1.0-10**400"),
     ])
     def test_non_finite_input_rejected(self, delay, coherence):
         # NaN would otherwise surface only later, as a distinguishability of nan
@@ -169,8 +171,9 @@ class TestDephasing:
             dephase_by_distinguishability(psi, d, v0=0.79).validate()
 
     def test_d_out_of_range(self):
-        with pytest.raises(StateError):
-            dephase_by_distinguishability(GHZ_HVVH, 1.2)
+        for d in (1.2, None, True, "x", 10**400):
+            with pytest.raises(StateError, match="distinguishability"):
+                dephase_by_distinguishability(GHZ_HVVH, d)
 
     def test_one_branch_state_reports_its_branches_first(self):
         # the partner is built before the channel checks d and v0
@@ -202,7 +205,8 @@ class TestDephasingComponents:
     @pytest.mark.parametrize("d, v0, name", [
         (1.2, 0.79, "distinguishability"), (-0.1, 0.79, "distinguishability"),
         (math.nan, 0.79, "distinguishability"), (0.5, 1.5, "visibility"),
-        (0.5, math.nan, "visibility"),
+        (0.5, math.nan, "visibility"), (None, 0.79, "distinguishability"),
+        (True, 0.79, "distinguishability"), (0.5, "0.79", "visibility"), (0.5, None, "visibility"),
     ])
     def test_range_checked_for_every_pattern(self, one_branch, d, v0, name):
         phi = None if one_branch else dephasing_partner(self.PSI)

@@ -215,7 +215,7 @@ class TestExactProbabilities:
         with pytest.raises(StateError, match=re.escape(f"unknown detectors {unknown}")):
             count(MeasurementSetting(angles))
 
-    @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan"), None, "x", True])
     def test_visibility_outside_unit_interval_rejected(self, v0):
         with pytest.raises(StateError, match="visibility"):
             exact_outcome_probabilities(APP, diagonal_setting(APP), v0=v0)
@@ -589,11 +589,21 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("fields", [
         {"fourfold_rate_desired": 10**400},
-    ], ids=["int-beyond-float"])
+        {"background_fourfold_rate": 10**400},
+    ], ids=["int-beyond-float", "background-int-beyond-float"])
     def test_overflowing_derived_rate_rejected(self, fields):
         # the draw multiplies the rates: they must be finite floats
-        with pytest.raises(StateError, match="overflow"):
+        [name] = fields
+        with pytest.raises(StateError, match=f"rate {name} 1000+ is not a finite nonnegative"):
             RateModel(**fields)
+
+    @pytest.mark.parametrize("name", ["fourfold_rate_desired", "background_fourfold_rate"])
+    @pytest.mark.parametrize("rate", [-1.0, -1e-300, math.nan, math.inf, "0.5", None, True])
+    def test_bad_rate_named(self, name, rate):
+        with pytest.raises(StateError, match=re.escape(
+            f"rate {name} {rate!r} is not a finite nonnegative number"
+        )):
+            RateModel(**{name: rate})
 
     def test_derived_rate_at_float_max_accepted(self):
         assert RateModel(fourfold_rate_desired=1e308).fourfold_rate_desired == 1e308
@@ -603,13 +613,13 @@ class TestMonteCarlo:
         lambda t: delay_scan(APP, diagonal_setting(APP), [0.0, 100.0], RateModel(), t, seed=1),
         lambda t: draw_counts({"HVVH": 0.5, "VHHV": 0.5}, RateModel(), t, seed=1),
     ], ids=["monte_carlo_counts", "delay_scan", "draw_counts"])
-    @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf, pytest.param(10**400, id="10**400"), None, "x", True])
     def test_bad_integration_time_rejected(self, count, time):
         # not a silent all-zero table
         with pytest.raises(StateError, match="integration time"):
             count(time)
 
-    @pytest.mark.parametrize("p", [math.nan, -0.5])
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1j])
     def test_nan_or_negative_probability_rejected(self, p):
         # not a silent zero count
         with pytest.raises(StateError, match="outcome VHHV: expected count"):
@@ -686,6 +696,12 @@ class TestDelayScan:
     def test_empty_scan_does_no_work(self, monkeypatch):
         monkeypatch.setattr(experiment, "_exact_model", None)
         assert delay_scan(APP, diagonal_setting(APP), [], RateModel(), -1.0, seed=1) == []
+
+    def test_beyond_float_coherence_time_rejected(self):
+        # not an OverflowError from the delay / coherence time division
+        with pytest.raises(StateError, match="coherence time"):
+            delay_scan(APP, diagonal_setting(APP), [0.0], RateModel(), 1.0, seed=1,
+                       coherence_time_fs=10**400)
 
     def test_integration_time_checked_before_postselection(self):
         app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
@@ -814,7 +830,7 @@ class TestFeasibility:
     def test_zero_target(self):
         assert feasibility_estimate(0, RateModel()) == 0.0
 
-    @pytest.mark.parametrize("target", [-1, math.nan])
+    @pytest.mark.parametrize("target", [-1, math.nan, None, "x", pytest.param(10**400, id="10**400"), True])
     def test_negative_or_nan_target_rejected(self, target):
         with pytest.raises(StateError, match="target event count"):
             feasibility_estimate(target, RateModel())

@@ -20,7 +20,7 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
-from fourphoton.states import NORM_TOL, analyzer_matrix, kron
+from fourphoton.states import NORM_TOL, analyzer_matrix, as_number, kron
 
 import oracle
 
@@ -110,6 +110,31 @@ class TestImmutablePureState:
         assert again.dense(modes).tobytes() == v.tobytes()
         with pytest.raises(AttributeError):
             again.amps = {}
+
+
+class TestFixedMode:
+    def test_several_modes_listed_sorted(self):
+        # a sorted list, not a set, so that the text is the same in every process
+        state, _ = ghz_after_postselection(default_apparatus())
+        with pytest.raises(StateError) as exc:
+            state.fixed_mode(2)
+        assert str(exc.value) == """photon 2 occupies several modes: ["2'", "3'"]"""
+
+
+class TestAsNumber:
+    @pytest.mark.parametrize("value", [
+        0.5, -3, pytest.param(10**300, id="10**300"), np.float64(2.5), np.int64(7),
+    ])
+    def test_number_returned_as_is(self, value):
+        assert as_number(value) is value
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, "0.5", 1j, 0.5 + 0j, [0.5],
+        pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+    ])
+    def test_anything_else_is_nan(self, value):
+        # NaN fails every negated range test
+        assert math.isnan(as_number(value))
 
 
 class TestSpdcPair:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,12 +332,14 @@ class TestVisibilityFromCounts:
             visibility_from_counts({"e": 0, "o": 0}, ["e"], ["o"])
 
     @pytest.mark.parametrize("counts", [
-        {"e": -5, "o": 10}, {"e": -10, "o": 10}, {"e": 5, "o": -1},
+        {"e": -5, "o": 10}, {"e": -10, "o": 10}, {"e": 5, "o": -1}, {"e": None, "o": 10},
     ])
     def test_negative_count_rejected(self, counts):
-        # not a math domain error, nor "needs at least one count"
-        key = min(counts, key=counts.get)
-        with pytest.raises(StateError, match=f"count '{key}' is negative: {counts[key]}"):
+        # not a math domain error or a bare TypeError, nor "needs at least one count"
+        key = next(k for k, n in counts.items() if n is None or n < 0)
+        with pytest.raises(StateError, match=re.escape(
+            f"count '{key}' is not a finite nonnegative number: {counts[key]!r}"
+        )):
             visibility_from_counts(counts, ["e"], ["o"])
 
 

@@ -21,8 +21,8 @@ fixed here, seeds included:
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
-family, "identical" or the first input whose output differs, and exits 1 on
-any difference (2 if a side could not run). It is not part of the test suite.
+family, "identical" or how many inputs differ and the first of them, and exits
+1 on any difference (2 if a side could not run). It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -298,13 +298,13 @@ def main(argv: list[str]) -> int:
         after = _run_side(change, Path(tmp) / "change")
     same = True
     for family in FAMILIES:
-        first = next((b[0] if b[0] == a[0] else f"{b[0]} / {a[0]}"
-                      for b, a in itertools.zip_longest(before[family], after[family],
-                                                        fillvalue=("<none>", None))
-                      if b != a), None)
+        differ = [b[0] if b[0] == a[0] else f"{b[0]} / {a[0]}"
+                  for b, a in itertools.zip_longest(before[family], after[family],
+                                                    fillvalue=("<none>", None))
+                  if b != a]
         print(f"{family} ({len(after[family])} inputs): "
-              + ("identical" if first is None else f"differs first at {first}"))
-        same = same and first is None
+              + (f"{len(differ)} differ, first at {differ[0]}" if differ else "identical"))
+        same = same and not differ
     return 0 if same else 1
 
 
