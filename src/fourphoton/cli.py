@@ -98,9 +98,11 @@ def load_config(path: str | None) -> Config:
     """The defaults with the user's JSON merged in, checked, as a `Config`."""
     if path is None:
         return Config()
+    # a ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
+    # of more digits than int() converts
     try:
         user = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise StateError(f"cannot read config {path!r} as UTF-8 JSON: {exc}") from exc
     tree = default_config()
     _merge(tree, user, "")

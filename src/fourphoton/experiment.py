@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from numbers import Integral
+from numbers import Integral, Number
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -39,6 +39,7 @@ from .states import (
     StateError,
     analyzer_matrix,
     as_number,
+    is_photon_pair,
     kron,
     spdc_pair,
     state_from_terms,
@@ -55,11 +56,7 @@ class PairSource:
 
     def __post_init__(self):
         photons, modes = self.photons, self.modes
-        if not (
-            len(photons) == 2
-            and all(isinstance(p, Integral) and not isinstance(p, bool) for p in photons)
-            and photons[0] != photons[1]
-        ):
+        if not is_photon_pair(photons):
             raise StateError(f"a pair source needs two distinct photon indices, got {photons}")
         if not (len(modes) == 2 and all(isinstance(m, str) for m in modes)):
             raise StateError(f"a pair source needs two string modes, got {modes}")
@@ -339,13 +336,15 @@ def draw_counts(
     rng = np.random.default_rng(seed)
     counts = {}
     for key, p in probs.items():
-        lam = (p * rate + floor) * integration_time
-        try:  # numpy rejects a negative, NaN or complex count before it draws
+        lam = None
+        # a probability that is no number fails the product; numpy rejects a
+        # negative, NaN or complex count before it draws
+        try:
+            lam = (p * rate + floor) * integration_time
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
-        except (TypeError, ValueError) as exc:
-            raise StateError(
-                f"outcome {key}: expected count {lam:.3g} cannot be drawn ({exc})"
-            ) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            what = f"expected count {lam:.3g}" if isinstance(lam, Number) else f"probability {p!r}"
+            raise StateError(f"outcome {key}: {what} cannot be drawn ({exc})") from exc
     return CountTable(counts=counts, integration_time=integration_time, seed=seed)
 
 

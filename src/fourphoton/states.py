@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -207,8 +208,8 @@ def bell_state(
     """One of the four Bell states psi+/psi-/phi+/phi- on photons i, j."""
     if kind not in BELL_KINDS:
         raise StateError(f"unknown Bell kind {kind!r}; expected one of {BELL_KINDS}")
-    if i == j:
-        raise StateError("pair photons must be distinct")
+    if not is_photon_pair((i, j)):
+        raise StateError(f"a pair needs two distinct photon indices, got {(i, j)}")
     if modes is None:
         modes = (str(i), str(j))
     s = 1 / math.sqrt(2)
@@ -220,13 +221,26 @@ def bell_state(
     return state_from_terms([i, j], modes, terms, normalize=False)
 
 
+def is_photon_pair(photons: Sequence) -> bool:
+    """Whether `photons` holds two distinct integer photon indices; a bool is
+    no index."""
+    return (
+        len(photons) == 2
+        and all(isinstance(p, Integral) and not isinstance(p, bool) for p in photons)
+        and photons[0] != photons[1]
+    )
+
+
 def as_number(value):
     """`value` if it is a real number that a float can hold, else NaN, which
     fails every negated range test: the one reading of a caller's scalar. A
     bool is no number; None, a string or a complex number has no float sum
-    or no order against a float; an integer beyond float range overflows."""
+    or no order against a float; an integer beyond float range overflows; an
+    array that is not 0-d is no scalar, though a one-element one compares."""
     if type(value) is float:  # the common case, on every delay point
         return value
+    if getattr(value, "ndim", 0) != 0:
+        return math.nan
     try:
         value + 0.0 < 0.0
     except (TypeError, OverflowError):
@@ -295,8 +309,8 @@ def mix(components: Iterable[tuple[float, PureState]],
         raise StateError("mix needs at least one component")
     weights = [w for w, _ in components]
     # negated tests, so that a NaN weight fails them too
-    if not all(w >= 0 for w in weights):
-        raise StateError(f"negative or NaN mixture weight in {weights}")
+    if not all(as_number(w) >= 0 for w in weights):
+        raise StateError(f"a mixture weight in {weights} is negative or not a number")
     if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
     if mode_order is None:

@@ -27,16 +27,28 @@ from .states import (
 )
 
 # Fixed vectors and operators on the analyzed pair, built once, read-only:
-# Bell amplitudes over (HH, HV, VH, VV), their bras <v| stacked, their projectors |v><v|
+# Bell amplitudes over (HH, HV, VH, VV) and their bras <v| stacked
 _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
 _BELL_BRAS = np.stack(list(_BELL_VECS.values())).conj()
-_BELL_PROJECTORS = {k: np.outer(v, v.conj()) for k, v in _BELL_VECS.items()}
-# Kraus pair of the +45/+45 and -45/-45 coincidences; exact 1/sqrt2 like the Bell
-# vectors: cos(45 deg) would move the last digits of the swap report
-_KRAUS_45 = tuple(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
+
+
+def _effect(kraus_ops) -> np.ndarray:
+    """sum_k K_k^T conj(K_k) over the Kraus operators K_k of a measurement on
+    the pair: the transpose of its POVM element F = sum_k K_k^dagger K_k, all
+    that conditioning reads of them once the pair is traced out."""
+    effect = sum(k.T @ k.conj() for k in kraus_ops)
+    effect.setflags(write=False)
+    return effect
+
+
+# One effect per Bell projector |v><v|, and that of the +45/+45 and -45/-45
+# coincidences: exact 1/sqrt2 like the Bell vectors, since cos(45 deg) would
+# move the last digits of the swap report. Not P++ + P--, whose other rounding
+# moves them too.
+_BELL_EFFECTS = {k: _effect([np.outer(v, v.conj())]) for k, v in _BELL_VECS.items()}
+_EFFECT_45 = _effect(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
     np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
-for _op in (_BELL_BRAS, *_BELL_PROJECTORS.values(), *_KRAUS_45):  # `dense` is read-only already
-    _op.setflags(write=False)
+_BELL_BRAS.setflags(write=False)  # `dense` is read-only already
 
 
 @dataclass(frozen=True)
@@ -65,11 +77,10 @@ def bell_decompose(
     return dict(zip(itertools.product(BELL_KINDS, repeat=2), coeffs))
 
 
-def _condition(
-    rho: DensityMatrix, pair_modes: Sequence[str], kraus_ops: Sequence[np.ndarray]
-) -> SwapResult:
-    """Sum of Kraus-projected states, traced down to the remaining pair and
-    renormalized, with its fidelity to |phi+>."""
+def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray) -> SwapResult:
+    """The remaining pair conditioned on a measurement of the photons in
+    `pair_modes`: tr_pair(F rho) as one contraction with `effect` = F^T (see
+    `_effect`), renormalized, with its fidelity to |phi+>."""
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
@@ -79,7 +90,7 @@ def _condition(
     order = pos + [i for i in range(n) if i not in pos]
     t = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])
     t = t.reshape(4, 4, 4, 4)
-    reduced = sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus_ops)
+    reduced = np.einsum("qr,qarb->ab", effect, t)
     prob = float(reduced.trace().real)
     if prob <= 1e-30:
         raise PostselectionError("zero-probability Bell projection")
@@ -102,7 +113,7 @@ def project_bell(rho: DensityMatrix, pair_modes: Sequence[str], kind: str) -> Sw
     """
     if kind not in BELL_KINDS:
         raise StateError(f"unknown Bell kind {kind!r}")
-    return _condition(rho, pair_modes, [_BELL_PROJECTORS[kind]])
+    return _condition(rho, pair_modes, _BELL_EFFECTS[kind])
 
 
 def phi_plus_via_45_coincidence(
@@ -115,7 +126,7 @@ def phi_plus_via_45_coincidence(
     coincidence subspace (no psi+- component in the analyzed pair) this
     equals the abstract phi+ projection.
     """
-    return _condition(rho, pair_modes, _KRAUS_45)
+    return _condition(rho, pair_modes, _EFFECT_45)
 
 
 def visibility_from_counts(

@@ -80,6 +80,17 @@ class TestConfigErrors:
         assert run(["--scenario", "hv-table", "--config", str(bad),
                     "--out", str(tmp_path)]) == 2
 
+    def test_integer_beyond_conversion_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not JSONDecodeError, on an
+        # integer of more than 4,300 digits: still one line, before --out
+        bad = tmp_path / "big.json"
+        bad.write_text('{"visibility_zero_delay": 1' + "0" * 5000 + "}")
+        assert run(["--scenario", "hv-table", "--config", str(bad),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_named_in_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for user, key in (({"visibilty": 0.5}, "visibilty"),

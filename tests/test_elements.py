@@ -82,9 +82,10 @@ class TestPbs:
         with pytest.raises(StateError, match="hold no source photon"):
             Apparatus((PairSource((1, 2), ("1", "2")),), PBS, APP.detectors)
 
-    def test_error_rate_validation(self):
+    @pytest.mark.parametrize("rate", [1.5, np.array([0.01])])
+    def test_error_rate_validation(self, rate):
         with pytest.raises(StateError):
-            PbsElement(("2", "3"), ("2'", "3'"), error_rate=1.5)
+            PbsElement(("2", "3"), ("2'", "3'"), error_rate=rate)
 
 
 class TestDistinguishability:
@@ -122,6 +123,8 @@ class TestDistinguishability:
         ("x", 550.0), (None, 550.0), (True, 550.0), (0.0, "x"), (0.0, None), (0.0, True),
         pytest.param(10**400, 550.0, id="10**400-550.0"),
         pytest.param(1.0, 10**400, id="1.0-10**400"),
+        # a one-element array compares like a number but is none
+        (np.array([1.0]), 550.0), (0.0, np.array([550.0])),
     ])
     def test_non_finite_input_rejected(self, delay, coherence):
         # NaN would otherwise surface only later, as a distinguishability of nan
@@ -171,7 +174,7 @@ class TestDephasing:
             dephase_by_distinguishability(psi, d, v0=0.79).validate()
 
     def test_d_out_of_range(self):
-        for d in (1.2, None, True, "x", 10**400):
+        for d in (1.2, None, True, "x", 10**400, np.array([0.5])):
             with pytest.raises(StateError, match="distinguishability"):
                 dephase_by_distinguishability(GHZ_HVVH, d)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -150,7 +151,8 @@ class TestExactProbabilities:
         # wrong-polarization coincidences appear at the error scale
         assert 0 < probs["HVHV"] < 5e-3
 
-    @pytest.mark.parametrize("err", [1.5, 2.0, -0.5, math.nan, math.inf, "x", True])
+    # a one-element array compares like a number but is none
+    @pytest.mark.parametrize("err", [1.5, 2.0, -0.5, math.nan, math.inf, "x", True, np.array([0.01])])
     def test_pbs_error_outside_unit_interval_rejected(self, err):
         # the wording of PbsElement's own check
         with pytest.raises(StateError, match=r"PBS error_rate .* outside \[0, 1\)"):
@@ -215,7 +217,7 @@ class TestExactProbabilities:
         with pytest.raises(StateError, match=re.escape(f"unknown detectors {unknown}")):
             count(MeasurementSetting(angles))
 
-    @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan"), None, "x", True])
+    @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan"), None, "x", True, np.array([0.79])])
     def test_visibility_outside_unit_interval_rejected(self, v0):
         with pytest.raises(StateError, match="visibility"):
             exact_outcome_probabilities(APP, diagonal_setting(APP), v0=v0)
@@ -598,7 +600,8 @@ class TestMonteCarlo:
             RateModel(**fields)
 
     @pytest.mark.parametrize("name", ["fourfold_rate_desired", "background_fourfold_rate"])
-    @pytest.mark.parametrize("rate", [-1.0, -1e-300, math.nan, math.inf, "0.5", None, True])
+    @pytest.mark.parametrize("rate", [
+        -1.0, -1e-300, math.nan, math.inf, "0.5", None, True, np.array([0.5])])
     def test_bad_rate_named(self, name, rate):
         with pytest.raises(StateError, match=re.escape(
             f"rate {name} {rate!r} is not a finite nonnegative number"
@@ -613,7 +616,9 @@ class TestMonteCarlo:
         lambda t: delay_scan(APP, diagonal_setting(APP), [0.0, 100.0], RateModel(), t, seed=1),
         lambda t: draw_counts({"HVVH": 0.5, "VHHV": 0.5}, RateModel(), t, seed=1),
     ], ids=["monte_carlo_counts", "delay_scan", "draw_counts"])
-    @pytest.mark.parametrize("time", [-1.0, math.nan, math.inf, pytest.param(10**400, id="10**400"), None, "x", True])
+    @pytest.mark.parametrize("time", [
+        -1.0, math.nan, math.inf, pytest.param(10**400, id="10**400"), None, "x", True,
+        np.array([1.0])])
     def test_bad_integration_time_rejected(self, count, time):
         # not a silent all-zero table
         with pytest.raises(StateError, match="integration time"):
@@ -623,6 +628,14 @@ class TestMonteCarlo:
     def test_nan_or_negative_probability_rejected(self, p):
         # not a silent zero count
         with pytest.raises(StateError, match="outcome VHHV: expected count"):
+            draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
+
+    @pytest.mark.parametrize("p", [
+        None, "0.5", Decimal("0.5"), pytest.param(10**400, id="10**400"), np.array([0.5]),
+    ])
+    def test_probability_that_is_no_number_rejected(self, p):
+        # the expected count cannot be formed: not a bare TypeError or OverflowError
+        with pytest.raises(StateError, match=re.escape(f"outcome VHHV: probability {p!r}")):
             draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
 
     @pytest.mark.parametrize("count", [
@@ -663,6 +676,11 @@ class TestMonteCarlo:
 
 
 class TestDelayScan:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, None, "x", np.array([100.0])])
+    def test_delay_that_is_no_finite_number_rejected(self, tau):
+        with pytest.raises(StateError, match="delay .* fs is not finite"):
+            delay_scan(APP, diagonal_setting(APP), [0.0, tau], RateModel(), 1.0, seed=1)
+
     @pytest.mark.parametrize("pbs_error", [0.0, 0.01])
     @pytest.mark.parametrize("v0", [0.79, 1.0])
     def test_scan_matches_per_point_tables(self, pbs_error, v0):
@@ -813,7 +831,8 @@ class TestAnalyzerAngleRange:
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize(
-        "angle", [math.nan, math.inf, -30.0, 180.0, 200.0, "22.5", 1j, 22.5 + 0j, True]
+        "angle", [math.nan, math.inf, -30.0, 180.0, 200.0, "22.5", 1j, 22.5 + 0j, True,
+                  np.array([22.5])]
     )
     def test_out_of_range_angle_rejected(self, entry, angle):
         with pytest.raises(StateError, match="analyzer angle"):
@@ -830,7 +849,8 @@ class TestFeasibility:
     def test_zero_target(self):
         assert feasibility_estimate(0, RateModel()) == 0.0
 
-    @pytest.mark.parametrize("target", [-1, math.nan, None, "x", pytest.param(10**400, id="10**400"), True])
+    @pytest.mark.parametrize("target", [
+        -1, math.nan, None, "x", pytest.param(10**400, id="10**400"), True, np.array([5])])
     def test_negative_or_nan_target_rejected(self, target):
         with pytest.raises(StateError, match="target event count"):
             feasibility_estimate(target, RateModel())

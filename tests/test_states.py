@@ -131,10 +131,16 @@ class TestAsNumber:
     @pytest.mark.parametrize("value", [
         True, False, None, "0.5", 1j, 0.5 + 0j, [0.5],
         pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+        # a one-element array compares like a number, but is none
+        np.array([0.5]), np.array([[0.5]]), np.array([0.5, 1.0]), np.array([]),
     ])
     def test_anything_else_is_nan(self, value):
         # NaN fails every negated range test
         assert math.isnan(as_number(value))
+
+    def test_zero_d_array_is_a_number(self):
+        value = np.array(0.5)
+        assert as_number(value) is value
 
 
 class TestSpdcPair:
@@ -150,6 +156,18 @@ class TestSpdcPair:
     def test_same_photon_rejected(self):
         with pytest.raises(StateError):
             spdc_pair(3, 3)
+
+    # the photon indices a PairSource takes: two distinct integers, no bool
+    @pytest.mark.parametrize("index", [None, "2", 1j, 2.0, True, np.array([2]), 1])
+    @pytest.mark.parametrize("make", [
+        lambda i: spdc_pair(1, i), lambda i: spdc_pair(i, 1), lambda i: bell_state("phi+", 1, i),
+    ], ids=["spdc_pair j", "spdc_pair i", "bell_state j"])
+    def test_photon_indices_not_two_distinct_integers_rejected(self, make, index):
+        with pytest.raises(StateError, match="a pair needs two distinct photon indices"):
+            make(index)
+
+    def test_numpy_integer_index_accepted(self):
+        assert spdc_pair(1, np.int64(2)).photons == (1, 2)
 
 
 class TestBellStates:
@@ -252,6 +270,15 @@ class TestMixAndFidelity:
         psi, phi = self.ghz_pair()
         with pytest.raises(StateError, match="mixture weight"):
             mix([(math.nan, psi), (1.0, phi)])
+
+    @pytest.mark.parametrize("weight", [
+        True, None, "0.5", 1j, pytest.param(10**400, id="10**400"), np.array([1.0]),
+    ])
+    def test_weight_that_is_no_number_rejected(self, weight):
+        # read through as_number: not a bare TypeError, and True is no weight of 1
+        psi, _ = self.ghz_pair()
+        with pytest.raises(StateError, match="is negative or not a number"):
+            mix([(weight, psi)])
 
     def test_invariants_over_random_pure_states(self):
         # density-matrix invariants hold for any valid weight list

@@ -245,7 +245,7 @@ class TestOperationalPhiPlus:
         for v1, v2 in ((plus, minus), (minus, plus)):
             v = np.kron(v1, v2)
             kraus.append(np.outer(v, v.conj()))
-        res = swap._condition(rho, ("2'", "3'"), kraus)
+        res = swap._condition(rho, ("2'", "3'"), swap._effect(kraus))
         phi_minus = bell_state("phi-", 1, 4, modes=("1", "4"))
         from fourphoton import fidelity
 
@@ -301,7 +301,7 @@ class TestPairPlacement:
             # the pair; a +45/-45 coincidence is not, so it pins the order
             v = np.kron(plus, minus)
             kraus = [np.outer(v, v.conj())]
-            self.check(swap._condition(dm, pair, kraus), rho, pair, kraus)
+            self.check(swap._condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
 
     def test_remaining_photons_not_a_pair(self):
         rho = mix([(1.0, state_from_terms([1, 2, 3], ["1", "2'", "3'"], {"HVV": S2, "VHH": S2}))])
@@ -341,6 +341,12 @@ class TestVisibilityFromCounts:
             f"count '{key}' is not a finite nonnegative number: {counts[key]!r}"
         )):
             visibility_from_counts(counts, ["e"], ["o"])
+
+
+    def test_one_element_array_count_rejected(self):
+        # it compares like a number but is none: not a bare TypeError from sqrt
+        with pytest.raises(StateError, match=re.escape("count 'e' is not a finite nonnegative")):
+            visibility_from_counts({"e": np.array([5]), "o": 10}, ["e"], ["o"])
 
 
 class TestChsh:
@@ -406,7 +412,8 @@ class TestChsh:
 
 
 # The swap analysis as written before its fixed operators were built once:
-# np.outer / np.kron on every call. The module must match it bit for bit.
+# np.outer / np.kron, and the conditioning effect summed from fresh Kraus
+# operators, on every call. The module must match it bit for bit.
 def ref_analyzer(angle):
     a, b = analyzer_matrix(angle)  # the pass and reject rows
     return np.outer(a, a) - np.outer(b, b)
@@ -427,13 +434,17 @@ def ref_chsh(rho, settings):
     )
 
 
-def ref_projection(rho, pair_modes, kraus):
-    """(conditioned matrix, probability, fidelity to phi+, visibility), or None."""
+def pair_first(rho, pair_modes):
+    """rho as t[pair, rest, pair', rest'] for a pair of its four modes."""
     pos = [rho.modes.index(m) for m in pair_modes]
     order = pos + [i for i in range(4) if i not in pos]
     t = rho.matrix.reshape((2,) * 8).transpose(order + [4 + i for i in order])
-    t = t.reshape(4, 4, 4, 4)
-    reduced = sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus)
+    return t.reshape(4, 4, 4, 4)
+
+
+def conditioned(reduced):
+    """(conditioned matrix, probability, fidelity to phi+, visibility) of an
+    unnormalized conditioned pair, or None."""
     prob = float(np.trace(reduced).real)
     if prob <= 1e-30:
         return None  # the module raises PostselectionError
@@ -441,6 +452,11 @@ def ref_projection(rho, pair_modes, kraus):
     v = bell_state("phi+", 1, 2).dense(("1", "2"))
     f = float(np.real(v.conj() @ m @ v))
     return m, prob, f, 2.0 * f - 1.0
+
+
+def ref_projection(rho, pair_modes, kraus):
+    effect = sum(k.T @ k.conj() for k in kraus)
+    return conditioned(np.einsum("qr,qarb->ab", effect, pair_first(rho, pair_modes)))
 
 
 def ref_kraus_45():
@@ -543,9 +559,46 @@ class TestFixedOperators:
                 op[0, 0] = 0
 
     def test_module_operators_are_read_only(self):
-        fixed = [*swap._KRAUS_45, *swap._BELL_PROJECTORS.values(), *swap._BELL_VECS.values(),
+        fixed = [swap._EFFECT_45, *swap._BELL_EFFECTS.values(), *swap._BELL_VECS.values(),
                  swap._BELL_BRAS]
-        assert len(fixed) == 11
+        assert len(fixed) == 10
         for op in fixed:
             with pytest.raises(ValueError):
                 op[0, ...] = 0
+
+
+def kraus_sum_projection(rho, pair_modes, kraus):
+    """`ref_projection` as computed before conditioning read the effect: one
+    three-operand contraction per Kraus operator, summed."""
+    t = pair_first(rho, pair_modes)
+    return conditioned(sum(np.einsum("pq,qarb,pr->ab", k, t, k.conj()) for k in kraus))
+
+
+class TestEffectMatchesKrausSum:
+    """Conditioning through the effect sums in another order than the Kraus
+    sum did, so the two may differ in the last bits: within 1e-12."""
+
+    @settings(PINNED, max_examples=30)
+    @given(d=st.floats(0.0, 1.0), v0=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_every_measurement_at_every_pair_placement(self, d, v0, seed):
+        dense = TestPairPlacement.random_rho(np.random.default_rng(seed))
+        plus, minus = (np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))
+        # +45/-45 is not symmetric under exchange of the pair, so it pins the order
+        v = np.kron(plus, minus)
+        asymmetric = [np.outer(v, v.conj())]
+        for rho in (dephase_by_distinguishability(GHZ, d, v0), DensityMatrix(MODES, dense)):
+            for pair in itertools.permutations(MODES, 2):
+                runs = [(lambda: phi_plus_via_45_coincidence(rho, pair), ref_kraus_45()),
+                        (lambda: swap._condition(rho, pair, swap._effect(asymmetric)), asymmetric)]
+                runs += [(lambda kind=kind: project_bell(rho, pair, kind), [ref_bell_projector(kind)])
+                         for kind in BELL_KINDS]
+                for call, kraus in runs:
+                    ref = kraus_sum_projection(rho, pair, kraus)
+                    if ref is None:
+                        with pytest.raises(PostselectionError):
+                            call()
+                        continue
+                    res, (m, prob, f, _) = call(), ref
+                    assert np.max(np.abs(res.conditioned_state_14.matrix - m)) < 1e-12
+                    assert abs(res.projection_probability - prob) < 1e-12
+                    assert abs(res.fidelity_to_target - f) < 1e-12
