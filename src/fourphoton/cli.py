@@ -8,6 +8,10 @@ Scenarios:
   swap-report    entanglement-swapping fidelity/visibility/CHSH report
   feasibility    measurement-time estimate for a full Bell test on photons 1,4
 
+Each `run_*` runner computes its scenario and returns its files; `main`
+then creates --out and writes them with `_write`, so a run that fails before
+its files are written leaves no --out behind.
+
 Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
 (also an unreadable config file), 3 physically impossible request
 (zero-probability post-selection).
@@ -154,44 +158,47 @@ def _merge(tree: dict, user, section: str) -> None:
             tree[key] = val
 
 
-def _write(path: Path, lines: list[str], end: str = "\n") -> None:
+def _write(path: Path, lines: list[str], end: str) -> None:
     """The one output writer: `lines`, each ended by `end`, byte for byte."""
     path.write_text("".join(line + end for line in lines), newline="")
 
 
-def run_hv_table(cfg: Config, args, out: Path) -> None:
+# A runner's output file: (name in --out, lines, line end), listed in write order.
+File = tuple[str, list[str], str]
+
+
+def run_hv_table(cfg: Config, args) -> list[File]:
     app, setting, v0 = cfg.apparatus, hv_setting(cfg.apparatus), cfg.visibility_zero_delay
     probs = exact_outcome_probabilities(app, setting, v0=v0, pbs_error=app.pbs.error_rate)
-    table = draw_counts(probs, cfg.rates, args.time, args.seed)
+    counts = draw_counts(probs, cfg.rates, args.time, args.seed).counts
     lines = ["outcome,count,integration_time_s,seed"]
-    lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(table.counts.items())]
-    # CRLF line ends, the csv module's default: the published format of this table
-    _write(out / "hv-table.csv", lines, end="\r\n")
+    lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(counts.items())]
     # the desired outcomes are the GHZ terms, the ideal PBS's: with a PBS
     # error, the drawn table also holds wrong-port outcomes
     ghz, _ = experiment.ghz_after_postselection(app)
     desired = ["".join(k) for k in ghz.mode_view(app.mode_order())]
     desired_from = "desired outcomes" + (" (ideal PBS)" if app.pbs.error_rate > 0 else "")
-    n_des = sum(table.counts[k] for k in desired) / len(desired)
-    others = [k for k in table.counts if k not in desired]
-    n_bg = sum(table.counts[k] for k in others) / len(others)
+    n_des = sum(counts[k] for k in desired) / len(desired)
+    others = [k for k in counts if k not in desired]
+    n_bg = sum(counts[k] for k in others) / len(others)
     if n_bg > 0:
         snr = f"{n_des / n_bg:.1f}"
     else:
         snr = "inf" if n_des > 0 else "undefined (no counts)"
-    _write(
-        out / "hv-table_summary.txt",
-        [
-            f"integration time: {table.integration_time} s, seed {table.seed}",
+    return [
+        # CRLF line ends, the csv module's default: the published format of this table
+        ("hv-table.csv", lines, "\r\n"),
+        ("hv-table_summary.txt", [
+            f"integration time: {args.time} s, seed {args.seed}",
             f"{desired_from}: {', '.join(sorted(desired))}",
             f"mean desired count: {n_des:.2f}",
             f"mean non-desired count: {n_bg:.3f}",
             f"signal-to-noise ratio: {snr}",
-        ],
-    )
+        ], "\n"),
+    ]
 
 
-def run_basis45_table(cfg: Config, args, out: Path) -> None:
+def run_basis45_table(cfg: Config, args) -> list[File]:
     app, setting, v0 = cfg.apparatus, diagonal_setting(cfg.apparatus), cfg.visibility_zero_delay
     delay = DelayElement(args.delay, cfg.coherence_time_fs)
     # the probability column is the table the counts are drawn from
@@ -202,20 +209,19 @@ def run_basis45_table(cfg: Config, args, out: Path) -> None:
     lines = ["outcome,probability,count,integration_time_s,seed"]
     for k, p in sorted(probs.items()):
         lines.append(f"{k},{p:.12g},{table.counts[k]},{args.time},{args.seed}")
-    _write(out / "basis45-table.csv", lines)
     even = [k for k in probs if k.count("+") % 2 == 0]
-    _write(
-        out / "basis45-table_summary.txt",
-        [
+    return [
+        ("basis45-table.csv", lines, "\n"),
+        ("basis45-table_summary.txt", [
             f"delay: {args.delay} fs, zero-delay visibility: {v0}",
             f"even-parity probability total: {sum(probs[k] for k in even):.6f}",
             f"nonzero outcomes: {sum(1 for p in probs.values() if p > 1e-12)}",
             *(["no counts drawn"] if table.total() == 0 else []),
-        ],
-    )
+        ], "\n"),
+    ]
 
 
-def run_delay_scan(cfg: Config, args, out: Path) -> None:
+def run_delay_scan(cfg: Config, args) -> list[File]:
     points = delay_scan(
         cfg.apparatus,
         diagonal_setting(cfg.apparatus),
@@ -237,7 +243,6 @@ def run_delay_scan(cfg: Config, args, out: Path) -> None:
         rows.append((tau, n_pppp, n_pppm, vis, err))
     lines = ["delay_fs,counts_pppp,counts_pppm,visibility,visibility_error"]
     lines += [f"{tau},{a},{b},{vis:.6f},{err:.6f}" for tau, a, b, vis, err in rows]
-    _write(out / "delay-scan.csv", lines)
     summary = [f"points: {len(rows)}, time per point: {cfg.scan_time_per_point_s} s"]
     counted = [r for r in rows if r[1] + r[2] > 0]
     if len(counted) < len(rows):
@@ -247,10 +252,10 @@ def run_delay_scan(cfg: Config, args, out: Path) -> None:
         summary.append(f"peak visibility {peak[3]:.3f} +- {peak[4]:.3f} at delay {peak[0]} fs")
     else:
         summary.append("peak visibility undefined (no counts)")
-    _write(out / "delay-scan_summary.txt", summary)
+    return [("delay-scan.csv", lines, "\n"), ("delay-scan_summary.txt", summary, "\n")]
 
 
-def run_swap_report(cfg: Config, args, out: Path) -> None:
+def run_swap_report(cfg: Config, args) -> list[File]:
     state, _ = experiment.ghz_after_postselection(cfg.apparatus)
     rho = dephase_by_distinguishability(state, 1.0, cfg.visibility_zero_delay)
     result = swap.phi_plus_via_45_coincidence(rho)
@@ -261,46 +266,38 @@ def run_swap_report(cfg: Config, args, out: Path) -> None:
         "visibility_45": result.visibility_45,
         "chsh_value": chsh,
     }
-    _write(out / "swap-report.json", [json.dumps(report, indent=2)])
-    _write(
-        out / "swap-report.csv",
-        [
+    return [
+        ("swap-report.json", [json.dumps(report, indent=2)], "\n"),
+        ("swap-report.csv", [
             "projection_probability,fidelity,visibility,chsh_value",
             ",".join(f"{x:.12g}" for x in report.values()),
-        ],
-    )
-    _write(
-        out / "swap-report_summary.txt",
-        [
+        ], "\n"),
+        ("swap-report_summary.txt", [
             f"phi+ projection probability: {result.projection_probability:.4f}",
             f"fidelity to phi+ on photons 1,4: {result.fidelity_to_target:.4f}",
             f"45-degree visibility: {result.visibility_45:.4f}",
             f"CHSH value at phi+-optimal settings: {chsh:.4f} (LHV bound 2)",
-        ],
-    )
+        ], "\n"),
+    ]
 
 
-def run_feasibility(cfg: Config, args, out: Path) -> None:
+def run_feasibility(cfg: Config, args) -> list[File]:
     target = cfg.bell_test_target_events
     # phi+ identification succeeds on half of the four-fold events
     usable_rate = cfg.rates.fourfold_rate_desired * 0.5
     seconds = feasibility_estimate(target, cfg.rates) / 0.5
     months = seconds / (30 * 86400)
-    _write(
-        out / "feasibility.csv",
-        [
+    return [
+        ("feasibility.csv", [
             "target_events,effective_fourfold_rate_per_s,seconds,months",
             f"{target},{usable_rate:.6g},{seconds:.6g},{months:.3f}",
-        ],
-    )
-    _write(
-        out / "feasibility_summary.txt",
-        [
+        ], "\n"),
+        ("feasibility_summary.txt", [
             f"target usable events: {target}",
             f"usable event rate: {usable_rate:.3g}/s",
             f"required continuous measurement: {seconds:.3g} s ({months:.1f} months)",
-        ],
-    )
+        ], "\n"),
+    ]
 
 
 RUNNERS = {
@@ -359,12 +356,13 @@ def main(argv=None) -> int:
             print(f"error: {problem}", file=sys.stderr)
             return EXIT_USAGE
 
-    # config errors come before --out exists: load_config runs first
+    # --out is made only once the runner has returned: an error leaves none
     try:
-        cfg = load_config(args.config)
+        files = RUNNERS[args.scenario](load_config(args.config), args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        RUNNERS[args.scenario](cfg, args, out)
+        for name, lines, end in files:
+            _write(out / name, lines, end)
     except PostselectionError as exc:
         print(f"physically impossible: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

@@ -166,8 +166,6 @@ class RateModel:
 @dataclass(frozen=True)
 class CountTable:
     counts: Mapping[str, int]
-    integration_time: float
-    seed: int
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -337,15 +335,17 @@ def draw_counts(
     counts = {}
     for key, p in probs.items():
         lam = None
-        # a probability that is no number fails the product; numpy rejects a
-        # negative, NaN or complex count before it draws
+        # a probability that is no number fails the product, a bool the test
+        # before it; numpy rejects a negative, NaN or complex count before it draws
         try:
+            if type(p) is bool:
+                raise TypeError("a bool is no number")
             lam = (p * rate + floor) * integration_time
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
         except (TypeError, ValueError, OverflowError) as exc:
             what = f"expected count {lam:.3g}" if isinstance(lam, Number) else f"probability {p!r}"
             raise StateError(f"outcome {key}: {what} cannot be drawn ({exc})") from exc
-    return CountTable(counts=counts, integration_time=integration_time, seed=seed)
+    return CountTable(counts)
 
 
 def monte_carlo_counts(

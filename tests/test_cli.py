@@ -166,7 +166,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert "expected count" in err
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario, user", [
         ("feasibility", {"apparatus": {"pbs": {"error_rate": 2}}}),
@@ -262,18 +262,37 @@ class TestOutputErrors:
 
 class TestPhysicsErrors:
     def test_impossible_postselection(self, tmp_path, capsys):
-        # detectors watch a mode nothing can reach
+        # detectors watch a mode nothing can reach; every scenario that
+        # post-selects exits 3 with nothing written
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"apparatus": {"detectors": {"D1": "1", "D2": "2'", "D3": "3'",
                                          "D4": "nowhere"}}}
         ))
-        assert run(["--scenario", "hv-table", "--config", str(cfg),
-                    "--out", str(tmp_path)]) == 3
-        assert "impossible" in capsys.readouterr().err
+        for scenario in ("hv-table", "basis45-table", "delay-scan", "swap-report"):
+            assert run(["--scenario", scenario, "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("physically impossible") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
 
 class TestScenarios:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_runner_returns_files_and_writes_none(self, scenario, monkeypatch, tmp_path):
+        # a runner only returns its files; main writes them, in the runner's order
+        def no_write(path, lines, end):
+            raise AssertionError(f"a runner wrote {path}")
+
+        monkeypatch.setattr(cli, "_write", no_write)
+        args = cli.build_parser().parse_args(["--scenario", scenario])
+        files = cli.RUNNERS[scenario](cli.load_config(None), args)
+        monkeypatch.undo()
+        assert run(["--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f[0] for f in files)
+        for name, lines, end in files:
+            assert (tmp_path / name).read_bytes() == "".join(l + end for l in lines).encode()
+
     def test_hv_table_output(self, tmp_path):
         assert run(["--scenario", "hv-table", "--seed", "3",
                     "--out", str(tmp_path)]) == 0

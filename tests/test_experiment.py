@@ -632,6 +632,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("p", [
         None, "0.5", Decimal("0.5"), pytest.param(10**400, id="10**400"), np.array([0.5]),
+        True, False,
     ])
     def test_probability_that_is_no_number_rejected(self, p):
         # the expected count cannot be formed: not a bare TypeError or OverflowError
