@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import experiment, swap
@@ -58,32 +57,14 @@ EXIT_PHYSICS = 3
 # and sources included) replaces the default whole.
 _MERGED_SECTIONS = ("apparatus", "apparatus.pbs", "rates")
 
-
-@dataclass(frozen=True)
-class Config:
-    """Everything a scenario reads. The field defaults are the one table of
-    paper-calibrated defaults."""
-
-    apparatus: Apparatus = field(default_factory=default_apparatus)
-    rates: RateModel = RateModel()
-    visibility_zero_delay: float = VISIBILITY_ZERO_DELAY
-    coherence_time_fs: float = COHERENCE_TIME_FS
-    # Bell test on photons 1,4 conditioned on the phi+ detection
-    # (success probability 0.5): event budget for 16 correlation
-    # settings at the precision needed to beat the LHV bound.
-    bell_test_target_events: int = 600000
-    # -1200 .. 1200 fs in 100 fs steps, as Python floats: numpy scalars would
-    # turn an overflow in the delay arithmetic into a printed RuntimeWarning
-    scan_delays_fs: tuple[float, ...] = tuple(100.0 * k for k in range(-12, 13))
-    scan_time_per_point_s: float = 24000.0
+_DEFAULT_APPARATUS = default_apparatus()  # read for its values: no call builds a throwaway
 
 
 def default_config() -> dict:
-    """`Config()` as the JSON tree that a `--config` file edits; see README."""
-    cfg = Config()
-    app = cfg.apparatus
+    """The one table of calibrated defaults, as the JSON tree that a `--config` file
+    edits (see README): the library's own defaults and the values only the CLI reads."""
+    app = _DEFAULT_APPARATUS
     return {
-        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
         "apparatus": {
             "sources": [{"photons": list(s.photons), "modes": list(s.modes)} for s in app.sources],
             "pbs": {
@@ -93,23 +74,32 @@ def default_config() -> dict:
             },
             "detectors": dict(app.detectors),
         },
-        "rates": asdict(cfg.rates),
-        "scan_delays_fs": list(cfg.scan_delays_fs),
+        "rates": dict(vars(RateModel())),
+        "visibility_zero_delay": VISIBILITY_ZERO_DELAY,
+        "coherence_time_fs": COHERENCE_TIME_FS,
+        # Bell test on photons 1,4 conditioned on the phi+ detection
+        # (success probability 0.5): event budget for 16 correlation
+        # settings at the precision needed to beat the LHV bound.
+        "bell_test_target_events": 600000,
+        # -1200 .. 1200 fs in 100 fs steps, as Python floats: numpy scalars would
+        # turn an overflow in the delay arithmetic into a printed RuntimeWarning
+        "scan_delays_fs": [100.0 * k for k in range(-12, 13)],
+        "scan_time_per_point_s": 24000.0,
     }
 
 
-def load_config(path: str | None) -> Config:
-    """The defaults with the user's JSON merged in, checked, as a `Config`."""
-    if path is None:
-        return Config()
-    # a ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
-    # of more digits than int() converts
-    try:
-        user = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, RecursionError, ValueError) as exc:
-        raise StateError(f"cannot read config {path!r} as UTF-8 JSON: {exc}") from exc
+def load_config(path: str | None) -> dict:
+    """`default_config()` with the JSON at `path`, if given, merged in and checked: the
+    tree a runner reads, with the apparatus and the rates built and the delays a tuple."""
     tree = default_config()
-    _merge(tree, user, "")
+    if path is not None:
+        # a ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
+        # of more digits than int() converts
+        try:
+            user = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, RecursionError, ValueError) as exc:
+            raise StateError(f"cannot read config {path!r} as UTF-8 JSON: {exc}") from exc
+        _merge(tree, user, "")
     delays = tree["scan_delays_fs"]
     vis = tree["visibility_zero_delay"]
     events = tree["bell_test_target_events"]
@@ -141,8 +131,7 @@ def load_config(path: str | None) -> Config:
         rates = RateModel(**tree["rates"])
     except StateError as exc:
         raise StateError(f"bad rates config: {exc}") from exc
-    return Config(**{**tree, "apparatus": apparatus, "rates": rates,
-                     "scan_delays_fs": tuple(delays)})
+    return {**tree, "apparatus": apparatus, "rates": rates, "scan_delays_fs": tuple(delays)}
 
 
 def _merge(tree: dict, user, section: str) -> None:
@@ -167,10 +156,10 @@ def _write(path: Path, lines: list[str], end: str) -> None:
 File = tuple[str, list[str], str]
 
 
-def run_hv_table(cfg: Config, args) -> list[File]:
-    app, setting, v0 = cfg.apparatus, hv_setting(cfg.apparatus), cfg.visibility_zero_delay
-    probs = exact_outcome_probabilities(app, setting, v0=v0, pbs_error=app.pbs.error_rate)
-    counts = draw_counts(probs, cfg.rates, args.time, args.seed).counts
+def run_hv_table(cfg: dict, args) -> list[File]:
+    app, v0 = cfg["apparatus"], cfg["visibility_zero_delay"]
+    probs = exact_outcome_probabilities(app, hv_setting(app), v0=v0, pbs_error=app.pbs.error_rate)
+    counts = draw_counts(probs, cfg["rates"], args.time, args.seed).counts
     lines = ["outcome,count,integration_time_s,seed"]
     lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(counts.items())]
     # the desired outcomes are the GHZ terms, the ideal PBS's: with a PBS
@@ -198,14 +187,14 @@ def run_hv_table(cfg: Config, args) -> list[File]:
     ]
 
 
-def run_basis45_table(cfg: Config, args) -> list[File]:
-    app, setting, v0 = cfg.apparatus, diagonal_setting(cfg.apparatus), cfg.visibility_zero_delay
-    delay = DelayElement(args.delay, cfg.coherence_time_fs)
+def run_basis45_table(cfg: dict, args) -> list[File]:
+    app, v0 = cfg["apparatus"], cfg["visibility_zero_delay"]
+    delay = DelayElement(args.delay, cfg["coherence_time_fs"])
     # the probability column is the table the counts are drawn from
     probs = exact_outcome_probabilities(
-        app, setting, delay=delay, v0=v0, pbs_error=app.pbs.error_rate
+        app, diagonal_setting(app), delay=delay, v0=v0, pbs_error=app.pbs.error_rate
     )
-    table = draw_counts(probs, cfg.rates, args.time, args.seed)
+    table = draw_counts(probs, cfg["rates"], args.time, args.seed)
     lines = ["outcome,probability,count,integration_time_s,seed"]
     for k, p in sorted(probs.items()):
         lines.append(f"{k},{p:.12g},{table.counts[k]},{args.time},{args.seed}")
@@ -216,22 +205,16 @@ def run_basis45_table(cfg: Config, args) -> list[File]:
             f"delay: {args.delay} fs, zero-delay visibility: {v0}",
             f"even-parity probability total: {sum(probs[k] for k in even):.6f}",
             f"nonzero outcomes: {sum(1 for p in probs.values() if p > 1e-12)}",
-            *(["no counts drawn"] if table.total() == 0 else []),
+            *(["no counts drawn"] if sum(table.counts.values()) == 0 else []),
         ], "\n"),
     ]
 
 
-def run_delay_scan(cfg: Config, args) -> list[File]:
-    points = delay_scan(
-        cfg.apparatus,
-        diagonal_setting(cfg.apparatus),
-        cfg.scan_delays_fs,
-        cfg.rates,
-        cfg.scan_time_per_point_s,
-        args.seed,
-        coherence_time_fs=cfg.coherence_time_fs,
-        v0=cfg.visibility_zero_delay,
-    )
+def run_delay_scan(cfg: dict, args) -> list[File]:
+    app, time = cfg["apparatus"], cfg["scan_time_per_point_s"]
+    points = delay_scan(app, diagonal_setting(app), cfg["scan_delays_fs"], cfg["rates"], time,
+                        args.seed, coherence_time_fs=cfg["coherence_time_fs"],
+                        v0=cfg["visibility_zero_delay"])
     rows = []
     for tau, table in points:
         n_pppp = table.counts["++++"]
@@ -243,7 +226,7 @@ def run_delay_scan(cfg: Config, args) -> list[File]:
         rows.append((tau, n_pppp, n_pppm, vis, err))
     lines = ["delay_fs,counts_pppp,counts_pppm,visibility,visibility_error"]
     lines += [f"{tau},{a},{b},{vis:.6f},{err:.6f}" for tau, a, b, vis, err in rows]
-    summary = [f"points: {len(rows)}, time per point: {cfg.scan_time_per_point_s} s"]
+    summary = [f"points: {len(rows)}, time per point: {time} s"]
     counted = [r for r in rows if r[1] + r[2] > 0]
     if len(counted) < len(rows):
         summary.append(f"points without counts: {len(rows) - len(counted)}")
@@ -255,9 +238,9 @@ def run_delay_scan(cfg: Config, args) -> list[File]:
     return [("delay-scan.csv", lines, "\n"), ("delay-scan_summary.txt", summary, "\n")]
 
 
-def run_swap_report(cfg: Config, args) -> list[File]:
-    state, _ = experiment.ghz_after_postselection(cfg.apparatus)
-    rho = dephase_by_distinguishability(state, 1.0, cfg.visibility_zero_delay)
+def run_swap_report(cfg: dict, args) -> list[File]:
+    state, _ = experiment.ghz_after_postselection(cfg["apparatus"])
+    rho = dephase_by_distinguishability(state, 1.0, cfg["visibility_zero_delay"])
     result = swap.phi_plus_via_45_coincidence(rho)
     chsh = swap.chsh_value(result.conditioned_state_14)
     report = {
@@ -281,11 +264,11 @@ def run_swap_report(cfg: Config, args) -> list[File]:
     ]
 
 
-def run_feasibility(cfg: Config, args) -> list[File]:
-    target = cfg.bell_test_target_events
+def run_feasibility(cfg: dict, args) -> list[File]:
+    target = cfg["bell_test_target_events"]
     # phi+ identification succeeds on half of the four-fold events
-    usable_rate = cfg.rates.fourfold_rate_desired * 0.5
-    seconds = feasibility_estimate(target, cfg.rates) / 0.5
+    usable_rate = cfg["rates"].fourfold_rate_desired * 0.5
+    seconds = feasibility_estimate(target, cfg["rates"]) / 0.5
     months = seconds / (30 * 86400)
     return [
         ("feasibility.csv", [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import H, DensityMatrix, PureState, StateError, as_number, density_matrix
+from .states import H, DensityMatrix, PureState, StateError, as_number, density_matrix, show
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -44,9 +44,9 @@ class PbsElement:
                 and all(isinstance(m, str) for m in modes)
                 and modes[0] != modes[1]
             ):
-                raise StateError(f"PBS needs two distinct string {side} modes, got {modes}")
+                raise StateError(f"PBS needs two distinct string {side} modes, got {show(modes)}")
         if not 0.0 <= as_number(self.error_rate) < 1.0:
-            raise StateError(f"PBS error_rate {self.error_rate!r} outside [0, 1)")
+            raise StateError(f"PBS error_rate {show(self.error_rate)} outside [0, 1)")
 
     def route(self, mode: str, pol: str, flipped: bool = False) -> str:
         a, b = self.input_modes
@@ -67,9 +67,9 @@ class DelayElement:
     def __post_init__(self):
         # negated range tests, so that NaN fails them too
         if not -math.inf < as_number(self.delay_fs) < math.inf:
-            raise StateError(f"delay {self.delay_fs!r} fs is not finite")
+            raise StateError(f"delay {show(self.delay_fs)} fs is not finite")
         if not as_number(self.coherence_time_fs) > 0:
-            raise StateError(f"coherence time {self.coherence_time_fs!r} fs must be positive")
+            raise StateError(f"coherence time {show(self.coherence_time_fs)} fs must be positive")
 
 
 def distinguishability(delay: DelayElement) -> float:
@@ -100,9 +100,9 @@ def dephasing_components(
     weighted pure components: (1 + d*v0)/2 on psi and the rest on phi. At
     d*v0 = 1, or for a one-branch vector (`phi` None), psi stays pure."""
     if not 0.0 <= as_number(d) <= 1.0:
-        raise StateError(f"distinguishability {d!r} outside [0, 1]")
+        raise StateError(f"distinguishability {show(d)} outside [0, 1]")
     if not 0.0 <= as_number(v0) <= 1.0:
-        raise StateError(f"zero-delay visibility {v0!r} outside [0, 1]")
+        raise StateError(f"zero-delay visibility {show(v0)} outside [0, 1]")
     if phi is None or d * v0 >= 1.0:
         return [(1.0, psi)]
     w = (1.0 + d * v0) / 2.0

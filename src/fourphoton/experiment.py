@@ -41,6 +41,7 @@ from .states import (
     as_number,
     is_photon_pair,
     kron,
+    show,
     spdc_pair,
     state_from_terms,
     tensor,
@@ -57,9 +58,10 @@ class PairSource:
     def __post_init__(self):
         photons, modes = self.photons, self.modes
         if not is_photon_pair(photons):
-            raise StateError(f"a pair source needs two distinct photon indices, got {photons}")
+            raise StateError("a pair source needs two distinct photon indices, "
+                             f"got {show(photons)}")
         if not (len(modes) == 2 and all(isinstance(m, str) for m in modes)):
-            raise StateError(f"a pair source needs two string modes, got {modes}")
+            raise StateError(f"a pair source needs two string modes, got {show(modes)}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class Apparatus:
         object.__setattr__(self, "_compiled", {})
         modes = list(self.detectors.values())
         if len(modes) != 4 or not all(isinstance(m, str) for m in modes):
-            raise StateError(f"a four-fold needs four detectors on string modes, got {modes}")
+            raise StateError("a four-fold needs four detectors on string modes, "
+                             f"got {show(modes)}")
         if len(set(modes)) != len(modes):
             raise StateError("each detector must watch a distinct mode")
         # the PBS layout rule: each input mode holds exactly one source photon
@@ -85,7 +88,7 @@ class Apparatus:
         photons = [p for s in self.sources for p in s.photons]
         held = [m for s in self.sources for m in s.modes]
         if len(set(photons)) != len(photons):
-            raise StateError(f"source photons {photons} are not distinct")
+            raise StateError(f"source photons {show(photons)} are not distinct")
         if len(set(held)) != len(held):
             raise StateError(f"source modes {held} are not distinct")
         missing = [m for m in self.pbs.input_modes if m not in held]
@@ -125,9 +128,6 @@ class MeasurementSetting:
 
     angles: Mapping[str, float | None]
 
-    def angle(self, detector: str) -> float | None:
-        return self.angles.get(detector)
-
     @staticmethod
     def labels(angle: float | None) -> tuple[str, str]:
         """Outcome symbols for the pass/reject analyzer ports."""
@@ -160,15 +160,12 @@ class RateModel:
         # the draw multiplies the rates: each must be finite, as a float
         for name, rate in vars(self).items():
             if not 0.0 <= as_number(rate) < math.inf:
-                raise StateError(f"rate {name} {rate!r} is not a finite nonnegative number")
+                raise StateError(f"rate {name} {show(rate)} is not a finite nonnegative number")
 
 
 @dataclass(frozen=True)
 class CountTable:
     counts: Mapping[str, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def source_state(apparatus: Apparatus) -> PureState:
@@ -236,10 +233,10 @@ def _exact_model(
     """
     unknown = [d for d in setting.angles if d not in apparatus.detectors]
     if unknown:
-        raise StateError(f"unknown detectors {unknown}, not in {apparatus.detector_ids()}")
+        raise StateError(f"unknown detectors {show(unknown)}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
     if not 0.0 <= as_number(err) < 1.0:  # negated, so that NaN fails it too
-        raise StateError(f"PBS error_rate {err!r} outside [0, 1)")
+        raise StateError(f"PBS error_rate {show(err)} outside [0, 1)")
 
     # wrong-port patterns by PBS input; an ideal PBS has only frozenset()
     inputs = apparatus.pbs.input_modes if err > 0.0 else ()
@@ -260,7 +257,7 @@ def _exact_model(
 
     analyzers, labels = [], []
     for det in apparatus.detector_ids():
-        ang = setting.angle(det)
+        ang = setting.angles.get(det)
         labels.append(MeasurementSetting.labels(ang))
         analyzers.append(analyzer_matrix(0.0 if ang is None else ang))
     # Kronecker product of the 2x2 analyzers in detector order, ((A1 x A2) x A3) x A4
@@ -308,16 +305,17 @@ def exact_outcome_probabilities(
 def _check_integration_time(integration_time: float) -> None:
     # a negated range test, so that NaN fails it too
     if not 0 <= as_number(integration_time) < math.inf:
-        raise StateError(f"integration time {integration_time!r} s is not finite and nonnegative")
+        raise StateError(f"integration time {show(integration_time)} s "
+                         "is not finite and nonnegative")
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
     # numpy's seeding would end in a bare TypeError or ValueError; a plain int
     # skips the ABC isinstance check, a Python-level call on the per-point path
     if type(seed) is not int and (isinstance(seed, bool) or not isinstance(seed, Integral)):
-        raise StateError(f"{name} {seed!r} must be an integer")
+        raise StateError(f"{name} {show(seed)} must be an integer")
     if seed < 0:
-        raise StateError(f"{name} {seed} must be nonnegative")
+        raise StateError(f"{name} {show(seed)} must be nonnegative")
 
 
 def draw_counts(
@@ -343,7 +341,8 @@ def draw_counts(
             lam = (p * rate + floor) * integration_time
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
         except (TypeError, ValueError, OverflowError) as exc:
-            what = f"expected count {lam:.3g}" if isinstance(lam, Number) else f"probability {p!r}"
+            what = (f"expected count {lam:.3g}" if isinstance(lam, Number)
+                    else f"probability {show(p)}")
             raise StateError(f"outcome {key}: {what} cannot be drawn ({exc})") from exc
     return CountTable(counts)
 
@@ -415,7 +414,7 @@ def three_photon_ghz(
     passed = analyzer_matrix(angle)[0]
     modes = sorted(apparatus.mode_order())
     if polarizer_mode not in modes:
-        raise StateError(f"mode {polarizer_mode!r} has no detector; watched: {modes}")
+        raise StateError(f"mode {show(polarizer_mode)} has no detector; watched: {modes}")
     k = modes.index(polarizer_mode)
     psi = state.dense(modes).reshape(2**k, 2, -1)
     reduced = (passed[0] * psi[:, 0] + passed[1] * psi[:, 1]).ravel()
@@ -432,7 +431,7 @@ def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     """Seconds of continuous measurement needed for `target_events`
     usable four-fold events at the calibrated rates."""
     if not as_number(target_events) >= 0:  # negated, so that NaN fails it too
-        raise StateError(f"target event count {target_events!r} must be nonnegative")
+        raise StateError(f"target event count {show(target_events)} must be nonnegative")
     if target_events == 0:
         return 0.0
     rate = rates.fourfold_rate_desired

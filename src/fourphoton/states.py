@@ -48,12 +48,12 @@ class PostselectionError(StateError):
 
 def _check_ket(ket: tuple, n: int) -> None:
     if len(ket) != n:
-        raise StateError(f"ket {ket} has {len(ket)} slots, expected {n}")
+        raise StateError(f"ket {show(ket)} has {len(ket)} slots, expected {n}")
     for pol, mode in ket:
         if pol not in POLS:
-            raise StateError(f"bad polarization symbol {pol!r}")
+            raise StateError(f"bad polarization symbol {show(pol)}")
         if not isinstance(mode, str):
-            raise StateError(f"mode tag must be a string, got {mode!r}")
+            raise StateError(f"mode tag must be a string, got {show(mode)}")
 
 
 class PureState:
@@ -74,7 +74,7 @@ class PureState:
     ):
         photons = tuple(photons)
         if len(set(photons)) != len(photons):
-            raise LabelCollisionError(f"duplicate photon indices in {photons}")
+            raise LabelCollisionError(f"duplicate photon indices in {show(photons)}")
         order = sorted(range(len(photons)), key=lambda k: photons[k])
         amps: dict[tuple, complex] = {}
         for ket, a in amplitudes.items():
@@ -186,7 +186,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of states on disjoint photon sets."""
     if set(a.photons) & set(b.photons):
         raise LabelCollisionError(
-            f"photon labels overlap: {set(a.photons) & set(b.photons)}"
+            f"photon labels overlap: {show(set(a.photons) & set(b.photons))}"
         )
     photons = a.photons + b.photons
     amps = {
@@ -207,11 +207,14 @@ def bell_state(
 ) -> PureState:
     """One of the four Bell states psi+/psi-/phi+/phi- on photons i, j."""
     if kind not in BELL_KINDS:
-        raise StateError(f"unknown Bell kind {kind!r}; expected one of {BELL_KINDS}")
+        raise StateError(f"unknown Bell kind {show(kind)}; expected one of {BELL_KINDS}")
     if not is_photon_pair((i, j)):
-        raise StateError(f"a pair needs two distinct photon indices, got {(i, j)}")
+        raise StateError(f"a pair needs two distinct photon indices, got {show((i, j))}")
     if modes is None:
-        modes = (str(i), str(j))
+        try:
+            modes = (str(i), str(j))
+        except ValueError as exc:  # an integer of more digits than str() converts
+            raise StateError(f"photon indices {show(i)}, {show(j)} have no mode names") from exc
     s = 1 / math.sqrt(2)
     sign = s if kind.endswith("+") else -s
     if kind.startswith("psi"):
@@ -248,9 +251,20 @@ def as_number(value):
     return math.nan if isinstance(value, bool) else value
 
 
+def show(value) -> str:
+    """`repr(value)`, or a short stand-in where that raises (an integer of more than
+    4,300 digits): the one way a message shows a caller's value, which cannot fail."""
+    try:
+        return repr(value)
+    except ValueError:  # raised by an integer's repr, and by that of a container holding one
+        if not isinstance(value, int):
+            return f"<{type(value).__name__}>"
+        return f"<int of {value.bit_length()} bits>"
+
+
 def check_angle(angle_deg: float) -> None:
     if not 0.0 <= as_number(angle_deg) < 180.0:
-        raise StateError(f"analyzer angle must be a number in [0, 180), got {angle_deg!r}")
+        raise StateError(f"analyzer angle must be a number in [0, 180), got {show(angle_deg)}")
 
 
 def analyzer_matrix(angle_deg: float) -> np.ndarray:
@@ -310,7 +324,7 @@ def mix(components: Iterable[tuple[float, PureState]],
     weights = [w for w, _ in components]
     # negated tests, so that a NaN weight fails them too
     if not all(as_number(w) >= 0 for w in weights):
-        raise StateError(f"a mixture weight in {weights} is negative or not a number")
+        raise StateError(f"a mixture weight in {show(weights)} is negative or not a number")
     if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
     if mode_order is None:

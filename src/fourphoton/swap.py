@@ -24,6 +24,7 @@ from .states import (
     bell_state,
     check_angle,
     kron,
+    show,
 )
 
 # Fixed vectors and operators on the analyzed pair, built once, read-only:
@@ -84,7 +85,7 @@ def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
-        raise StateError(f"{tuple(pair_modes)} must be two of the four modes {rho.modes}")
+        raise StateError(f"{show(tuple(pair_modes))} must be two of the four modes {rho.modes}")
     # pair qubits first on both sides: t[pair, rest, pair', rest']
     pos = [rho.modes.index(m) for m in pair_modes]
     order = pos + [i for i in range(n) if i not in pos]
@@ -112,7 +113,7 @@ def project_bell(rho: DensityMatrix, pair_modes: Sequence[str], kind: str) -> Sw
     projection probability, and fidelity/visibility relative to |phi+>.
     """
     if kind not in BELL_KINDS:
-        raise StateError(f"unknown Bell kind {kind!r}")
+        raise StateError(f"unknown Bell kind {show(kind)}")
     return _condition(rho, pair_modes, _BELL_EFFECTS[kind])
 
 
@@ -140,7 +141,8 @@ def visibility_from_counts(
     """
     for k in (*even_parity_keys, *odd_parity_keys):
         if not 0 <= as_number(counts[k]) < math.inf:
-            raise StateError(f"count {k!r} is not a finite nonnegative number: {counts[k]!r}")
+            raise StateError(f"count {show(k)} is not a finite nonnegative number: "
+                             f"{show(counts[k])}")
     ne = sum(counts[k] for k in even_parity_keys)
     no = sum(counts[k] for k in odd_parity_keys)
     total = ne + no

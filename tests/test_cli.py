@@ -293,6 +293,23 @@ class TestScenarios:
         for name, lines, end in files:
             assert (tmp_path / name).read_bytes() == "".join(l + end for l in lines).encode()
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_default_config_files_run_as_no_config(self, scenario, tmp_path, capsys):
+        # one load path: a `{}` config and the printed defaults merge into the
+        # same tree that a run without --config checks and builds
+        assert run(["--print-default-config"]) == 0
+        (tmp_path / "printed.json").write_text(capsys.readouterr().out)
+        (tmp_path / "empty.json").write_text("{}")
+        outputs = []
+        for config in ([], ["--config", str(tmp_path / "empty.json")],
+                       ["--config", str(tmp_path / "printed.json")]):
+            out = tmp_path / f"out{len(outputs)}"
+            code = run(["--scenario", scenario, "--seed", "7", *config, "--out", str(out)])
+            files = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+            outputs.append((code, capsys.readouterr().err, files))
+        assert outputs[0][0] == 0 and outputs[0][2]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_hv_table_output(self, tmp_path):
         assert run(["--scenario", "hv-table", "--seed", "3",
                     "--out", str(tmp_path)]) == 0

@@ -1,0 +1,121 @@
+"""One hostile-input table for the public API: every entry point below, called
+with every value of one fixed corpus, raises `StateError` or returns a result,
+never a bare exception.
+
+Each entry of `ENTRY_POINTS` is a call that takes one value in one argument
+and passes valid values everywhere else. `CORPUS` is fixed here and not chosen
+per change. The rejection tests of the other files pin the message texts; this
+one only pins the exception type.
+"""
+
+import contextlib
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fourphoton import (
+    DelayElement,
+    MeasurementSetting,
+    PbsElement,
+    RateModel,
+    StateError,
+    bell_state,
+    chsh_value,
+    correlation,
+    default_apparatus,
+    delay_scan,
+    dephase_by_distinguishability,
+    diagonal_setting,
+    draw_counts,
+    exact_outcome_probabilities,
+    feasibility_estimate,
+    ghz_after_postselection,
+    hv_setting,
+    mix,
+    monte_carlo_counts,
+    phi_plus_via_45_coincidence,
+    spdc_pair,
+    three_photon_ghz,
+    visibility_from_counts,
+)
+from fourphoton.experiment import derive_point_seed
+
+APP = default_apparatus()
+HV = hv_setting(APP)
+DIAGONAL = diagonal_setting(APP)
+RATES = RateModel()
+PROBS = exact_outcome_probabilities(APP, HV)
+GHZ, _ = ghz_after_postselection(APP)
+RHO_14 = phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, 1.0)).conditioned_state_14
+PAIR = bell_state("phi+", 1, 2)
+
+# name -> a call that takes the hostile value in that one argument
+ENTRY_POINTS = {
+    "PbsElement.error_rate": lambda x: PbsElement(("2", "3"), ("2'", "3'"), x),
+    "DelayElement.delay_fs": lambda x: DelayElement(x),
+    "DelayElement.coherence_time_fs": lambda x: DelayElement(0.0, x),
+    "RateModel.fourfold_rate_desired": lambda x: RateModel(x),
+    "RateModel.background_fourfold_rate": lambda x: RateModel(background_fourfold_rate=x),
+    "default_apparatus.pbs_error": default_apparatus,
+    "exact_outcome_probabilities.v0": lambda x: exact_outcome_probabilities(APP, HV, v0=x),
+    "exact_outcome_probabilities.pbs_error":
+        lambda x: exact_outcome_probabilities(APP, HV, pbs_error=x),
+    "exact_outcome_probabilities.angle":
+        lambda x: exact_outcome_probabilities(APP, MeasurementSetting({"D1": x})),
+    "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
+    "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
+    "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
+    "delay_scan.delay": lambda x: delay_scan(APP, DIAGONAL, [x], RATES, 6000.0, 1),
+    "delay_scan.time_per_point": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, x, 1),
+    "delay_scan.seed": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, x),
+    "delay_scan.coherence_time_fs":
+        lambda x: delay_scan(APP, DIAGONAL, [100.0], RATES, 6000.0, 1, coherence_time_fs=x),
+    "delay_scan.v0": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, 1, v0=x),
+    "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
+    "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
+    "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
+    "correlation.angle": lambda x: correlation(RHO_14, x, 0.0),
+    "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
+    "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
+    "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
+    "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),
+    "visibility_from_counts.count":
+        lambda x: visibility_from_counts({"e": x, "o": 1}, ["e"], ["o"]),
+    "mix.weight": lambda x: mix([(x, PAIR)]),
+    "bell_state.photon": lambda x: bell_state("phi+", x, 2),
+    "spdc_pair.photon": lambda x: spdc_pair(1, x),
+}
+
+# fixed, with explicit ids: pytest cannot print an integer of 5,001 digits
+CORPUS = {
+    "True": True,
+    "None": None,
+    "'0.5'": "0.5",
+    "1j": 1j,
+    "10**400": 10**400,
+    "10**5000": 10**5000,
+    "-10**5000": -(10**5000),
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "nan": math.nan,
+    "-1.0": -1.0,
+    "-0.0": -0.0,
+    "0-d array": np.array(0.5),
+    "one-element array": np.array([0.5]),
+    "Decimal": Decimal("0.5"),
+    "Fraction": Fraction(1, 2),
+    "np.int64": np.int64(1),
+    "np.float32": np.float32(0.5),
+    "[]": [],
+    "object()": object(),
+}
+
+
+@pytest.mark.parametrize("value", CORPUS.values(), ids=CORPUS.keys())
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_hostile_value_raises_state_error_or_returns(call, value):
+    with contextlib.suppress(StateError):  # any other exception fails the test
+        call(value)

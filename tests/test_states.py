@@ -20,7 +20,7 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
-from fourphoton.states import NORM_TOL, analyzer_matrix, as_number, kron
+from fourphoton.states import NORM_TOL, analyzer_matrix, as_number, kron, show
 
 import oracle
 
@@ -143,6 +143,24 @@ class TestAsNumber:
         assert as_number(value) is value
 
 
+class TestShow:
+    @pytest.mark.parametrize("value", [
+        0.5, -0.0, math.nan, "0.5", None, (1, "2"), [0.5], np.int64(7), np.array([0.5]),
+        pytest.param(10**4299, id="10**4299"),  # 4,300 digits: repr still works
+    ])
+    def test_equals_repr_where_repr_works(self, value):
+        assert show(value) == repr(value)
+
+    @pytest.mark.parametrize("value, shown", [
+        pytest.param(10**4300, "<int of 14285 bits>", id="10**4300"),  # 4,301 digits
+        pytest.param(10**5000, "<int of 16610 bits>", id="10**5000"),
+        pytest.param(-(10**5000), "<int of 16610 bits>", id="-10**5000"),
+        pytest.param([0.5, 10**5000], "<list>", id="list"),
+    ])
+    def test_stand_in_where_repr_fails(self, value, shown):
+        assert show(value) == shown
+
+
 class TestSpdcPair:
     def test_singlet_amplitudes(self):
         view = spdc_pair(1, 2).mode_view(["1", "2"])
@@ -168,6 +186,12 @@ class TestSpdcPair:
 
     def test_numpy_integer_index_accepted(self):
         assert spdc_pair(1, np.int64(2)).photons == (1, 2)
+
+    def test_index_without_default_mode_name_rejected(self):
+        # the default mode name str(i) exceeds Python's integer-to-string limit
+        with pytest.raises(StateError, match="photon indices 1, <int of 16610 bits> have no"):
+            spdc_pair(1, 10**5000)
+        assert spdc_pair(1, 10**5000, modes=("1", "2")).photons == (1, 10**5000)
 
 
 class TestBellStates:

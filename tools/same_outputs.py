@@ -10,8 +10,9 @@ interpreter per side with PYTHONPATH set to that side's `src`. The corpus is
 fixed here, seeds included:
 
 - cli: the files, exit code and stderr of every scenario at seeds 0-199, at the
-  default config and at PBS error_rate 0.01, and of the error configs and
-  flags of tests/test_cli.py (plus a detector that no photon reaches);
+  default config and at PBS error_rate 0.01, once with a `{}` config file, and
+  of the error configs and flags of tests/test_cli.py (plus a detector that no
+  photon reaches); and the stdout of --print-default-config;
 - exact: random `exact_outcome_probabilities` calls (None angles, PBS errors,
   d*v0 = 1) and the post-selected and three-photon states, on relabelled,
   re-listed and permuted layouts;
@@ -248,6 +249,8 @@ def _cli_family(fp, np):
         return _digest(code, err.getvalue(), out.getvalue(), files)
 
     runs = [(s, seed, None) for s in cli.SCENARIOS for seed in range(200)]
+    # the merged load path at the default config, as the no-config runs
+    runs += [(s, 1, {}) for s in cli.SCENARIOS]
     runs += [(s, seed, {"apparatus": {"pbs": {"error_rate": 0.01}}})
              for s in cli.SCENARIOS for seed in range(200)]
     runs += [(s, 1, c) for c in ERROR_CONFIGS for s in cli.SCENARIOS]
@@ -256,6 +259,7 @@ def _cli_family(fp, np):
                run(["--scenario", scenario, "--seed", str(seed)], config))
     for flags in ERROR_FLAGS:
         yield f"--scenario basis45-table {flags}", run(["--scenario", "basis45-table", *flags], None)
+    yield "--print-default-config", run(["--print-default-config"], None)
 
 
 FAMILIES = {"cli": _cli_family, "exact": _exact_family, "delay_scan": _delay_scan_family,
