@@ -82,23 +82,13 @@ def distinguishability(delay: DelayElement) -> float:
     return math.exp(-(x * x))
 
 
-def dephasing_partner(psi: np.ndarray) -> np.ndarray:
-    """|phi>: the dense two-branch vector `psi` with its last nonzero entry
-    negated. It does not depend on the delay."""
-    branches = psi.nonzero()[0]
-    if len(branches) != 2:
-        raise StateError("dephasing expects a two-branch superposition")
-    phi = psi.copy()
-    phi[branches[-1]] *= -1
-    return phi
-
-
 def dephasing_components(
     psi: np.ndarray, phi: np.ndarray | None, d: float, v0: float
 ) -> list[tuple[float, np.ndarray]]:
-    """The dephasing channel on a dense vector `psi` with partner `phi`, as
-    weighted pure components: (1 + d*v0)/2 on psi and the rest on phi. At
-    d*v0 = 1, or for a one-branch vector (`phi` None), psi stays pure."""
+    """The dephasing channel on a dense vector `psi` with partner `phi` (see
+    `states.dephasing_partner`), or on their projectors, as weighted pure
+    components: (1 + d*v0)/2 on psi and the rest on phi. At d*v0 = 1, or for
+    a one-branch vector (`phi` None), psi stays pure."""
     if not 0.0 <= as_number(d) <= 1.0:
         raise StateError(f"distinguishability {show(d)} outside [0, 1]")
     if not 0.0 <= as_number(v0) <= 1.0:
@@ -116,8 +106,8 @@ def dephase_by_distinguishability(
 
     Returns rho = (1 + d*v0)/2 |psi><psi| + (1 - d*v0)/2 |phi><phi| where
     |phi> flips the relative sign of the two branches. d is the wave-packet
-    overlap, v0 the zero-delay visibility ceiling.
+    overlap, v0 the zero-delay visibility ceiling. The projectors are the
+    state's memoised ones; only the weights depend on d and v0.
     """
-    modes = sorted({m for ket in state_after_pbs.amps for _, m in ket})
-    psi = state_after_pbs.dense(modes)
-    return density_matrix(modes, dephasing_components(psi, dephasing_partner(psi), d, v0))
+    modes, p_psi, p_phi = state_after_pbs.dephasing_projectors()
+    return density_matrix(modes, dephasing_components(p_psi, p_phi, d, v0))

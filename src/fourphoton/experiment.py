@@ -29,7 +29,6 @@ from .elements import (
     DelayElement,
     PbsElement,
     dephasing_components,
-    dephasing_partner,
     distinguishability,
 )
 from .states import (
@@ -39,6 +38,7 @@ from .states import (
     StateError,
     analyzer_matrix,
     as_number,
+    dephasing_partner,
     is_photon_pair,
     kron,
     show,

@@ -61,10 +61,11 @@ class PureState:
 
     Immutable, so that a memoised state cannot go stale: `photons` is a tuple,
     `amps` a read-only mapping, and neither can be rebound. `dense` computes
-    each mode order's vector once and returns it read-only.
+    each mode order's vector once and returns it read-only, and
+    `dephasing_projectors` its dephasing channel's fixed operators.
     """
 
-    __slots__ = ("photons", "amps", "_dense")
+    __slots__ = ("photons", "amps", "_dense", "_dephasing")
 
     def __init__(
         self,
@@ -96,6 +97,7 @@ class PureState:
         object.__setattr__(self, "photons", photons)
         object.__setattr__(self, "amps", MappingProxyType(amps))
         object.__setattr__(self, "_dense", {})  # tuple(mode_order) -> read-only vector
+        object.__setattr__(self, "_dephasing", None)  # set by dephasing_projectors
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PureState is immutable: cannot set {name!r}")
@@ -104,7 +106,7 @@ class PureState:
         raise AttributeError(f"PureState is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuilt from its fields as they are, without the dense memo: the
+        # rebuilt from its fields as they are, without the memos: the
         # constructor's sum would turn an amplitude's -0.0 part into 0.0
         return (PureState._from_fields, (self.photons, dict(self.amps)))
 
@@ -116,7 +118,10 @@ class PureState:
 
     def fixed_mode(self, photon: int) -> str:
         """Mode of `photon` if it is the same in every ket, else error."""
-        i = self.photons.index(photon)
+        try:
+            i = self.photons.index(photon)
+        except ValueError:
+            raise StateError(f"photon {show(photon)} is not among {self.photons}") from None
         modes = {ket[i][1] for ket in self.amps}
         if len(modes) != 1:
             raise StateError(f"photon {photon} occupies several modes: {sorted(modes)}")
@@ -157,12 +162,42 @@ class PureState:
             self._dense[order] = vec
         return vec
 
+    def dephasing_projectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The state's sorted modes and the projectors |psi><psi| and |phi><phi|
+        of its dense vector psi over them and of psi's `dephasing_partner` phi:
+        what the dephasing channel needs that does not depend on the delay,
+        read-only and computed once."""
+        if self._dephasing is None:
+            modes = tuple(sorted({m for ket in self.amps for _, m in ket}))
+            psi = self.dense(modes)
+            projectors = [projector(v) for v in (psi, dephasing_partner(psi))]
+            for p in projectors:
+                p.flags.writeable = False
+            object.__setattr__(self, "_dephasing", (modes, *projectors))
+        return self._dephasing
+
     def __repr__(self) -> str:
         terms = ", ".join(
             f"{''.join(p for p, _ in k)}@{','.join(m for _, m in k)}: {a:.4g}"
             for k, a in sorted(self.amps.items())
         )
         return f"PureState(photons={self.photons}, {{{terms}}})"
+
+
+def dephasing_partner(psi: np.ndarray) -> np.ndarray:
+    """|phi>: the dense two-branch vector `psi` with its last nonzero entry
+    negated. It does not depend on the delay."""
+    branches = psi.nonzero()[0]
+    if len(branches) != 2:
+        raise StateError("dephasing expects a two-branch superposition")
+    phi = psi.copy()
+    phi[branches[-1]] *= -1
+    return phi
+
+
+def projector(v: np.ndarray) -> np.ndarray:
+    """|v><v| of a dense vector, as v[:, None] * v.conj()."""
+    return v[:, None] * v.conj()
 
 
 def state_from_terms(
@@ -298,10 +333,13 @@ class DensityMatrix:
 
     def validate(self) -> None:
         m = self.matrix
-        # first, so that no check below computes with a NaN or inf entry
-        if not np.isfinite(m).all():
-            raise StateError("density matrix has a non-finite entry")
-        if abs(m - m.conj().T).max() > NORM_TOL:
+        # negated: a NaN or inf entry makes the residual NaN or inf and fails
+        # it too, so only a failure pays for the finiteness pass that names it
+        with np.errstate(invalid="ignore"):
+            hermitian = abs(m - m.conj().T).max() <= NORM_TOL
+        if not hermitian:
+            if not np.isfinite(m).all():
+                raise StateError("density matrix has a non-finite entry")
             raise StateError("density matrix is not Hermitian")
         tr = m.trace()
         if abs(tr.real - 1.0) > NORM_TOL or abs(tr.imag) > NORM_TOL:
@@ -325,23 +363,27 @@ def mix(components: Iterable[tuple[float, PureState]],
     # negated tests, so that a NaN weight fails them too
     if not all(as_number(w) >= 0 for w in weights):
         raise StateError(f"a mixture weight in {show(weights)} is negative or not a number")
+    # as floats, so that a Fraction or another exact number sums into a float matrix
+    weights = [float(w) for w in weights]
     if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
     if mode_order is None:
         first = components[0][1]
         mode_order = sorted({m for ket in first.amps for _, m in ket})
-    return density_matrix(mode_order, [(w, psi.dense(mode_order)) for w, psi in components])
+    return density_matrix(mode_order, [
+        (w, projector(psi.dense(mode_order))) for w, (_, psi) in zip(weights, components)
+    ])
 
 
 def density_matrix(
     modes: Sequence[str], components: Iterable[tuple[float, np.ndarray]]
 ) -> DensityMatrix:
-    """The `DensityMatrix` on `modes` that sums w |v><v| over weighted dense
-    vectors, added in order to a zero matrix. Weights are not checked here."""
+    """The `DensityMatrix` on `modes` that sums w P over weighted projectors P,
+    added in order to a zero matrix. Weights are not checked here."""
     dim = 2 ** len(modes)
     rho = np.zeros((dim, dim), dtype=complex)
-    for w, v in components:
-        rho += w * (v[:, None] * v.conj())
+    for w, p in components:
+        rho += w * p
     return DensityMatrix(modes, rho)
 
 

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from fourphoton.cli import SCENARIOS, default_config, main
 
 BEYOND_FLOAT = 10**400
+# more digits than int() and json read by default; json.dumps cannot write it
+BEYOND_STR_DIGITS = "1" * 5_000
 DELETE = object()
 VALUES = [
     DELETE, "x", True, False, [], [1.0], {}, {"x": 1}, None,
@@ -94,6 +96,7 @@ def count_total(scenario: str, out: Path) -> int:
 @example("delay-scan", {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}, [])
 @example("basis45-table", {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}, [])
 @example("hv-table", {}, ["--seed", "x"])
+@example("hv-table", {}, ["--seed", BEYOND_STR_DIGITS])
 def test_every_input_ends_in_a_documented_exit(scenario, user, flags):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
@@ -159,6 +162,8 @@ def make_path(tmp: Path, name: str, kind: str, content: bytes = b"") -> Path:
 @example("feasibility", (VALID_JSON, 0), "directory", "missing")
 @example("feasibility", (b"\xff" + VALID_JSON, 2), "file", "missing")
 @example("feasibility", (b"[" * 200_000, 2), "file", "missing")
+@example("feasibility", (b'{"visibility_zero_delay": %s}' % BEYOND_STR_DIGITS.encode(), 2),
+         "file", "missing")
 def test_unreadable_config_or_unwritable_out_exits_cleanly(
     scenario, config, config_kind, out_kind
 ):

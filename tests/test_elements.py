@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from fourphoton.elements import dephasing_components, dephasing_partner
+from fourphoton.elements import dephasing_components
+from fourphoton.states import density_matrix, dephasing_partner, projector
 from fourphoton import (
     Apparatus,
     DelayElement,
@@ -154,19 +156,48 @@ class TestDephasing:
         assert fidelity(rho, phi) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_sum_of_outer_products_bit_for_bit(self):
-        # sum(w |v><v|) over dephasing_components, added to 0 in order
+        # sum(w |v><v|) over dephasing_components, added to 0 in order, and
+        # density_matrix over fresh projectors: the memoised ones move no bit
         ghz, _ = ghz_after_postselection(APP)
         signed = state_from_terms(
             [1, 2, 3, 4], MODES, {"HVVH": -S2, "VHHV": -1j * S2}, normalize=False
         )
         for psi in (ghz, signed):
             v = psi.dense(MODES)
-            for d, v0 in ((0.0, 0.79), (0.37, 0.79), (1.0, 0.79), (0.5, 0.0), (1.0, 1.0)):
-                terms = [w * np.outer(u, u.conj()) for w, u in dephasing_components(v, dephasing_partner(v), d, v0)]
-                rho = dephase_by_distinguishability(psi, d, v0).matrix
-                assert rho.tobytes() == sum(terms).tobytes()
+            for d in (0.0, 0.37, 0.5, 1.0):
+                for v0 in (0.0, 0.5, 0.79, 1.0):  # d*v0 = 1 at the last point
+                    components = dephasing_components(v, dephasing_partner(v), d, v0)
+                    terms = [w * np.outer(u, u.conj()) for w, u in components]
+                    fresh = density_matrix(MODES, [(w, projector(u)) for w, u in components])
+                    rho = dephase_by_distinguishability(psi, d, v0)
+                    assert rho.modes == fresh.modes
+                    assert rho.matrix.tobytes() == fresh.matrix.tobytes() == sum(terms).tobytes()
         # the last, pure case: its one term holds a -0.0 that the zero start makes +0.0
-        assert rho.tobytes() != terms[0].tobytes()
+        assert rho.matrix.tobytes() != terms[0].tobytes()
+
+    def test_returned_matrix_is_fresh(self):
+        ghz, _ = ghz_after_postselection(APP)
+        want = dephase_by_distinguishability(ghz, 0.5).matrix.tobytes()
+        rho = dephase_by_distinguishability(ghz, 0.5)
+        rho.matrix[:] = 7.0  # writable, and shares nothing with the memo
+        assert dephase_by_distinguishability(ghz, 0.5).matrix.tobytes() == want
+
+    def test_memoised_projectors_are_read_only_and_built_once(self):
+        ghz, _ = ghz_after_postselection(APP)
+        modes, p_psi, p_phi = ghz.dephasing_projectors()
+        assert modes == tuple(MODES)
+        for p in (p_psi, p_phi):
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0, 0] = 1.0
+        again = ghz.dephasing_projectors()
+        assert again[1] is p_psi and again[2] is p_phi
+
+    def test_pickled_state_gives_the_same_bytes(self):
+        ghz, _ = ghz_after_postselection(APP)
+        want = dephase_by_distinguishability(ghz, 0.3).matrix.tobytes()
+        again = pickle.loads(pickle.dumps(ghz))
+        assert dephase_by_distinguishability(again, 0.3).matrix.tobytes() == want
 
     def test_invariants(self):
         psi = GHZ_HVVH
@@ -179,10 +210,11 @@ class TestDephasing:
                 dephase_by_distinguishability(GHZ_HVVH, d)
 
     def test_one_branch_state_reports_its_branches_first(self):
-        # the partner is built before the channel checks d and v0
+        # the partner is built before the channel checks d and v0; the last
+        # call repeats the first, since a failed build memoises nothing
         one_branch = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": 1.0})
-        for d, v0 in ((0.5, 0.79), (1.2, 0.79), (0.5, math.nan)):
-            with pytest.raises(StateError, match="two-branch"):
+        for d, v0 in ((0.5, 0.79), (1.2, 0.79), (0.5, math.nan), (0.5, 0.79)):
+            with pytest.raises(StateError, match="dephasing expects a two-branch superposition"):
                 dephase_by_distinguishability(one_branch, d, v0)
 
 

@@ -9,8 +9,8 @@ import pytest
 from scipy import stats
 
 from fourphoton import experiment
-from fourphoton.elements import dephasing_components, dephasing_partner
-from fourphoton.states import analyzer_matrix
+from fourphoton.elements import dephasing_components
+from fourphoton.states import analyzer_matrix, dephasing_partner
 from fourphoton import (
     Apparatus,
     DelayElement,

@@ -87,6 +87,7 @@ ENTRY_POINTS = {
     "mix.weight": lambda x: mix([(x, PAIR)]),
     "bell_state.photon": lambda x: bell_state("phi+", x, 2),
     "spdc_pair.photon": lambda x: spdc_pair(1, x),
+    "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
 }
 
 # fixed, with explicit ids: pytest cannot print an integer of 5,001 digits

@@ -1,7 +1,9 @@
 import itertools
 import math
 import pickle
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ class TestImmutablePureState:
         with pytest.raises(TypeError):
             del s.amps[ket]
 
-    @pytest.mark.parametrize("name", ["amps", "photons", "_dense", "extra"])
+    @pytest.mark.parametrize("name", ["amps", "photons", "_dense", "_dephasing", "extra"])
     def test_attributes_cannot_be_rebound(self, name):
         s = two_pair_state()
         with pytest.raises(AttributeError):
@@ -103,10 +105,11 @@ class TestImmutablePureState:
         state, _ = ghz_after_postselection(default_apparatus())
         modes = ["1", "2'", "3'", "4"]
         v = state.dense(modes)
+        state.dephasing_projectors()
         again = pickle.loads(pickle.dumps(state))
         assert again.photons == state.photons
         assert pickle.dumps(dict(again.amps)) == pickle.dumps(dict(state.amps))
-        assert again._dense == {}  # the memo is left out
+        assert again._dense == {} and again._dephasing is None  # the memos are left out
         assert again.dense(modes).tobytes() == v.tobytes()
         with pytest.raises(AttributeError):
             again.amps = {}
@@ -119,6 +122,15 @@ class TestFixedMode:
         with pytest.raises(StateError) as exc:
             state.fixed_mode(2)
         assert str(exc.value) == """photon 2 occupies several modes: ["2'", "3'"]"""
+
+    @pytest.mark.parametrize("photon, shown", [
+        (7, "7"), ("1", "'1'"), pytest.param(10**5000, "<int of", id="10**5000"),
+    ])
+    def test_photon_not_held_named(self, photon, shown):
+        # not tuple.index's bare ValueError
+        state, _ = ghz_after_postselection(default_apparatus())
+        with pytest.raises(StateError, match=f"photon {re.escape(shown)}.* not among"):
+            state.fixed_mode(photon)
 
 
 class TestAsNumber:
@@ -304,6 +316,14 @@ class TestMixAndFidelity:
         with pytest.raises(StateError, match="is negative or not a number"):
             mix([(weight, psi)])
 
+    def test_exact_weights_read_as_floats(self):
+        # a Fraction weight would otherwise meet numpy as an object and fail there
+        psi, phi = self.ghz_pair()
+        pair = bell_state("phi+", 1, 2)
+        assert mix([(Fraction(1), pair)]).matrix.tobytes() == mix([(1.0, pair)]).matrix.tobytes()
+        assert (mix([(Fraction(1, 2), psi), (0.5, phi)]).matrix.tobytes()
+                == mix([(0.5, psi), (0.5, phi)]).matrix.tobytes())
+
     def test_invariants_over_random_pure_states(self):
         # density-matrix invariants hold for any valid weight list
         rng = np.random.default_rng(23)
@@ -356,8 +376,20 @@ class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex)
         m[0, 1] = 1.0
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="not Hermitian"):
             DensityMatrix(["1"], m / 2)
+
+    @pytest.mark.parametrize("upper, lower", [
+        (math.nan, 0.0), (math.inf, 0.0), (math.inf, -math.inf), (complex(0, math.inf), 0.5),
+    ])
+    def test_non_finite_named_before_non_hermitian(self, upper, lower):
+        # both checks fail; the finiteness pass, run only then, names the entry
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1], m[1, 0] = upper, lower
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match="non-finite"):
+                DensityMatrix(["1"], m)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
     @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
