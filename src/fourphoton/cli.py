@@ -10,7 +10,8 @@ Scenarios:
 
 Each `run_*` runner computes its scenario and returns its files; `main`
 then creates --out and writes them with `_write`, so a run that fails before
-its files are written leaves no --out behind.
+its files are written leaves no --out behind. `main` builds its parser on its
+first call and reuses it; `build_parser()` returns a fresh one.
 
 Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
 (also an unreadable config file), 3 physically impossible request
@@ -20,6 +21,7 @@ Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -316,10 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built on the first `main` call, not at import: parsing leaves a parser unchanged, and
+# argparse reads sys.stdout, sys.stderr and the terminal width only when it prints
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after printing --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 

@@ -39,6 +39,7 @@ from .states import (
     analyzer_matrix,
     as_number,
     dephasing_partner,
+    is_complex,
     is_photon_pair,
     kron,
     show,
@@ -334,11 +335,14 @@ def draw_counts(
     for key, p in probs.items():
         lam = None
         # a probability that is no number fails the product, a bool the test
-        # before it; numpy rejects a negative, NaN or complex count before it draws
+        # before it, a complex one the test after it (numpy would draw from its
+        # real part); numpy rejects a negative or NaN count before it draws
         try:
             if type(p) is bool:
                 raise TypeError("a bool is no number")
             lam = (p * rate + floor) * integration_time
+            if not isinstance(lam, float) and is_complex(lam):
+                raise TypeError("a complex count")
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
         except (TypeError, ValueError, OverflowError) as exc:
             what = (f"expected count {lam:.3g}" if isinstance(lam, Number)

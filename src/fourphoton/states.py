@@ -118,10 +118,9 @@ class PureState:
 
     def fixed_mode(self, photon: int) -> str:
         """Mode of `photon` if it is the same in every ket, else error."""
-        try:
-            i = self.photons.index(photon)
-        except ValueError:
-            raise StateError(f"photon {show(photon)} is not among {self.photons}") from None
+        if not (is_photon_index(photon) and photon in self.photons):  # True == 1, but no index
+            raise StateError(f"photon {show(photon)} is not among {self.photons}")
+        i = self.photons.index(photon)
         modes = {ket[i][1] for ket in self.amps}
         if len(modes) != 1:
             raise StateError(f"photon {photon} occupies several modes: {sorted(modes)}")
@@ -259,14 +258,14 @@ def bell_state(
     return state_from_terms([i, j], modes, terms, normalize=False)
 
 
+def is_photon_index(photon) -> bool:
+    """Whether `photon` is an integer photon index; a bool is no index."""
+    return isinstance(photon, Integral) and not isinstance(photon, bool)
+
+
 def is_photon_pair(photons: Sequence) -> bool:
-    """Whether `photons` holds two distinct integer photon indices; a bool is
-    no index."""
-    return (
-        len(photons) == 2
-        and all(isinstance(p, Integral) and not isinstance(p, bool) for p in photons)
-        and photons[0] != photons[1]
-    )
+    """Whether `photons` holds two distinct photon indices."""
+    return len(photons) == 2 and all(map(is_photon_index, photons)) and photons[0] != photons[1]
 
 
 def as_number(value):
@@ -274,7 +273,8 @@ def as_number(value):
     fails every negated range test: the one reading of a caller's scalar. A
     bool is no number; None, a string or a complex number has no float sum
     or no order against a float; an integer beyond float range overflows; an
-    array that is not 0-d is no scalar, though a one-element one compares."""
+    array that is not 0-d is no scalar, though a one-element one compares;
+    a numpy complex scalar or 0-d array compares too, but is no real number."""
     if type(value) is float:  # the common case, on every delay point
         return value
     if getattr(value, "ndim", 0) != 0:
@@ -283,7 +283,17 @@ def as_number(value):
         value + 0.0 < 0.0
     except (TypeError, OverflowError):
         return math.nan
-    return math.nan if isinstance(value, bool) else value
+    if isinstance(value, bool):
+        return math.nan
+    # numpy's float64 is a float: no complex test for it, on every delay point
+    return math.nan if not isinstance(value, float) and is_complex(value) else value
+
+
+def is_complex(value) -> bool:
+    """Whether `value` is a complex number or array, numpy's included: numpy
+    orders a complex scalar against a float, and casts it to one with only a
+    warning."""
+    return isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", "") == "c"
 
 
 def show(value) -> str:

@@ -23,6 +23,7 @@ from .states import (
     as_number,
     bell_state,
     check_angle,
+    is_photon_pair,
     kron,
     show,
 )
@@ -70,8 +71,10 @@ def bell_decompose(
     Keys are (kind on pair_a, kind on pair_b). Summing coefficient x basis
     state reproduces the input.
     """
-    if not len(pair_a) == len(pair_b) == 2 or sorted((*pair_a, *pair_b)) != list(state.photons):
-        raise StateError("Bell decomposition needs two pairs that partition a four-photon state")
+    if not (is_photon_pair(pair_a) and is_photon_pair(pair_b)
+            and sorted((*pair_a, *pair_b)) == list(state.photons)):
+        raise StateError("Bell decomposition needs two pairs that partition a four-photon "
+                         f"state, got {show(pair_a)} and {show(pair_b)}")
     # amplitudes psi[pair_a bits, pair_b bits], contracted with <ka| and <kb|
     psi = state.dense([state.fixed_mode(p) for p in (*pair_a, *pair_b)]).reshape(4, 4)
     coeffs = (_BELL_BRAS @ psi @ _BELL_BRAS.T).ravel().tolist()

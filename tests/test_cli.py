@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import itertools
 import json
 from pathlib import Path
@@ -59,6 +61,34 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: fourphoton")
         assert captured.err == ""
+
+    def test_reused_parser_runs_every_round_the_same(self, tmp_path):
+        # main builds its parser on the first call; a usage error, --help and
+        # --print-default-config in between leave the next round byte-identical
+        def call(args):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+            return code, out.getvalue(), err.getvalue()
+
+        def scenarios(out):
+            calls = [call(["--scenario", s, "--out", str(out / s)]) for s in SCENARIOS]
+            files = {p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            return calls, files
+
+        cli._parser.cache_clear()  # the first round builds the parser, the second reuses it
+        first = scenarios(tmp_path / "first")
+        assert [code for code, _, _ in first[0]] == [0] * len(SCENARIOS) and len(first[1]) == 11
+        code, out, err = call(["--seed", "x"])
+        assert code == 1 and out == "" and err.count("\n") == 1 and "--seed" in err
+        code, out, err = call(["--help"])
+        assert code == 0 and out.startswith("usage: fourphoton") and err == ""
+        code, out, err = call(["--print-default-config"])
+        assert code == 0 and json.loads(out) == cli.default_config() and err == ""
+        assert scenarios(tmp_path / "second") == first
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_print_default_config(self, capsys):
         assert run(["--print-default-config"]) == 0

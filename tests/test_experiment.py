@@ -624,9 +624,9 @@ class TestMonteCarlo:
         with pytest.raises(StateError, match="integration time"):
             count(time)
 
-    @pytest.mark.parametrize("p", [math.nan, -0.5, 1j])
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1j, np.complex128(0.5), np.complex64(0.5)])
     def test_nan_or_negative_probability_rejected(self, p):
-        # not a silent zero count
+        # not a silent zero count, nor one drawn from the real part
         with pytest.raises(StateError, match="outcome VHHV: expected count"):
             draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
 

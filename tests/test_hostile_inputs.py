@@ -110,6 +110,8 @@ CORPUS = {
     "Fraction": Fraction(1, 2),
     "np.int64": np.int64(1),
     "np.float32": np.float32(0.5),
+    "np.complex128": np.complex128(0.5),
+    "np.complex64": np.complex64(0.5),
     "[]": [],
     "object()": object(),
 }

@@ -125,12 +125,17 @@ class TestFixedMode:
 
     @pytest.mark.parametrize("photon, shown", [
         (7, "7"), ("1", "'1'"), pytest.param(10**5000, "<int of", id="10**5000"),
+        # True == 1.0 == 1, but neither is a photon index, as in `is_photon_pair`
+        (True, "True"), (1.0, "1.0"),
     ])
     def test_photon_not_held_named(self, photon, shown):
         # not tuple.index's bare ValueError
         state, _ = ghz_after_postselection(default_apparatus())
         with pytest.raises(StateError, match=f"photon {re.escape(shown)}.* not among"):
             state.fixed_mode(photon)
+
+    def test_numpy_integer_index(self):
+        assert spdc_pair(1, 2).fixed_mode(np.int64(1)) == "1"
 
 
 class TestAsNumber:
@@ -142,6 +147,8 @@ class TestAsNumber:
 
     @pytest.mark.parametrize("value", [
         True, False, None, "0.5", 1j, 0.5 + 0j, [0.5],
+        # numpy orders these against a float, but they are complex
+        np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0j),
         pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
         # a one-element array compares like a number, but is none
         np.array([0.5]), np.array([[0.5]]), np.array([0.5, 1.0]), np.array([]),

@@ -100,6 +100,18 @@ class TestBellDecompose:
             with pytest.raises(StateError, match="partition"):
                 bell_decompose(state, pair_a, pair_b)
 
+    @pytest.mark.parametrize("photon", [True, 1.0])
+    def test_pair_index_that_is_no_integer(self, photon):
+        # sorted((True, 4, 2, 3)) == [1, 2, 3, 4], but True is no photon index
+        with pytest.raises(StateError) as exc:
+            bell_decompose(two_pair_state(), (photon, 4), (2, 3))
+        assert str(exc.value) == ("Bell decomposition needs two pairs that partition a "
+                                  f"four-photon state, got ({photon!r}, 4) and (2, 3)")
+
+    def test_numpy_integer_pairs(self):
+        pairs = (np.int64(1), np.int64(4)), (np.int64(2), np.int64(3))
+        assert bell_decompose(two_pair_state(), *pairs) == bell_decompose(two_pair_state())
+
     def test_two_pair_state_diagonal_coefficients(self):
         dec = bell_decompose(two_pair_state(), pair_a=(1, 4), pair_b=(2, 3))
         expected = {
