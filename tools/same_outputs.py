@@ -1,13 +1,16 @@
-"""Same-outputs check: run one fixed, seeded corpus on two revisions of the
-package and report, per family, whether every output is bit-identical.
+"""Same-outputs check: run one fixed, seeded corpus and report, per family,
+whether every output is bit-identical, between two revisions or against the
+baseline that the test suite pins.
 
     python3 tools/same_outputs.py PARENT [CHANGE]
+    python3 tools/same_outputs.py --write-baseline
 
 PARENT and CHANGE are git revisions; CHANGE defaults to the working tree.
-Each revision's `src` is extracted with `git archive` into a temporary
-directory (the working tree is read in place), and the corpus runs in a fresh
-interpreter per side with PYTHONPATH set to that side's `src`. The corpus is
-fixed here, seeds included:
+Each revision's `src` and `tools` are extracted with `git archive` into a
+temporary directory (the working tree is read in place), and each side runs
+its own revision's corpus in a fresh interpreter with PYTHONPATH set to that
+side's `src`, so an input that a change adds to or removes from the corpus
+shows as added or removed. The corpus is fixed here, seeds included:
 
 - cli: the files, exit code and stderr of every scenario at seeds 0-199, at the
   default config and at PBS error_rate 0.01, once with a `{}` config file, and
@@ -24,8 +27,14 @@ fixed here, seeds included:
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
 family, "identical" or how many inputs differ followed by each of them on an
-indented line, and exits 1 on any difference (2 if a side could not run). It is
-not part of the test suite.
+indented line (changed, added or removed), and exits 1 on any difference (2 if
+a side could not run).
+
+--write-baseline runs the working tree's corpus and writes BASELINE, which
+tests/test_golden.py compares the corpus against: per family, each input keyed
+by the first 12 hex digits of its label's sha256, with the first 16 of its
+output's digest. A change that means to move an output regenerates the file,
+and the file's diff lists the inputs that moved.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,10 +105,10 @@ def _layouts(fp) -> dict:
 def _exact_family(fp, np):
     rng = np.random.default_rng(19)
     for name, app in _layouts(fp).items():
-        yield f"{name}: ghz_after_postselection", _outcome(
+        yield f"{name}: ghz_after_postselection", partial(_outcome, 
             lambda: _state(fp.ghz_after_postselection(app)))
         for mode, angle in itertools.product(sorted(app.mode_order()), (0.0, 45.0, 112.5)):
-            yield f"{name}: three_photon_ghz({mode!r}, {angle})", _outcome(
+            yield f"{name}: three_photon_ghz({mode!r}, {angle})", partial(_outcome, 
                 lambda: _state(fp.three_photon_ghz(app, mode, angle)))
         for i in range(160):
             angles = [None if rng.random() < 0.2 else float(rng.uniform(0, 180))
@@ -108,7 +118,7 @@ def _exact_family(fp, np):
             v0 = 1.0 if rng.random() < 0.2 else float(rng.uniform(0, 1))
             pbs_error = [None, 0.0, app.pbs.error_rate, float(rng.uniform(0, 0.3))][i % 4]
             label = f"{name}: angles={angles} tau={tau} v0={v0} pbs_error={pbs_error}"
-            yield label, _outcome(lambda: list(fp.exact_outcome_probabilities(
+            yield label, partial(_outcome, lambda: list(fp.exact_outcome_probabilities(
                 app, setting, delay=fp.DelayElement(tau), v0=v0, pbs_error=pbs_error
             ).items()))
 
@@ -124,7 +134,7 @@ def _delay_scan_family(fp, np):
         rates = fp.RateModel(float(rng.uniform(0, 0.1)), float(rng.uniform(0, 1e-3)))
         time, v0 = float(rng.uniform(1, 30000)), float(rng.uniform(0, 1))
         label = f"seed {seed}: angles={angles} delays={len(delays)} time={time} v0={v0}"
-        yield label, _outcome(lambda: [
+        yield label, partial(_outcome, lambda: [
             (tau, sorted(t.counts.items()))
             for tau, t in fp.delay_scan(app, setting, delays, rates, time, seed, v0=v0)
         ])
@@ -145,7 +155,7 @@ def _chain_family(fp, np):
             return (rho.matrix.tobytes(), pair.matrix.tobytes(), res.projection_probability,
                     res.fidelity_to_target, res.visibility_45, fp.chsh_value(pair),
                     fp.chsh_value(pair, settings))
-        yield f"d={d} v0={v0} settings={settings}", _outcome(chain)
+        yield f"d={d} v0={v0} settings={settings}", partial(_outcome, chain)
     # random dense mixtures of rank 3, so that every caller of the conditioning
     # step runs: each Bell projection, and the coincidences at another pair
     for i in range(100):
@@ -160,20 +170,20 @@ def _chain_family(fp, np):
                 res = fn(fp.DensityMatrix(["1", "2'", "3'", "4"], matrix), *args)
                 return (res.conditioned_state_14.matrix.tobytes(), res.projection_probability,
                         res.fidelity_to_target, res.visibility_45)
-            yield f"dense rho {i}: {fn.__name__}({', '.join(map(repr, args))})", _outcome(project)
+            yield f"dense rho {i}: {fn.__name__}({', '.join(map(repr, args))})", partial(_outcome, project)
 
 
 def _bell_family(fp, np):
     rng = np.random.default_rng(31)
     for name, app in _layouts(fp).items():
-        yield f"{name}: source state", _outcome(
+        yield f"{name}: source state", partial(_outcome, 
             lambda: list(fp.bell_decompose(fp.source_state(app)).items()))
     kets = ["".join(k) for k in itertools.product("HV", repeat=4)]
     for i in range(200):
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         terms = {k: complex(a) for k, a in zip(kets, amps) if rng.random() < 0.7 or k == "HHHH"}
         pairs = [((1, 4), (2, 3)), ((1, 2), (3, 4)), ((1, 3), (2, 4))][i % 3]
-        yield f"random state {i}, pairs {pairs}", _outcome(lambda: list(fp.bell_decompose(
+        yield f"random state {i}, pairs {pairs}", partial(_outcome, lambda: list(fp.bell_decompose(
             fp.state_from_terms([1, 2, 3, 4], ["1", "2'", "3'", "4"], terms), *pairs
         ).items()))
 
@@ -256,79 +266,145 @@ def _cli_family(fp, np):
     runs += [(s, 1, c) for c in ERROR_CONFIGS for s in cli.SCENARIOS]
     for scenario, seed, config in runs:
         yield (f"--scenario {scenario} --seed {seed} config={config}",
-               run(["--scenario", scenario, "--seed", str(seed)], config))
+               partial(run, ["--scenario", scenario, "--seed", str(seed)], config))
     for flags in ERROR_FLAGS:
-        yield f"--scenario basis45-table {flags}", run(["--scenario", "basis45-table", *flags], None)
-    yield "--print-default-config", run(["--print-default-config"], None)
+        yield (f"--scenario basis45-table {flags}",
+               partial(run, ["--scenario", "basis45-table", *flags], None))
+    yield "--print-default-config", partial(run, ["--print-default-config"], None)
 
 
 FAMILIES = {"cli": _cli_family, "exact": _exact_family, "delay_scan": _delay_scan_family,
             "chain": _chain_family, "bell_decompose": _bell_family}
 
 
-def emit() -> None:
+def emit(shard: int = 0, shards: int = 1) -> None:
     """Run the corpus against the importable `fourphoton` and print
-    {family: [[input, digest], ...]} as JSON."""
+    {family: [[input, digest], ...]} as JSON: of each family, the inputs
+    whose index in it is `shard` modulo `shards`."""
     import numpy as np
 
     import fourphoton as fp
 
-    json.dump({name: list(family(fp, np)) for name, family in FAMILIES.items()}, sys.stdout)
+    # each family yields (input, a call that returns its digest); a call runs
+    # before the family makes its next input, so it sees that input's values
+    json.dump({name: [[label, call()] for i, (label, call) in enumerate(family(fp, np))
+                      if i % shards == shard]
+               for name, family in FAMILIES.items()}, sys.stdout)
 
 
 # ---- the driver -------------------------------------------------------------
 
-def _side_src(rev: str | None, tmp: Path) -> Path:
-    """The `src` directory of revision `rev`, or of the working tree."""
+BASELINE = ROOT / "tests" / "golden" / "same_outputs.json"
+
+
+def _side_tree(rev: str | None, tmp: Path) -> Path:
+    """The tree that holds the `src` and `tools` of revision `rev`, or the
+    working tree."""
     if rev is None:
-        return ROOT / "src"
-    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        return ROOT
+    git = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "tools"],
                          capture_output=True)
     if git.returncode != 0:
-        print(f"{rev}: {git.stderr.decode().strip()}", file=sys.stderr)
-        sys.exit(2)
+        raise RuntimeError(git.stderr.decode().strip())
     dest = tmp / "tree"
     with tarfile.open(fileobj=io.BytesIO(git.stdout)) as archive:
         archive.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
-def _run_side(rev: str | None, tmp: Path) -> dict:
-    tmp.mkdir()
+def run_corpus(tree: Path, work: Path, shards: int = 1) -> dict:
+    """{family: [[input, digest], ...]}: the corpus of `tree`'s `tools` run
+    against its `src` in fresh interpreters in a new directory under `work`, as
+    `shards` concurrent processes that each run a disjoint part of it (then
+    each family lists the parts one after the other, not in corpus order)."""
     # a fixed hash seed: some messages print a set, whose order follows it
-    env = {**os.environ, "PYTHONPATH": str(_side_src(rev, tmp)), "PYTHONDONTWRITEBYTECODE": "1",
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONHASHSEED": "0"}
-    work = tmp / "work"
-    work.mkdir()
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import same_outputs; same_outputs.emit()"
-    proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
-                          cwd=work, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(f"{rev or 'working tree'}: the corpus did not run:\n{proc.stderr}", file=sys.stderr)
-        sys.exit(2)
-    return json.loads(proc.stdout)
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import same_outputs; "
+    procs = []
+    for shard in range(shards):
+        (work / str(shard)).mkdir(parents=True)
+        # an unsharded run calls emit() bare, as an older revision's tool takes it
+        call = f"same_outputs.emit({shard}, {shards})" if shards > 1 else "same_outputs.emit()"
+        procs.append(subprocess.Popen([sys.executable, "-c", code + call, str(tree / "tools")],
+                                      cwd=work / str(shard), env=env, text=True,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    corpus, results = {}, [proc.communicate() for proc in procs]
+    for proc, (out, err) in zip(procs, results):
+        if proc.returncode != 0:
+            raise RuntimeError(f"the corpus did not run:\n{err}")
+        for family, inputs in json.loads(out).items():
+            corpus.setdefault(family, []).extend(inputs)
+    return corpus
+
+
+def label_key(label: str) -> str:
+    return hashlib.sha256(label.encode()).hexdigest()[:12]
+
+
+def keyed(corpus: dict) -> dict:
+    """The baseline form of a corpus: per family, {label_key(input): the first
+    16 hex digits of its digest}, in corpus order."""
+    return {family: {label_key(label): digest[:16] for label, digest in inputs}
+            for family, inputs in corpus.items()}
+
+
+def labels(corpus: dict) -> dict:
+    """Per family, {label_key(input): input}."""
+    return {family: {label_key(label): label for label, _ in inputs}
+            for family, inputs in corpus.items()}
+
+
+def differences(before: dict, after: dict, names: dict) -> dict:
+    """Per family of `before` or `after` (both in the baseline form), one line
+    per input whose output changed, that was added or that was removed, named
+    by `names` (per family, key -> input), or by its key where no name is
+    known."""
+    out = {}
+    for family in {**before, **after}:
+        old, new, name = before.get(family, {}), after.get(family, {}), names.get(family, {})
+        out[family] = [f"{how}: {name.get(key, f'input {key}')}" for key, how in (
+            *((k, "changed") for k in new if k in old and new[k] != old[k]),
+            *((k, "added") for k in new if k not in old),
+            *((k, "removed") for k in old if k not in new),
+        )]
+    return out
+
+
+def _report(diffs: dict, after: dict) -> bool:
+    """Print one line per family and each difference; True if there is none."""
+    for family, lines in diffs.items():
+        print(f"{family} ({len(after.get(family, {}))} inputs): "
+              + (f"{len(lines)} differ" if lines else "identical"))
+        for line in lines:
+            print(f"  {line}")
+    return not any(diffs.values())
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    if argv == ["--write-baseline"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = run_corpus(ROOT, Path(tmp))
+        BASELINE.write_text(json.dumps(keyed(corpus), indent=0) + "\n")
+        print(f"wrote {BASELINE.relative_to(ROOT)}: "
+              + ", ".join(f"{family} {len(inputs)}" for family, inputs in corpus.items()))
+        return 0
+    if len(argv) not in (1, 2) or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    parent, change = argv[0], argv[1] if len(argv) == 2 else None
+    sides = []
     with tempfile.TemporaryDirectory() as tmp:
-        before = _run_side(parent, Path(tmp) / "parent")
-        after = _run_side(change, Path(tmp) / "change")
-    same = True
-    for family in FAMILIES:
-        differ = [b[0] if b[0] == a[0] else f"{b[0]} / {a[0]}"
-                  for b, a in itertools.zip_longest(before[family], after[family],
-                                                    fillvalue=("<none>", None))
-                  if b != a]
-        print(f"{family} ({len(after[family])} inputs): "
-              + (f"{len(differ)} differ" if differ else "identical"))
-        for label in differ:
-            print(f"  {label}")
-        same = same and not differ
-    return 0 if same else 1
+        for name, rev in (("parent", argv[0]), ("change", argv[1] if len(argv) == 2 else None)):
+            try:
+                sides.append(run_corpus(_side_tree(rev, Path(tmp) / name),
+                                        Path(tmp) / name / "work"))
+            except RuntimeError as exc:
+                print(f"{rev or 'working tree'}: {exc}", file=sys.stderr)
+                return 2
+    before, after = sides
+    names = labels({f: before.get(f, []) + after.get(f, []) for f in {**before, **after}})
+    after_keyed = keyed(after)
+    return 0 if _report(differences(keyed(before), after_keyed, names), after_keyed) else 1
 
 
 if __name__ == "__main__":
