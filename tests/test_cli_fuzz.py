@@ -12,6 +12,10 @@ A second property draws the config file's bytes (invalid UTF-8, a BOM, deep
 nesting, duplicate keys, an empty file) and the kind of path given to --config
 and --out (missing, a file, a directory, a path below a file). An unreadable
 config exits 2 before --out is made; an --out that cannot be made exits 1.
+
+A third test runs every scenario at the default config with a --time near its
+bound and near numpy's Poisson limit: the longest allowed --time draws, and a
+longer one is a usage error (exit 1), never a config error.
 """
 
 import contextlib
@@ -22,6 +26,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +41,12 @@ VALUES = [
     -1, -1.5, 0, 0.0, 1e-300, math.nan, math.inf, -math.inf,
     1e100, 1e308, BEYOND_FLOAT, -BEYOND_FLOAT,
 ]
+# --time values around its bound, 1e18 s, and numpy's Poisson limit, about
+# 9.2e18 expected counts, with the exit each gives at the default config
+EXTREME_TIMES = {"1e18": 0, "1.0000001e18": 1, "9.3e18": 1, "1e21": 1, "1e300": 1}
 FLAG_VALUES = [
     "x", "true", "[]", "{}", "null", "-1", "0", "1e-300", "nan", "inf", "-inf",
-    "1e100", "1e308", str(BEYOND_FLOAT), str(-BEYOND_FLOAT),
+    "1e100", "1e308", str(BEYOND_FLOAT), str(-BEYOND_FLOAT), *EXTREME_TIMES,
 ]
 # count columns of each count table; a summary says "no counts" when all are 0
 COUNT_COLUMNS = {"hv-table": (1,), "basis45-table": (2,), "delay-scan": (1, 2)}
@@ -120,6 +128,21 @@ def test_every_input_ends_in_a_documented_exit(scenario, user, flags):
             assert not any("nan" in p.read_text() for p in written)
             if scenario in COUNT_COLUMNS and count_total(scenario, out) == 0:
                 assert "no counts" in (out / f"{scenario}_summary.txt").read_text()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("time", EXTREME_TIMES)
+def test_extreme_time_is_no_config_error(scenario, time, tmp_path):
+    # no config is given: a --time too long to draw is a usage error (exit 1),
+    # and the longest allowed one still draws
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--scenario", scenario, "--time", time, "--out", str(tmp_path / "out")])
+    err = stderr.getvalue()
+    assert code == EXTREME_TIMES[time], err
+    if code:
+        assert err.count("\n") == 1 and "--time" in err
+        assert not (tmp_path / "out").exists()
 
 
 # The bytes of a config file, with the exit they must give: 0 for a config
