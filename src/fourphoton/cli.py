@@ -55,9 +55,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 
-# The longest --time: at the default rates no expected count then exceeds
-# 3.4e16, far below numpy's Poisson limit of about 9.2e18, so a --time the draw
-# cannot take is a usage error, not a config error.
+# the longest --time: at the default rates no count exceeds 3.4e16; numpy draws to ~9.2e18
 MAX_TIME_S = 1e18
 
 # Sections merged key by key with the defaults; any other value (detectors
@@ -343,7 +341,8 @@ def main(argv=None) -> int:
         (args.scenario in RUNNERS,
          f"unknown scenario {args.scenario!r}; choose from {', '.join(SCENARIOS)}"),
         (args.seed >= 0, "--seed must be nonnegative"),
-        (0 < args.time <= MAX_TIME_S, f"--time must be positive and at most {MAX_TIME_S:g} s"),
+        (0 < args.time < math.inf, "--time must be positive and finite"),
+        (args.time <= MAX_TIME_S, f"--time must be at most {MAX_TIME_S:g} s"),
         (math.isfinite(args.delay), "--delay must be finite"),
     ):
         if not ok:
