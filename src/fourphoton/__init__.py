@@ -47,9 +47,7 @@ from .swap import (
     SwapResult,
     bell_decompose,
     chsh_value,
-    correlation,
     phi_plus_via_45_coincidence,
-    project_bell,
     visibility_from_counts,
 )
 

@@ -1,6 +1,6 @@
-"""Entanglement-swapping analysis: Bell-basis decomposition, Bell-state
-projection of the middle pair, conditional state of the outer pair, and
-fidelity/visibility/CHSH metrics.
+"""Entanglement-swapping analysis: Bell-basis decomposition, phi+
+identification of the middle pair via 45-degree coincidences, conditional
+state of the outer pair, and fidelity/visibility/CHSH metrics.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .states import (
 # Bell amplitudes over (HH, HV, VH, VV) and their bras <v| stacked
 _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
 _BELL_BRAS = np.stack(list(_BELL_VECS.values())).conj()
+_BELL_BRAS.setflags(write=False)  # `dense` is read-only already
 
 
 def _effect(kraus_ops) -> np.ndarray:
@@ -43,14 +44,11 @@ def _effect(kraus_ops) -> np.ndarray:
     return effect
 
 
-# One effect per Bell projector |v><v|, and that of the +45/+45 and -45/-45
-# coincidences: exact 1/sqrt2 like the Bell vectors, since cos(45 deg) would
-# move the last digits of the swap report. Not P++ + P--, whose other rounding
-# moves them too.
-_BELL_EFFECTS = {k: _effect([np.outer(v, v.conj())]) for k, v in _BELL_VECS.items()}
+# The effect of the +45/+45 and -45/-45 coincidences: exact 1/sqrt2 like the
+# Bell vectors, since cos(45 deg) would move the last digits of the swap
+# report. Not P++ + P--, whose other rounding moves them too.
 _EFFECT_45 = _effect(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
     np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
-_BELL_BRAS.setflags(write=False)  # `dense` is read-only already
 
 
 @dataclass(frozen=True)
@@ -108,18 +106,6 @@ def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray
     )
 
 
-def project_bell(rho: DensityMatrix, pair_modes: Sequence[str], kind: str) -> SwapResult:
-    """Project the photons in `pair_modes` of a four-photon density matrix
-    onto a Bell state.
-
-    Returns the conditional state of the remaining two photons, the
-    projection probability, and fidelity/visibility relative to |phi+>.
-    """
-    if kind not in BELL_KINDS:
-        raise StateError(f"unknown Bell kind {show(kind)}")
-    return _condition(rho, pair_modes, _BELL_EFFECTS[kind])
-
-
 def phi_plus_via_45_coincidence(
     rho: DensityMatrix, pair_modes: Sequence[str] = ("2'", "3'")
 ) -> SwapResult:
@@ -163,13 +149,6 @@ def _observable(angle_a: float, angle_b: float) -> np.ndarray:
     return kron(sa, sb)
 
 
-def correlation(rho_pair: DensityMatrix, angle_a: float, angle_b: float) -> float:
-    """E(a, b) = <sigma(a) x sigma(b)> for a two-photon density matrix."""
-    if len(rho_pair.modes) != 2:
-        raise StateError("correlation needs a two-photon density matrix")
-    return float(np.trace(rho_pair.matrix @ _observable(angle_a, angle_b)).real)
-
-
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
 
 
@@ -189,11 +168,10 @@ def chsh_value(
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b'); |S| <= 2 for LHV models.
 
     The default settings are optimal for |phi+> (S = 2 sqrt 2). The four
-    correlations are one batched product with the stacked observables, each
-    the same trace as `correlation`'s.
+    correlations are one batched product with the stacked observables.
     """
     if len(rho_pair.modes) != 2:
-        raise StateError("correlation needs a two-photon density matrix")
+        raise StateError("chsh_value needs a two-photon density matrix")
     (a, ap), (b, bp) = settings
     # floats as cache keys, since a 0-d numpy angle is not hashable; checked
     # first, because float() would parse a string and fail on None

@@ -25,7 +25,6 @@ from fourphoton import (
     mix,
     monte_carlo_counts,
     phi_plus_via_45_coincidence,
-    project_bell,
     spdc_pair,
     state_from_terms,
     tensor,
@@ -140,12 +139,12 @@ def test_criterion_6_swapping_fidelity():
     phi = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": -S2})
     rho = mix([(0.89, psi), (0.11, phi)], mode_order=MODES)
     op = phi_plus_via_45_coincidence(rho)
-    ab = project_bell(rho, ("2'", "3'"), "phi+")
+    # the abstract phi+ projection of photons 2'3', by the dense oracle
+    phi_plus = oracle.dense_from_terms({"HH": S2, "VV": S2}, 2)
+    reduced, prob = oracle.conditioned_pair(rho.matrix, [1, 2], [np.outer(phi_plus, phi_plus)])
     assert op.fidelity_to_target == pytest.approx(0.89, abs=1e-9)
     assert op.visibility_45 == pytest.approx(0.78, abs=1e-9)
-    assert np.max(
-        np.abs(op.conditioned_state_14.matrix - ab.conditioned_state_14.matrix)
-    ) < 1e-12
+    assert np.max(np.abs(op.conditioned_state_14.matrix - reduced / prob)) < 1e-12
     print(f"\nPASS criterion 6: swap fidelity {op.fidelity_to_target:.9f}, "
           f"visibility {op.visibility_45:.9f}, operational == abstract")
 

@@ -22,7 +22,6 @@ from fourphoton import (
     StateError,
     bell_state,
     chsh_value,
-    correlation,
     default_apparatus,
     delay_scan,
     dephase_by_distinguishability,
@@ -825,7 +824,6 @@ class TestAnalyzerAngleRange:
             APP, MeasurementSetting({"D1": 45.0, "D2": a, "D3": 45.0, "D4": 45.0})
         ),
         "three_photon_ghz": lambda a: three_photon_ghz(APP, "2'", a),
-        "correlation": lambda a: correlation(TestAnalyzerAngleRange.RHO_14, a, 45.0),
         "chsh_value": lambda a: chsh_value(TestAnalyzerAngleRange.RHO_14, ((0.0, a), (22.5, 67.5))),
         "analyzer_matrix": analyzer_matrix,
     }

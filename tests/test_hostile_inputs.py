@@ -24,7 +24,6 @@ from fourphoton import (
     StateError,
     bell_state,
     chsh_value,
-    correlation,
     default_apparatus,
     delay_scan,
     dephase_by_distinguishability,
@@ -77,7 +76,6 @@ ENTRY_POINTS = {
     "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
     "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
-    "correlation.angle": lambda x: correlation(RHO_14, x, 0.0),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
     "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
     "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),

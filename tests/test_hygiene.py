@@ -24,10 +24,10 @@ CODE = [p for part in ("src", "tests", "demos", "perfbench")
 # other public name that only tests reference is dead code and goes
 TEST_ONLY_KEEP = {
     "three_photon_ghz": "the paper's three-photon GHZ state (acceptance criterion 7)",
-    "project_bell": "the abstract Bell projection, reference for the 45-degree coincidence",
-    "correlation": "README's one-setting correlation E(a, b), reference for chsh_value",
-    "mix": "README's convex mixture of pure states, the tests' density-matrix builder",
-    "fidelity": "README's <target|rho|target>, reference for the swap fidelity",
+    "mix": "README's way to wrap a pure state, `mix([(1.0, psi)], modes)`, for "
+           "phi_plus_via_45_coincidence, which takes a density matrix only",
+    "fidelity": "README's <target|rho|target> to any target; SwapResult gives the "
+                "fidelity to phi+ only",
 }
 # the defaulted parameters of public functions that only tests pass, each kept
 # for a reason; any other such parameter is an option nothing uses and goes

@@ -24,11 +24,13 @@ from fourphoton import (
     BELL_KINDS,
     Apparatus,
     DelayElement,
+    DensityMatrix,
     MeasurementSetting,
     PairSource,
     PbsElement,
     PostselectionError,
     StateError,
+    bell_state,
     chsh_value,
     default_apparatus,
     dephase_by_distinguishability,
@@ -37,7 +39,6 @@ from fourphoton import (
     ghz_after_postselection,
     mix,
     phi_plus_via_45_coincidence,
-    project_bell,
     state_from_terms,
     three_photon_ghz,
 )
@@ -253,10 +254,14 @@ def test_chsh_within_tsirelson_bound(seed, kind, angles, tau, v0):
     kets = map("".join, itertools.product("HV", repeat=4))
     state = state_from_terms([1, 2, 3, 4], GHZ_MODES, dict(zip(kets, amps)))
     d = distinguishability(DelayElement(tau))
+    # photons 1, 4 after the dense oracle's Bell projection of 2'3'
+    v = bell_state(kind, 1, 2).dense(("1", "2"))
+    reduced, prob = oracle.conditioned_pair(
+        mix([(1.0, state)], GHZ_MODES).matrix, [1, 2], [np.outer(v, v.conj())])
     pairs = [
-        project_bell(mix([(1.0, state)], GHZ_MODES), ("2'", "3'"), kind),
-        phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, d, v0)),
+        DensityMatrix(("1", "4"), reduced / prob),
+        phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, d, v0)).conditioned_state_14,
     ]
     a, ap, b, bp = angles
-    for res in pairs:
-        assert abs(chsh_value(res.conditioned_state_14, ((a, ap), (b, bp)))) <= TSIRELSON + 1e-12
+    for pair in pairs:
+        assert abs(chsh_value(pair, ((a, ap), (b, bp)))) <= TSIRELSON + 1e-12

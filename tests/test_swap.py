@@ -17,14 +17,12 @@ from fourphoton import (
     bell_decompose,
     bell_state,
     chsh_value,
-    correlation,
     default_apparatus,
     dephase_by_distinguishability,
     distinguishability,
     ghz_after_postselection,
     mix,
     phi_plus_via_45_coincidence,
-    project_bell,
     spdc_pair,
     state_from_terms,
     tensor,
@@ -169,20 +167,23 @@ class TestBellDecompose:
             bell_decompose(spdc_pair(1, 2))
 
 
-class TestProjectBell:
+class TestBellProjection:
+    """The abstract Bell projection of the pair 2'3', through the library's one
+    conditioning step."""
+
     def test_ghz_phi_plus_projection(self):
         psi = GHZ_HVVH
-        res = project_bell(mix([(1.0, psi)], MODES), ("2'", "3'"), "phi+")
+        res = bell_projection(mix([(1.0, psi)], MODES), ("2'", "3'"), "phi+")
         assert res.projection_probability == pytest.approx(0.5, abs=1e-12)
         assert res.fidelity_to_target == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_psi_projection_impossible(self):
         psi = GHZ_HVVH
         with pytest.raises(StateError):
-            project_bell(mix([(1.0, psi)], MODES), ("2'", "3'"), "psi+")
+            bell_projection(mix([(1.0, psi)], MODES), ("2'", "3'"), "psi+")
 
     def test_eq3_mixture_fidelity(self):
-        res = project_bell(eq3_mixture(), ("2'", "3'"), "phi+")
+        res = bell_projection(eq3_mixture(), ("2'", "3'"), "phi+")
         assert res.fidelity_to_target == pytest.approx(0.89, abs=1e-9)
         assert res.visibility_45 == pytest.approx(0.78, abs=1e-9)
         # conditional state is 0.89 phi+ + 0.11 phi- on photons 1, 4
@@ -196,7 +197,7 @@ class TestProjectBell:
     def test_teleportation_identity_all_four_kinds(self):
         rho = mix([(1.0, two_pair_state())], ["1", "2", "3", "4"])
         for kind in BELL_KINDS:
-            res = project_bell(rho, ("2", "3"), kind)
+            res = bell_projection(rho, ("2", "3"), kind)
             assert res.projection_probability == pytest.approx(0.25, abs=1e-9)
             target = bell_state(kind, 1, 4, modes=("1", "4"))
             from fourphoton import fidelity
@@ -212,7 +213,7 @@ class TestProjectBell:
             total = 0.0
             for kind in BELL_KINDS:
                 try:
-                    res = project_bell(rho, ("2'", "3'"), kind)
+                    res = bell_projection(rho, ("2'", "3'"), kind)
                     total += res.projection_probability
                 except StateError:
                     pass
@@ -233,18 +234,14 @@ class TestOperationalPhiPlus:
 
     def test_equivalence_with_abstract_projection(self):
         # on the PBS coincidence subspace the polarizer-based and abstract
-        # phi+ projections agree element-wise
+        # phi+ projections agree element-wise; the abstract one is the oracle's
         rng = np.random.default_rng(31)
         for _ in range(100):
             rho = mix([(1.0, random_two_branch_state(rng))], MODES)
             op = phi_plus_via_45_coincidence(rho)
-            ab = project_bell(rho, ("2'", "3'"), "phi+")
-            assert np.max(
-                np.abs(op.conditioned_state_14.matrix - ab.conditioned_state_14.matrix)
-            ) < 1e-12
-            assert op.projection_probability == pytest.approx(
-                ab.projection_probability, abs=1e-12
-            )
+            reduced, prob = oracle.conditioned_pair(rho.matrix, [1, 2], [ref_bell_projector("phi+")])
+            assert np.max(np.abs(op.conditioned_state_14.matrix - reduced / prob)) < 1e-12
+            assert op.projection_probability == pytest.approx(prob, abs=1e-12)
 
     def test_cross_coincidence_projects_onto_phi_minus(self):
         # +45/-45 and -45/+45 coincidences identify phi- instead
@@ -306,9 +303,10 @@ class TestPairPlacement:
                 phi_plus_via_45_coincidence(dm, pair),
                 rho, pair, [np.outer(v, v.conj()) for v in coincidences],
             )
-            for kind, terms in self.BELL.items():
+            for terms in self.BELL.values():
                 v = oracle.dense_from_terms(terms, 2)
-                self.check(project_bell(dm, pair, kind), rho, pair, [np.outer(v, v.conj())])
+                kraus = [np.outer(v, v.conj())]
+                self.check(swap._condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
             # Bell and same-angle projectors are symmetric under exchange of
             # the pair; a +45/-45 coincidence is not, so it pins the order
             v = np.kron(plus, minus)
@@ -318,7 +316,7 @@ class TestPairPlacement:
     def test_remaining_photons_not_a_pair(self):
         rho = mix([(1.0, state_from_terms([1, 2, 3], ["1", "2'", "3'"], {"HVV": S2, "VHH": S2}))])
         with pytest.raises(StateError):
-            project_bell(rho, ("2'", "3'"), "phi+")
+            bell_projection(rho, ("2'", "3'"), "phi+")
         with pytest.raises(StateError):
             phi_plus_via_45_coincidence(rho)
 
@@ -373,14 +371,14 @@ class TestChsh:
         rho = res.conditioned_state_14
         for _ in range(100):
             a, b = rng.uniform(0, 180, size=2)
-            assert correlation(rho, a, b) == pytest.approx(
+            assert chsh_correlation(rho, a, b) == pytest.approx(
                 oracle.pair_correlation_dense(rho.matrix, a, b), abs=1e-12
             )
 
     def test_correlation_accepts_0d_array_angles(self):
         rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
-        assert correlation(rho, np.array(10.0), 20.0) == correlation(rho, 10.0, 20.0)
-        assert correlation(rho, 10.0, np.float64(20.0)) == correlation(rho, 10.0, 20.0)
+        assert chsh_correlation(rho, np.array(10.0), 20.0) == chsh_correlation(rho, 10.0, 20.0)
+        assert chsh_correlation(rho, 10.0, np.float64(20.0)) == chsh_correlation(rho, 10.0, 20.0)
 
     def test_chsh_accepts_0d_array_angles(self):
         # the cached observables are keyed by float(); a 0-d array is not hashable
@@ -388,12 +386,7 @@ class TestChsh:
         settings = ((np.array(0.0), np.float64(45.0)), (np.float32(22.5), np.array(67.5)))
         s = chsh_value(rho, settings)
         (a, ap), (b, bp) = settings
-        assert s == (
-            correlation(rho, a, b)
-            - correlation(rho, a, bp)
-            + correlation(rho, ap, b)
-            + correlation(rho, ap, bp)
-        )
+        assert s == ref_chsh(rho, settings)
         assert s == chsh_value(rho, ((0.0, 45.0), (22.5, 67.5)))
 
     def test_eq3_conditioned_chsh_value(self):
@@ -483,6 +476,18 @@ def ref_bell_projector(kind):
     return np.outer(v, v.conj())
 
 
+def bell_projection(rho, pair_modes, kind):
+    """The abstract Bell projection of a pair, through the library's one
+    conditioning step."""
+    return swap._condition(rho, pair_modes, swap._effect([ref_bell_projector(kind)]))
+
+
+def chsh_correlation(rho, angle_a, angle_b):
+    """The library's E(a, b), read from `chsh_value` at a = a' and b = b':
+    S = E - E + E + E sums to 2E exactly, in that order."""
+    return chsh_value(rho, ((angle_a, angle_a), (angle_b, angle_b))) / 2
+
+
 def same_result(res, ref):
     m, prob, f, vis = ref
     return (
@@ -519,14 +524,14 @@ class TestFixedOperators:
             # the batched contraction gives each correlation's own trace, bit for bit
             (x, xp), (y, yp) = chsh_settings
             assert s == (
-                correlation(pair, x, y)
-                - correlation(pair, x, yp)
-                + correlation(pair, xp, y)
-                + correlation(pair, xp, yp)
+                chsh_correlation(pair, x, y)
+                - chsh_correlation(pair, x, yp)
+                + chsh_correlation(pair, xp, y)
+                + chsh_correlation(pair, xp, yp)
             )
             for x in chsh_settings[0]:
                 for y in chsh_settings[1]:
-                    assert correlation(pair, x, y) == ref_correlation(pair, x, y)
+                    assert chsh_correlation(pair, x, y) == ref_correlation(pair, x, y)
 
     @settings(PINNED, max_examples=40)
     @given(
@@ -542,12 +547,12 @@ class TestFixedOperators:
             ref = ref_projection(rho, ("2'", "3'"), [ref_bell_projector(kind)])
             if ref is None:
                 with pytest.raises(PostselectionError):
-                    project_bell(rho, ("2'", "3'"), kind)
+                    bell_projection(rho, ("2'", "3'"), kind)
                 continue
-            res = project_bell(rho, ("2'", "3'"), kind)
+            res = bell_projection(rho, ("2'", "3'"), kind)
             assert same_result(res, ref)
             # a pair that is not symmetric under exchange: E(a, b) != E(b, a)
-            assert correlation(res.conditioned_state_14, *angles) == ref_correlation(
+            assert chsh_correlation(res.conditioned_state_14, *angles) == ref_correlation(
                 res.conditioned_state_14, *angles)
 
     def test_chsh_after_default_settings_matches_fresh_build(self):
@@ -571,9 +576,8 @@ class TestFixedOperators:
                 op[0, 0] = 0
 
     def test_module_operators_are_read_only(self):
-        fixed = [swap._EFFECT_45, *swap._BELL_EFFECTS.values(), *swap._BELL_VECS.values(),
-                 swap._BELL_BRAS]
-        assert len(fixed) == 10
+        fixed = [swap._EFFECT_45, *swap._BELL_VECS.values(), swap._BELL_BRAS]
+        assert len(fixed) == 6
         for op in fixed:
             with pytest.raises(ValueError):
                 op[0, ...] = 0
@@ -602,8 +606,8 @@ class TestEffectMatchesKrausSum:
             for pair in itertools.permutations(MODES, 2):
                 runs = [(lambda: phi_plus_via_45_coincidence(rho, pair), ref_kraus_45()),
                         (lambda: swap._condition(rho, pair, swap._effect(asymmetric)), asymmetric)]
-                runs += [(lambda kind=kind: project_bell(rho, pair, kind), [ref_bell_projector(kind)])
-                         for kind in BELL_KINDS]
+                runs += [(lambda kind=kind: bell_projection(rho, pair, kind),
+                          [ref_bell_projector(kind)]) for kind in BELL_KINDS]
                 for call, kraus in runs:
                     ref = kraus_sum_projection(rho, pair, kraus)
                     if ref is None:

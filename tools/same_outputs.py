@@ -21,7 +21,7 @@ shows as added or removed. The corpus is fixed here, seeds included:
   re-listed and permuted layouts;
 - delay_scan: seeded count tables;
 - chain: dephase -> phi+ via 45-degree coincidences -> CHSH, and on random
-  dense rho each Bell projection and the coincidences at the pair ("1", "3'");
+  dense rho the coincidences at the pair ("1", "3'");
 - bell_decompose: the source states and random four-photon states.
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
@@ -156,21 +156,22 @@ def _chain_family(fp, np):
                     res.fidelity_to_target, res.visibility_45, fp.chsh_value(pair),
                     fp.chsh_value(pair, settings))
         yield f"d={d} v0={v0} settings={settings}", partial(_outcome, chain)
-    # random dense mixtures of rank 3, so that every caller of the conditioning
-    # step runs: each Bell projection, and the coincidences at another pair
+    # random dense mixtures of rank 3, so that the conditioning step also runs
+    # on a generic rho, at a pair other than the PBS outputs
+    pair_modes = ("1", "3'")
     for i in range(100):
         vecs = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         weights = rng.dirichlet(np.ones(3))
         matrix = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
-        calls = [(fp.project_bell, ("2'", "3'"), kind) for kind in fp.BELL_KINDS]
-        calls.append((fp.phi_plus_via_45_coincidence, ("1", "3'")))
-        for fn, *args in calls:
-            def project():
-                res = fn(fp.DensityMatrix(["1", "2'", "3'", "4"], matrix), *args)
-                return (res.conditioned_state_14.matrix.tobytes(), res.projection_probability,
-                        res.fidelity_to_target, res.visibility_45)
-            yield f"dense rho {i}: {fn.__name__}({', '.join(map(repr, args))})", partial(_outcome, project)
+
+        def project():
+            rho = fp.DensityMatrix(["1", "2'", "3'", "4"], matrix)
+            res = fp.phi_plus_via_45_coincidence(rho, pair_modes)
+            return (res.conditioned_state_14.matrix.tobytes(), res.projection_probability,
+                    res.fidelity_to_target, res.visibility_45)
+        yield (f"dense rho {i}: phi_plus_via_45_coincidence({pair_modes!r})",
+               partial(_outcome, project))
 
 
 def _bell_family(fp, np):
