@@ -141,7 +141,7 @@ def test_criterion_6_swapping_fidelity():
     op = phi_plus_via_45_coincidence(rho)
     # the abstract phi+ projection of photons 2'3', by the dense oracle
     phi_plus = oracle.dense_from_terms({"HH": S2, "VV": S2}, 2)
-    reduced, prob = oracle.conditioned_pair(rho.matrix, [1, 2], [np.outer(phi_plus, phi_plus)])
+    reduced, prob = oracle.conditioned_pair(rho.matrix, [1, 2], [np.outer(phi_plus, phi_plus.conj())])
     assert op.fidelity_to_target == pytest.approx(0.89, abs=1e-9)
     assert op.visibility_45 == pytest.approx(0.78, abs=1e-9)
     assert np.max(np.abs(op.conditioned_state_14.matrix - reduced / prob)) < 1e-12

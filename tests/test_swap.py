@@ -239,7 +239,8 @@ class TestOperationalPhiPlus:
         for _ in range(100):
             rho = mix([(1.0, random_two_branch_state(rng))], MODES)
             op = phi_plus_via_45_coincidence(rho)
-            reduced, prob = oracle.conditioned_pair(rho.matrix, [1, 2], [ref_bell_projector("phi+")])
+            reduced, prob = oracle.conditioned_pair(
+                rho.matrix, [1, 2], [ref_bell_projector("phi+")])
             assert np.max(np.abs(op.conditioned_state_14.matrix - reduced / prob)) < 1e-12
             assert op.projection_probability == pytest.approx(prob, abs=1e-12)
 
@@ -380,12 +381,15 @@ class TestChsh:
         assert chsh_correlation(rho, np.array(10.0), 20.0) == chsh_correlation(rho, 10.0, 20.0)
         assert chsh_correlation(rho, 10.0, np.float64(20.0)) == chsh_correlation(rho, 10.0, 20.0)
 
+    def test_chsh_needs_a_two_photon_state(self):
+        with pytest.raises(StateError, match="^chsh_value needs a two-photon density matrix$"):
+            chsh_value(eq3_mixture())
+
     def test_chsh_accepts_0d_array_angles(self):
         # the cached observables are keyed by float(); a 0-d array is not hashable
         rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
         settings = ((np.array(0.0), np.float64(45.0)), (np.float32(22.5), np.array(67.5)))
         s = chsh_value(rho, settings)
-        (a, ap), (b, bp) = settings
         assert s == ref_chsh(rho, settings)
         assert s == chsh_value(rho, ((0.0, 45.0), (22.5, 67.5)))
 

@@ -105,10 +105,10 @@ def _layouts(fp) -> dict:
 def _exact_family(fp, np):
     rng = np.random.default_rng(19)
     for name, app in _layouts(fp).items():
-        yield f"{name}: ghz_after_postselection", partial(_outcome, 
+        yield f"{name}: ghz_after_postselection", partial(_outcome,
             lambda: _state(fp.ghz_after_postselection(app)))
         for mode, angle in itertools.product(sorted(app.mode_order()), (0.0, 45.0, 112.5)):
-            yield f"{name}: three_photon_ghz({mode!r}, {angle})", partial(_outcome, 
+            yield f"{name}: three_photon_ghz({mode!r}, {angle})", partial(_outcome,
                 lambda: _state(fp.three_photon_ghz(app, mode, angle)))
         for i in range(160):
             angles = [None if rng.random() < 0.2 else float(rng.uniform(0, 180))
@@ -177,7 +177,7 @@ def _chain_family(fp, np):
 def _bell_family(fp, np):
     rng = np.random.default_rng(31)
     for name, app in _layouts(fp).items():
-        yield f"{name}: source state", partial(_outcome, 
+        yield f"{name}: source state", partial(_outcome,
             lambda: list(fp.bell_decompose(fp.source_state(app)).items()))
     kets = ["".join(k) for k in itertools.product("HV", repeat=4)]
     for i in range(200):
