@@ -186,6 +186,7 @@ class TestConfigErrors:
 
 
     @pytest.mark.parametrize("scenario, user, flags", [
+        ("hv-table", {"rates": {"fourfold_rate_desired": 1e300}}, []),
         ("delay-scan", {"scan_time_per_point_s": 1e300}, []),
     ])
     def test_expected_count_too_large(self, scenario, user, flags, tmp_path, capsys):

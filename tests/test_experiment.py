@@ -825,6 +825,9 @@ class TestAnalyzerAngleRange:
         ),
         "three_photon_ghz": lambda a: three_photon_ghz(APP, "2'", a),
         "chsh_value": lambda a: chsh_value(TestAnalyzerAngleRange.RHO_14, ((0.0, a), (22.5, 67.5))),
+        "chsh_value_b": lambda a: chsh_value(
+            TestAnalyzerAngleRange.RHO_14, ((0.0, 45.0), (22.5, a))
+        ),
         "analyzer_matrix": analyzer_matrix,
     }
 

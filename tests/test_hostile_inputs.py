@@ -77,6 +77,7 @@ ENTRY_POINTS = {
     "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
+    "chsh_value.angle_b": lambda x: chsh_value(RHO_14, ((0.0, 45.0), (x, 67.5))),
     "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
     "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
     "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),
