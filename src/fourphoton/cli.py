@@ -8,10 +8,10 @@ Scenarios:
   swap-report    entanglement-swapping fidelity/visibility/CHSH report
   feasibility    measurement-time estimate for a full Bell test on photons 1,4
 
-Each `run_*` runner computes its scenario and returns its files; `main`
-then creates --out and writes them with `_write`, so a run that fails before
-its files are written leaves no --out behind. `main` builds its parser on its
-first call and reuses it; `build_parser()` returns a fresh one.
+Each `run_*` runner returns its scenario's files; `main` then creates --out and
+writes them with `_write`, so a run that fails before writing leaves no --out.
+`main` builds its parser once and reuses it; `build_parser()` returns a fresh one.
+A loaded apparatus equal to the default is the default: its routing compiles once.
 
 Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
 (also an unreadable config file), 3 physically impossible request
@@ -62,7 +62,7 @@ MAX_TIME_S = 1e18
 # and sources included) replaces the default whole.
 _MERGED_SECTIONS = ("apparatus", "apparatus.pbs", "rates")
 
-_DEFAULT_APPARATUS = default_apparatus()  # read for its values: no call builds a throwaway
+_DEFAULT_APPARATUS = default_apparatus()  # the defaults' values; an equal config runs on it
 
 
 def default_config() -> dict:
@@ -132,6 +132,8 @@ def load_config(path: str | None) -> dict:
         )
     except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
         raise StateError(f"bad apparatus config: {exc}") from exc
+    if apparatus == _DEFAULT_APPARATUS:  # once built and checked: JSON has false == 0
+        apparatus = _DEFAULT_APPARATUS
     try:
         rates = RateModel(**tree["rates"])
     except StateError as exc:

@@ -129,9 +129,12 @@ def visibility_from_counts(
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
     for k in (*even_parity_keys, *odd_parity_keys):
-        if not 0 <= as_number(counts[k]) < math.inf:
-            raise StateError(f"count {show(k)} is not a finite nonnegative number: "
-                             f"{show(counts[k])}")
+        try:
+            n = counts[k]
+        except KeyError:
+            raise StateError(f"no count for outcome {show(k)} in the table") from None
+        if not 0 <= as_number(n) < math.inf:
+            raise StateError(f"count {show(k)} is not a finite nonnegative number: {show(n)}")
     ne = sum(counts[k] for k in even_parity_keys)
     no = sum(counts[k] for k in odd_parity_keys)
     total = ne + no

@@ -19,10 +19,11 @@ from fourphoton import (
     hv_setting,
     monte_carlo_counts,
 )
-from fourphoton import cli
+from fourphoton import cli, experiment
 from fourphoton.cli import SCENARIOS, main
 
 BEYOND_FLOAT = 10**400  # a JSON integer that no float holds
+POSTSELECTING = ("hv-table", "basis45-table", "delay-scan", "swap-report")
 ZERO_RATES = {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}
 
 
@@ -327,20 +328,66 @@ class TestScenarios:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_default_config_files_run_as_no_config(self, scenario, tmp_path, capsys):
-        # one load path: a `{}` config and the printed defaults merge into the
-        # same tree that a run without --config checks and builds
+        # one load path: a `{}` config, the printed defaults and an equal apparatus
+        # (detectors listed in reverse, an integer error_rate) merge into the same
+        # tree that a run without --config checks and builds
         assert run(["--print-default-config"]) == 0
-        (tmp_path / "printed.json").write_text(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        (tmp_path / "printed.json").write_text(printed)
         (tmp_path / "empty.json").write_text("{}")
+        equal = json.loads(printed)
+        detectors = equal["apparatus"]["detectors"]
+        equal["apparatus"]["detectors"] = dict(reversed(detectors.items()))
+        equal["apparatus"]["pbs"]["error_rate"] = 0
+        (tmp_path / "equal.json").write_text(json.dumps(equal))
         outputs = []
         for config in ([], ["--config", str(tmp_path / "empty.json")],
-                       ["--config", str(tmp_path / "printed.json")]):
+                       ["--config", str(tmp_path / "printed.json")],
+                       ["--config", str(tmp_path / "equal.json")]):
             out = tmp_path / f"out{len(outputs)}"
             code = run(["--scenario", scenario, "--seed", "7", *config, "--out", str(out)])
             files = sorted((p.name, p.read_bytes()) for p in out.iterdir())
             outputs.append((code, capsys.readouterr().err, files))
         assert outputs[0][0] == 0 and outputs[0][2]
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert outputs[1:] == [outputs[0]] * 3
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The apparatus of each source-state build: one per routing pattern compiled."""
+        calls = []
+        source = experiment.source_state
+
+        def counted(apparatus):
+            calls.append(apparatus)
+            return source(apparatus)
+
+        monkeypatch.setattr(experiment, "source_state", counted)
+        return calls
+
+    def test_default_routing_compiles_once_per_process(self, compiles, tmp_path):
+        # the default config's apparatus is the module's default one, whose memo
+        # outlives a call: a second round compiles nothing and writes the same bytes
+        def round_files(out):
+            for scenario in POSTSELECTING:
+                assert run(["--scenario", scenario, "--out", str(out / scenario)]) == 0
+            return {p.relative_to(out).as_posix(): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        first = round_files(tmp_path / "first")
+        assert len(compiles) <= 1 and all(a is cli._DEFAULT_APPARATUS for a in compiles)
+        del compiles[:]
+        assert round_files(tmp_path / "second") == first and len(first) == 9
+        assert compiles == []
+
+    def test_other_apparatus_leaves_default_memo_alone(self, compiles, tmp_path):
+        # a PBS error makes another apparatus: its wrong-port patterns are its own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": 0.01}}}))
+        for scenario in POSTSELECTING:
+            assert run(["--scenario", scenario, "--config", str(cfg),
+                        "--out", str(tmp_path / scenario)]) == 0
+        assert compiles and all(a is not cli._DEFAULT_APPARATUS for a in compiles)
+        assert set(cli._DEFAULT_APPARATUS._compiled) <= {frozenset()}
 
     def test_hv_table_output(self, tmp_path):
         assert run(["--scenario", "hv-table", "--seed", "3",

@@ -15,6 +15,7 @@ from fourphoton import (
     PureState,
     StateError,
     bell_decompose,
+    RateModel,
     bell_state,
     chsh_value,
     default_apparatus,
@@ -23,6 +24,7 @@ from fourphoton import (
     ghz_after_postselection,
     mix,
     phi_plus_via_45_coincidence,
+    draw_counts,
     spdc_pair,
     state_from_terms,
     tensor,
@@ -358,6 +360,15 @@ class TestVisibilityFromCounts:
         # it compares like a number but is none: not a bare TypeError from sqrt
         with pytest.raises(StateError, match=re.escape("count 'e' is not a finite nonnegative")):
             visibility_from_counts({"e": np.array([5]), "o": 10}, ["e"], ["o"])
+
+    @pytest.mark.parametrize("even, odd, missing", [
+        (["++++"], ["+++-"], "++++"), (["HHHH"], ["+++-"], "+++-"),
+    ])
+    def test_missing_outcome_named(self, even, odd, missing):
+        # a table drawn over other outcomes: not a bare KeyError
+        counts = draw_counts({"HHHH": 0.5}, RateModel(), 6000.0, 1).counts
+        with pytest.raises(StateError, match=re.escape(f"no count for outcome {missing!r}")):
+            visibility_from_counts(counts, even, odd)
 
 
 class TestChsh:

@@ -13,9 +13,10 @@ side's `src`, so an input that a change adds to or removes from the corpus
 shows as added or removed. The corpus is fixed here, seeds included:
 
 - cli: the files, exit code and stderr of every scenario at seeds 0-199, at the
-  default config and at PBS error_rate 0.01, once with a `{}` config file, and
-  of the error configs and flags of tests/test_cli.py (plus a detector that no
-  photon reaches); and the stdout of --print-default-config;
+  default config and at PBS error_rate 0.01, once with a `{}` config file, at
+  seeds 0-9 with the printed defaults' detectors reversed and an integer
+  error_rate, and of the error configs and flags of tests/test_cli.py (plus a
+  detector that no photon reaches); and the stdout of --print-default-config;
 - exact: random `exact_outcome_probabilities` calls (None angles, PBS errors,
   d*v0 = 1) and the post-selected and three-photon states, on relabelled,
   re-listed and permuted layouts;
@@ -262,6 +263,12 @@ def _cli_family(fp, np):
     runs = [(s, seed, None) for s in cli.SCENARIOS for seed in range(200)]
     # the merged load path at the default config, as the no-config runs
     runs += [(s, 1, {}) for s in cli.SCENARIOS]
+    # the printed defaults with an equal apparatus: detectors listed in reverse
+    # and an integer error_rate, which run on the module's default apparatus
+    equal = cli.default_config()
+    equal["apparatus"]["detectors"] = dict(reversed(equal["apparatus"]["detectors"].items()))
+    equal["apparatus"]["pbs"]["error_rate"] = 0
+    runs += [(s, seed, equal) for s in cli.SCENARIOS for seed in range(10)]
     runs += [(s, seed, {"apparatus": {"pbs": {"error_rate": 0.01}}})
              for s in cli.SCENARIOS for seed in range(200)]
     runs += [(s, 1, c) for c in ERROR_CONFIGS for s in cli.SCENARIOS]
