@@ -23,7 +23,6 @@ from fourphoton import cli, experiment
 from fourphoton.cli import SCENARIOS, main
 
 BEYOND_FLOAT = 10**400  # a JSON integer that no float holds
-POSTSELECTING = ("hv-table", "basis45-table", "delay-scan", "swap-report")
 ZERO_RATES = {"rates": {"fourfold_rate_desired": 0, "background_fourfold_rate": 0}}
 
 
@@ -351,24 +350,17 @@ class TestScenarios:
         assert outputs[0][0] == 0 and outputs[0][2]
         assert outputs[1:] == [outputs[0]] * 3
 
-    @pytest.fixture
-    def compiles(self, monkeypatch):
-        """The apparatus of each source-state build: one per routing pattern compiled."""
-        calls = []
-        source = experiment.source_state
-
-        def counted(apparatus):
-            calls.append(apparatus)
-            return source(apparatus)
-
-        monkeypatch.setattr(experiment, "source_state", counted)
-        return calls
-
-    def test_default_routing_compiles_once_per_process(self, compiles, tmp_path):
+    def test_default_routing_compiles_once_per_process(self, monkeypatch, tmp_path):
         # the default config's apparatus is the module's default one, whose memo
-        # outlives a call: a second round compiles nothing and writes the same bytes
+        # outlives a call: a second round builds no source state (one per routing
+        # pattern compiled) and writes the same bytes
+        compiles = []
+        source = experiment.source_state
+        monkeypatch.setattr(experiment, "source_state",
+                            lambda app: compiles.append(app) or source(app))
+
         def round_files(out):
-            for scenario in POSTSELECTING:
+            for scenario in ("hv-table", "basis45-table", "delay-scan", "swap-report"):
                 assert run(["--scenario", scenario, "--out", str(out / scenario)]) == 0
             return {p.relative_to(out).as_posix(): p.read_bytes()
                     for p in sorted(out.rglob("*")) if p.is_file()}
@@ -378,16 +370,6 @@ class TestScenarios:
         del compiles[:]
         assert round_files(tmp_path / "second") == first and len(first) == 9
         assert compiles == []
-
-    def test_other_apparatus_leaves_default_memo_alone(self, compiles, tmp_path):
-        # a PBS error makes another apparatus: its wrong-port patterns are its own
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"apparatus": {"pbs": {"error_rate": 0.01}}}))
-        for scenario in POSTSELECTING:
-            assert run(["--scenario", scenario, "--config", str(cfg),
-                        "--out", str(tmp_path / scenario)]) == 0
-        assert compiles and all(a is not cli._DEFAULT_APPARATUS for a in compiles)
-        assert set(cli._DEFAULT_APPARATUS._compiled) <= {frozenset()}
 
     def test_hv_table_output(self, tmp_path):
         assert run(["--scenario", "hv-table", "--seed", "3",
@@ -450,6 +432,8 @@ class TestScenarios:
         table = monte_carlo_counts(app, hv_setting(app), RateModel(), 6000.0, 5)
         rows = [l.split(",") for l in (out / "hv-table.csv").read_text().splitlines()[1:]]
         assert {r[0]: int(r[1]) for r in rows} == table.counts
+        # another apparatus: its wrong-port patterns stay out of the default's memo
+        assert set(cli._DEFAULT_APPARATUS._compiled) <= {frozenset()}
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
