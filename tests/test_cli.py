@@ -335,8 +335,7 @@ class TestScenarios:
         (tmp_path / "printed.json").write_text(printed)
         (tmp_path / "empty.json").write_text("{}")
         equal = json.loads(printed)
-        detectors = equal["apparatus"]["detectors"]
-        equal["apparatus"]["detectors"] = dict(reversed(detectors.items()))
+        equal["apparatus"]["detectors"] = dict(reversed(equal["apparatus"]["detectors"].items()))
         equal["apparatus"]["pbs"]["error_rate"] = 0
         (tmp_path / "equal.json").write_text(json.dumps(equal))
         outputs = []

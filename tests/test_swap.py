@@ -13,18 +13,18 @@ from fourphoton import (
     DensityMatrix,
     PostselectionError,
     PureState,
+    RateModel,
     StateError,
     bell_decompose,
-    RateModel,
     bell_state,
     chsh_value,
     default_apparatus,
     dephase_by_distinguishability,
     distinguishability,
+    draw_counts,
     ghz_after_postselection,
     mix,
     phi_plus_via_45_coincidence,
-    draw_counts,
     spdc_pair,
     state_from_terms,
     tensor,
