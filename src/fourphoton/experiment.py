@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from numbers import Integral, Number
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .states import (
     StateError,
     analyzer_matrix,
     as_number,
+    check_angle,
     dephasing_partner,
     is_complex,
     is_photon_pair,
@@ -46,6 +47,7 @@ from .states import (
     spdc_pair,
     state_from_terms,
     tensor,
+    unchecked_analyzer_matrix,
 )
 
 
@@ -223,6 +225,23 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
     return memo[flipped]
 
 
+@lru_cache(maxsize=16)  # two label pairs per detector: 16 patterns
+def _outcome_keys(*labels: tuple[str, str]) -> tuple[str, ...]:
+    return tuple(map("".join, itertools.product(*labels)))
+
+
+@lru_cache(maxsize=64)
+def _analyzer_product(*angles: float | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """The 16 outcome keys and the read-only 16x16 Kronecker product of the
+    2x2 analyzers, ((A1 x A2) x A3) x A4, at the four angles in detector
+    order: each a `check_angle` key, or None for a missing angle (0 degrees,
+    labelled "+"/"-")."""
+    keys = _outcome_keys(*map(MeasurementSetting.labels, angles))
+    product = reduce(kron, [unchecked_analyzer_matrix(0.0 if a is None else a) for a in angles])
+    product.setflags(write=False)
+    return keys, product
+
+
 def _exact_model(
     apparatus: Apparatus, setting: MeasurementSetting, pbs_error: float | None
 ) -> Callable[[float, float], dict[str, float]]:
@@ -232,7 +251,11 @@ def _exact_model(
     zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
     post-selected vectors and their dephasing partners.
     """
-    unknown = [d for d in setting.angles if d not in apparatus.detectors]
+    angles = setting.angles
+    # a plain dict skips the ABC isinstance check, a Python-level call per compile
+    if type(angles) is not dict and not isinstance(angles, Mapping):
+        raise StateError(f"setting angles {show(angles)} are not a mapping of detector ids")
+    unknown = [d for d in angles if d not in apparatus.detectors]
     if unknown:
         raise StateError(f"unknown detectors {show(unknown)}, not in {apparatus.detector_ids()}")
     err = 0.0 if pbs_error is None else pbs_error
@@ -256,14 +279,11 @@ def _exact_model(
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
-    analyzers, labels = [], []
-    for det in apparatus.detector_ids():
-        ang = setting.angles.get(det)
-        labels.append(MeasurementSetting.labels(ang))
-        analyzers.append(analyzer_matrix(0.0 if ang is None else ang))
-    # Kronecker product of the 2x2 analyzers in detector order, ((A1 x A2) x A3) x A4
-    analyzer = reduce(kron, analyzers)
-    keys = tuple(map("".join, itertools.product(*labels)))
+    # each angle is checked before it keys the cache; a missing one keys as None
+    keys, analyzer = _analyzer_product(*[
+        None if (ang := angles.get(det)) is None else check_angle(ang)
+        for det in apparatus.detector_ids()
+    ])
     # rows per number of channel components, built on first use: a pure
     # channel (d*v0 >= 1) stacks only the psi vectors, because numpy rounds a
     # product of fewer rows differently
@@ -297,7 +317,10 @@ def exact_outcome_probabilities(
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
     count tables pass the PBS's configured rate; the exact path defaults to
     None, the ideal PBS). Like that rate it must lie in [0, 1), else
-    StateError. Each call compiles `_exact_model` and evaluates it once.
+    StateError. Each call compiles `_exact_model` and evaluates it once;
+    the compile takes its analyzer product and outcome keys from a bounded
+    module cache keyed by the four checked angles, so a repeated setting
+    builds them once.
     """
     d = 1.0 if delay is None else distinguishability(delay)
     return _exact_model(apparatus, setting, pbs_error)(d, v0)

@@ -307,9 +307,13 @@ def show(value) -> str:
         return f"<int of {value.bit_length()} bits>"
 
 
-def check_angle(angle_deg: float) -> None:
+def check_angle(angle_deg: float) -> float:
+    """`float(angle_deg)` once it is a number in [0, 180): the one form in which
+    an angle keys a cache. Checked first, because float() would parse a string
+    and fail on None, and a bool would hit the key of 1.0 or 0.0."""
     if not 0.0 <= as_number(angle_deg) < 180.0:
         raise StateError(f"analyzer angle must be a number in [0, 180), got {show(angle_deg)}")
+    return float(angle_deg)
 
 
 def analyzer_matrix(angle_deg: float) -> np.ndarray:
@@ -317,8 +321,13 @@ def analyzer_matrix(angle_deg: float) -> np.ndarray:
     rows are the pass and reject ports |theta>, |theta_perp>, columns H and V.
     The angle must pass `check_angle`.
     """
-    check_angle(angle_deg)
-    t = math.radians(angle_deg)
+    return unchecked_analyzer_matrix(check_angle(angle_deg))
+
+
+def unchecked_analyzer_matrix(angle: float) -> np.ndarray:
+    """`analyzer_matrix` of a float that `check_angle` returned: a cache's
+    builder, whose key was checked once already."""
+    t = math.radians(angle)
     c, s = math.cos(t), math.sin(t)
     return np.array([[c, s], [s, -c]])
 

@@ -19,13 +19,13 @@ from .states import (
     PostselectionError,
     PureState,
     StateError,
-    analyzer_matrix,
     as_number,
     bell_state,
     check_angle,
     is_photon_pair,
     kron,
     show,
+    unchecked_analyzer_matrix,
 )
 
 # Fixed vectors and operators on the analyzed pair, built once, read-only:
@@ -146,9 +146,10 @@ def visibility_from_counts(
 
 
 def _observable(angle_a: float, angle_b: float) -> np.ndarray:
-    """sigma(a) x sigma(b); sigma = |theta><theta| - |theta_perp><theta_perp|."""
+    """sigma(a) x sigma(b); sigma = |theta><theta| - |theta_perp><theta_perp|,
+    at two `check_angle` keys."""
     sa, sb = (np.outer(m[0], m[0]) - np.outer(m[1], m[1])
-              for m in map(analyzer_matrix, (angle_a, angle_b)))
+              for m in map(unchecked_analyzer_matrix, (angle_a, angle_b)))
     return kron(sa, sb)
 
 
@@ -175,11 +176,11 @@ def chsh_value(
     """
     if len(rho_pair.modes) != 2:
         raise StateError("chsh_value needs a two-photon density matrix")
-    (a, ap), (b, bp) = settings
-    # floats as cache keys, since a 0-d numpy angle is not hashable; checked
-    # first, because float() would parse a string and fail on None
-    for x in (a, ap, b, bp):
-        check_angle(x)
-    products = rho_pair.matrix @ _chsh_observables(float(a), float(ap), float(b), float(bp))
+    try:
+        (a, ap), (b, bp) = settings
+    except (TypeError, ValueError):
+        raise StateError("CHSH settings must be two pairs of angles ((a, a'), (b, b')), "
+                         f"got {show(settings)}") from None
+    products = rho_pair.matrix @ _chsh_observables(*map(check_angle, (a, ap, b, bp)))
     ab, abp, apb, apbp = products.trace(axis1=1, axis2=2).real.tolist()
     return ab - abp + apb + apbp

@@ -3,6 +3,8 @@ import math
 import pickle
 import re
 from decimal import Decimal
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -215,6 +217,21 @@ class TestExactProbabilities:
         # ignored, they would give the H/V table under "+"/"-" labels
         with pytest.raises(StateError, match=re.escape(f"unknown detectors {unknown}")):
             count(MeasurementSetting(angles))
+
+    @pytest.mark.parametrize("count", [
+        lambda s: exact_outcome_probabilities(APP, s),
+        lambda s: delay_scan(APP, s, [0.0, 100.0], RateModel(), 600.0, seed=1),
+    ], ids=["exact", "delay_scan"])
+    @pytest.mark.parametrize("angles", [None, True, 0.5, [], ("D1", 45.0), {"D1"}])
+    def test_angles_must_be_a_mapping(self, count, angles):
+        with pytest.raises(StateError, match=re.escape(
+                f"setting angles {angles!r} are not a mapping of detector ids")):
+            count(MeasurementSetting(angles))
+
+    def test_any_mapping_of_angles(self):
+        angles = {"D1": 45.0, "D2": None, "D3": 30.0}
+        assert (exact_outcome_probabilities(APP, MeasurementSetting(MappingProxyType(angles)))
+                == exact_outcome_probabilities(APP, MeasurementSetting(angles)))
 
     @pytest.mark.parametrize("v0", [-0.1, 1.5, float("nan"), None, "x", True, np.array([0.79])])
     def test_visibility_outside_unit_interval_rejected(self, v0):
@@ -439,6 +456,61 @@ class TestCompiledPatterns:
         assert exact_outcome_probabilities(again, hv_setting(again)) == (
             exact_outcome_probabilities(app, hv_setting(app))
         )
+
+
+class TestAnalyzerProductCache:
+    """The exact model takes its 16x16 analyzer product and outcome keys from
+    a bounded module cache, keyed by the four angles in detector order, each
+    as `check_angle` returns it."""
+
+    @staticmethod
+    def exact(**angles):
+        return exact_outcome_probabilities(
+            APP, MeasurementSetting(angles), delay=DelayElement(100.0), pbs_error=0.01
+        )
+
+    def test_cache_is_bounded_read_only_and_reused(self):
+        cache = experiment._analyzer_product
+        cache.cache_clear()
+        keys, product = cache(0.0, 45.0, None, 22.5)
+        assert cache(0.0, 45.0, None, 22.5) is cache(0.0, 45.0, None, 22.5)
+        assert cache.cache_info().maxsize is not None  # bounded
+        assert len(keys) == 16 and product.shape == (16, 16)
+        with pytest.raises(ValueError):
+            product[0, 0] = 0
+        # the exact path reads it: a repeated setting builds no product
+        exact_outcome_probabilities(APP, hv_setting(APP))
+        exact_outcome_probabilities(APP, hv_setting(APP))
+        assert cache.cache_info().misses == 2
+
+    @pytest.mark.parametrize("angle", [True, False, "1.0", np.array([1.0])],
+                             ids=["True", "False", "'1.0'", "one-element array"])
+    def test_cached_key_admits_no_lookalike(self, angle):
+        # True == 1.0 and False == 0.0 hash alike, and float() parses "1.0"
+        self.exact(D1=1.0)
+        self.exact(D1=0.0)
+        with pytest.raises(StateError, match="analyzer angle"):
+            self.exact(D1=angle)
+
+    @pytest.mark.parametrize("angle", [45, np.float32(45.0), np.array(45.0), Fraction(45)],
+                             ids=["int", "np.float32", "0-d array", "Fraction"])
+    def test_angle_types_share_the_float_key(self, angle):
+        experiment._analyzer_product.cache_clear()
+        probs = self.exact(D1=angle, D3=angle, D4=30.0)
+        experiment._analyzer_product.cache_clear()
+        assert list(probs.items()) == list(self.exact(D1=45.0, D3=45.0, D4=30.0).items())
+
+    def test_negative_zero_matches_zero_in_either_cache_order(self):
+        # -0.0 == 0.0 keys one entry, whose product holds the signed zeros of
+        # whichever came first; the probabilities must not depend on which
+        runs = []
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            experiment._analyzer_product.cache_clear()
+            for zero in order:
+                for probs in (self.exact(D1=zero, D2=zero, D3=zero, D4=zero),
+                              self.exact(D1=zero, D2=45.0, D3=zero, D4=30.0)):
+                    runs.append([(k, p.hex()) for k, p in probs.items()])
+        assert all(run == runs[i % 2] for i, run in enumerate(runs))
 
 
 class TestApparatusShape:
@@ -834,7 +906,7 @@ class TestAnalyzerAngleRange:
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize(
         "angle", [math.nan, math.inf, -30.0, 180.0, 200.0, "22.5", 1j, 22.5 + 0j, True,
-                  np.array([22.5])]
+                  np.array([22.5]), np.array([22.5, 45.0])]
     )
     def test_out_of_range_angle_rejected(self, entry, angle):
         with pytest.raises(StateError, match="analyzer angle"):

@@ -64,6 +64,7 @@ ENTRY_POINTS = {
         lambda x: exact_outcome_probabilities(APP, HV, pbs_error=x),
     "exact_outcome_probabilities.angle":
         lambda x: exact_outcome_probabilities(APP, MeasurementSetting({"D1": x})),
+    "MeasurementSetting.angles": lambda x: exact_outcome_probabilities(APP, MeasurementSetting(x)),
     "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
     "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
     "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
@@ -78,6 +79,7 @@ ENTRY_POINTS = {
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
     "chsh_value.angle_b": lambda x: chsh_value(RHO_14, ((0.0, 45.0), (x, 67.5))),
+    "chsh_value.settings": lambda x: chsh_value(RHO_14, x),
     "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
     "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
     "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),

@@ -396,6 +396,16 @@ class TestChsh:
         with pytest.raises(StateError, match="^chsh_value needs a two-photon density matrix$"):
             chsh_value(eq3_mixture())
 
+    @pytest.mark.parametrize("settings", [
+        (0.0, 45.0), None, ((0.0, 45.0),), ((0.0, 45.0), (22.5, 67.5), (0.0, 45.0)),
+        ((0.0, 45.0, 90.0), (22.5, 67.5)), 45.0,
+    ])
+    def test_chsh_settings_must_be_two_pairs(self, settings):
+        rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
+        with pytest.raises(StateError, match=re.escape(
+                f"CHSH settings must be two pairs of angles ((a, a'), (b, b')), got {settings!r}")):
+            chsh_value(rho, settings)
+
     def test_chsh_accepts_0d_array_angles(self):
         # the cached observables are keyed by float(); a 0-d array is not hashable
         rho = phi_plus_via_45_coincidence(eq3_mixture()).conditioned_state_14
