@@ -329,7 +329,11 @@ def unchecked_analyzer_matrix(angle: float) -> np.ndarray:
     builder, whose key was checked once already."""
     t = math.radians(angle)
     c, s = math.cos(t), math.sin(t)
-    return np.array([[c, s], [s, -c]])
+    # filled entry by entry: a third cheaper than converting a nested list,
+    # which a cache miss of four fresh angles pays four times
+    m = np.empty((2, 2))
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, s, s, -c
+    return m
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

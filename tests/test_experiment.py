@@ -885,10 +885,10 @@ class TestThreePhotonGhz:
 
 
 class TestAnalyzerAngleRange:
-    """Every analyzer angle goes through `states.analyzer_matrix`, the one
-    analyzer primitive, which takes only finite numbers in [0, 180); a string
-    is none, though float() would parse it, and neither is a complex number or
-    a bool."""
+    """Every analyzer angle passes `states.check_angle` before an analyzer is
+    built or a cache is keyed; it takes only finite numbers in [0, 180): a
+    string is none, though float() would parse it, and neither is a complex
+    number, a bool or an array that is not 0-d."""
 
     RHO_14 = mix([(1.0, bell_state("phi+", 1, 4))])
     ENTRY_POINTS = {
