@@ -124,10 +124,10 @@ def default_apparatus(pbs_error: float = 0.0) -> Apparatus:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Per-detector analyzer angles in degrees, keyed by the apparatus's
-    detector ids (an exact model raises StateError for any other key). A None
-    or missing angle is analysed at 0 degrees, with outcomes labelled "+"/"-"
-    instead of "H"/"V"."""
+    """Per-detector analyzer angles in degrees, a mapping keyed by the
+    apparatus's detector ids (an exact model raises StateError for any other
+    key, and for angles that are not a mapping). A None or missing angle is
+    analysed at 0 degrees, with outcomes labelled "+"/"-" instead of "H"/"V"."""
 
     angles: Mapping[str, float | None]
 
