@@ -23,7 +23,10 @@ shows as added or removed. The corpus is fixed here, seeds included:
 - delay_scan: seeded count tables;
 - chain: dephase -> phi+ via 45-degree coincidences -> CHSH, and on random
   dense rho the coincidences at the pair ("1", "3'");
-- bell_decompose: the source states and random four-photon states.
+- bell_decompose: the source states and random four-photon states;
+- hostile: `draw_counts` with each value of a fixed hostile list as one
+  probability, and at a rate of 1e300, and `state_from_terms` with each value
+  as one amplitude.
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
@@ -191,6 +194,28 @@ def _bell_family(fp, np):
 
 
 BEYOND_FLOAT = 10**400
+
+
+def _hostile_family(fp, np):
+    from fractions import Fraction
+
+    def draw(p, rates):
+        return sorted(fp.draw_counts({"HHHH": 0.5, "VVVV": p}, rates, 6000.0, 1).counts.items())
+
+    def amplitude(a):
+        state = fp.state_from_terms([1, 2], ["a", "b"], {"HV": a, "VH": 0.5})
+        return state.photons, list(state.amps.items())
+
+    values = {"nan": float("nan"), "-0.5": -0.5, "inf": float("inf"), "1e300": 1e300,
+              "1j": 1j, "np.complex128": np.complex128(0.5), "np.complex64": np.complex64(0.5),
+              "None": None, "'0.5'": "0.5", "True": True, "10**400": BEYOND_FLOAT,
+              "Fraction": Fraction(1, 2), "one-element array": np.array([0.5])}
+    for name, x in values.items():
+        yield f"draw_counts: probability {name}", partial(_outcome, partial(draw, x, fp.RateModel()))
+        yield f"state_from_terms: amplitude {name}", partial(_outcome, partial(amplitude, x))
+    yield "draw_counts: rate 1e300", partial(_outcome, partial(draw, 0.5, fp.RateModel(1e300)))
+
+
 ERROR_CONFIGS = [
     # the error configs of tests/test_cli.py
     {"scan_delays_fs": []},
@@ -282,7 +307,7 @@ def _cli_family(fp, np):
 
 
 FAMILIES = {"cli": _cli_family, "exact": _exact_family, "delay_scan": _delay_scan_family,
-            "chain": _chain_family, "bell_decompose": _bell_family}
+            "chain": _chain_family, "bell_decompose": _bell_family, "hostile": _hostile_family}
 
 
 def emit(shard: int = 0, shards: int = 1) -> None:
