@@ -47,6 +47,7 @@ from .experiment import (
     exact_outcome_probabilities,
     feasibility_estimate,
     hv_setting,
+    monte_carlo_counts,
 )
 from .states import StateError, as_number
 
@@ -165,8 +166,8 @@ File = tuple[str, list[str], str]
 
 def run_hv_table(cfg: dict, args) -> list[File]:
     app, v0 = cfg["apparatus"], cfg["visibility_zero_delay"]
-    probs = exact_outcome_probabilities(app, hv_setting(app), v0=v0, pbs_error=app.pbs.error_rate)
-    counts = draw_counts(probs, cfg["rates"], args.time, args.seed).counts
+    counts = monte_carlo_counts(app, hv_setting(app), cfg["rates"], args.time, args.seed,
+                                v0=v0).counts
     lines = ["outcome,count,integration_time_s,seed"]
     lines += [f"{k},{n},{args.time},{args.seed}" for k, n in sorted(counts.items())]
     # the desired outcomes are the GHZ terms, the ideal PBS's: with a PBS

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from numbers import Integral, Number
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
@@ -40,7 +40,6 @@ from .states import (
     as_number,
     check_angle,
     dephasing_partner,
-    is_complex,
     is_photon_pair,
     kron,
     show,
@@ -218,6 +217,7 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
         if p_sel > 1e-30:
             state = PureState(source.photons, kept)
             psi = state.dense(apparatus.mode_order())
+            psi.flags.writeable = False
             phi = None if len(state.amps) == 1 else dephasing_partner(psi)
             if phi is not None:
                 phi.flags.writeable = False
@@ -356,21 +356,16 @@ def draw_counts(
     rng = np.random.default_rng(seed)
     counts = {}
     for key, p in probs.items():
-        lam = None
-        # a probability that is no number fails the product, a bool the test
-        # before it, a complex one the test after it (numpy would draw from its
-        # real part); numpy rejects a negative or NaN count before it draws
+        # `as_number` returns a real number itself and anything else as NaN,
+        # whose count numpy rejects, as it does a negative or too large one
+        x = as_number(p)
+        lam = (x * rate + floor) * integration_time
         try:
-            if type(p) is bool:
-                raise TypeError("a bool is no number")
-            lam = (p * rate + floor) * integration_time
-            if not isinstance(lam, float) and is_complex(lam):
-                raise TypeError("a complex count")
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
-        except (TypeError, ValueError, OverflowError) as exc:
-            what = (f"expected count {lam:.3g}" if isinstance(lam, Number)
-                    else f"probability {show(p)}")
-            raise StateError(f"outcome {key}: {what} cannot be drawn ({exc})") from exc
+        except ValueError as exc:
+            what = (f"probability {show(p)} is not a real number" if x is not p
+                    else f"expected count {lam:.3g} cannot be drawn ({exc})")
+            raise StateError(f"outcome {key}: {what}") from exc
     return CountTable(counts)
 
 

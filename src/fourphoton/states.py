@@ -60,12 +60,11 @@ class PureState:
     """Normalized sparse superposition over labeled polarization kets.
 
     Immutable, so that a memoised state cannot go stale: `photons` is a tuple,
-    `amps` a read-only mapping, and neither can be rebound. `dense` computes
-    each mode order's vector once and returns it read-only, and
-    `dephasing_projectors` its dephasing channel's fixed operators.
+    `amps` a read-only mapping, and neither can be rebound.
+    `dephasing_projectors` computes its dephasing channel's fixed operators once.
     """
 
-    __slots__ = ("photons", "amps", "_dense", "_dephasing")
+    __slots__ = ("photons", "amps", "_dephasing")
 
     def __init__(
         self,
@@ -96,7 +95,6 @@ class PureState:
     def _set_fields(self, photons: tuple, amps: dict) -> None:
         object.__setattr__(self, "photons", photons)
         object.__setattr__(self, "amps", MappingProxyType(amps))
-        object.__setattr__(self, "_dense", {})  # tuple(mode_order) -> read-only vector
         object.__setattr__(self, "_dephasing", None)  # set by dephasing_projectors
 
     def __setattr__(self, name, value):
@@ -147,18 +145,12 @@ class PureState:
         return out
 
     def dense(self, mode_order: Sequence[str]) -> np.ndarray:
-        """Dense 2^n vector over mode-ordered H/V kets (H before V), read-only
-        and computed once per mode order."""
-        order = tuple(mode_order)
-        vec = self._dense.get(order)
-        if vec is None:
-            n = len(order)
-            vec = np.zeros(2**n, dtype=complex)
-            for key, a in self.mode_view(order).items():
-                # the first mode is the most significant bit, V is 1
-                vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
-            vec.flags.writeable = False
-            self._dense[order] = vec
+        """A fresh dense 2^n vector over mode-ordered H/V kets (H before V)."""
+        n = len(mode_order)
+        vec = np.zeros(2**n, dtype=complex)
+        for key, a in self.mode_view(mode_order).items():
+            # the first mode is the most significant bit, V is 1
+            vec[sum(1 << (n - 1 - k) for k, pol in enumerate(key) if pol == V)] = a
         return vec
 
     def dephasing_projectors(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -286,14 +278,8 @@ def as_number(value):
     if isinstance(value, bool):
         return math.nan
     # numpy's float64 is a float: no complex test for it, on every delay point
-    return math.nan if not isinstance(value, float) and is_complex(value) else value
-
-
-def is_complex(value) -> bool:
-    """Whether `value` is a complex number or array, numpy's included: numpy
-    orders a complex scalar against a float, and casts it to one with only a
-    warning."""
-    return isinstance(value, complex) or getattr(getattr(value, "dtype", None), "kind", "") == "c"
+    kind = "f" if isinstance(value, float) else getattr(getattr(value, "dtype", None), "kind", "")
+    return math.nan if kind == "c" else value
 
 
 def show(value) -> str:

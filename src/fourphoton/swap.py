@@ -32,6 +32,8 @@ from .states import (
 # Bell amplitudes over (HH, HV, VH, VV) and their bras <v| stacked
 _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
 _BELL_BRAS = np.stack(list(_BELL_VECS.values())).conj()
+for _v in (*_BELL_VECS.values(), _BELL_BRAS):
+    _v.setflags(write=False)
 
 
 def _effect(kraus_ops) -> np.ndarray:
@@ -48,7 +50,6 @@ def _effect(kraus_ops) -> np.ndarray:
 # report. Not P++ + P--, whose other rounding moves them too.
 _EFFECT_45 = _effect(np.outer(w, w.conj()) for w in (np.kron(v, v) for v in (
     np.array([1, sign], dtype=complex) / math.sqrt(2) for sign in (1, -1))))
-_BELL_BRAS.setflags(write=False)  # `dense` is read-only already
 
 
 @dataclass(frozen=True)

@@ -436,11 +436,17 @@ class TestScenarios:
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        """The keyword arguments of each `exact_outcome_probabilities` call of the CLI."""
+        """The keyword arguments of each `exact_outcome_probabilities` call of the
+        CLI, made by its runners or through `monte_carlo_counts`."""
         seen = []
-        exact = cli.exact_outcome_probabilities
-        monkeypatch.setattr(cli, "exact_outcome_probabilities",
-                            lambda *a, **kw: seen.append(kw) or exact(*a, **kw))
+        exact = experiment.exact_outcome_probabilities
+
+        def wrapped(*a, **kw):
+            seen.append(kw)
+            return exact(*a, **kw)
+
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "exact_outcome_probabilities", wrapped)
         return seen
 
     @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 1)])

@@ -372,7 +372,7 @@ class TestCompiledPatterns:
         assert experiment._compiled_pattern(app, frozenset({"2"})) is flipped
         assert len(chain_calls) == 4
         (state, _), psi, _ = experiment._compiled_pattern(app, frozenset())
-        assert state is first[0] and psi is state.dense(app.mode_order())
+        assert state is first[0] and psi.tobytes() == state.dense(app.mode_order()).tobytes()
 
     def test_swapped_layouts_keep_their_own_entries(self):
         app = default_apparatus()
@@ -382,7 +382,7 @@ class TestCompiledPatterns:
         psi = experiment._compiled_pattern(app, frozenset())[1]
         psi_swapped = experiment._compiled_pattern(swapped, frozenset())[1]
         assert not np.array_equal(psi, psi_swapped)
-        assert psi_swapped is theirs[0].dense(swapped.mode_order())
+        assert psi_swapped.tobytes() == theirs[0].dense(swapped.mode_order()).tobytes()
 
     def test_failing_pattern_keeps_its_message(self, chain_calls):
         app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
@@ -695,7 +695,7 @@ class TestMonteCarlo:
         with pytest.raises(StateError, match="integration time"):
             count(time)
 
-    @pytest.mark.parametrize("p", [math.nan, -0.5, 1j, np.complex128(0.5), np.complex64(0.5)])
+    @pytest.mark.parametrize("p", [math.nan, -0.5])
     def test_nan_or_negative_probability_rejected(self, p):
         # not a silent zero count, nor one drawn from the real part
         with pytest.raises(StateError, match="outcome VHHV: expected count"):
@@ -703,11 +703,13 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("p", [
         None, "0.5", Decimal("0.5"), pytest.param(10**400, id="10**400"), np.array([0.5]),
-        True, False,
+        True, False, 1j, np.complex128(0.5), np.complex64(0.5),
     ])
     def test_probability_that_is_no_number_rejected(self, p):
-        # the expected count cannot be formed: not a bare TypeError or OverflowError
-        with pytest.raises(StateError, match=re.escape(f"outcome VHHV: probability {p!r}")):
+        # not a bare TypeError or OverflowError, nor a count drawn from a real part
+        with pytest.raises(StateError, match=re.escape(
+            f"outcome VHHV: probability {p!r} is not a real number"
+        )):
             draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
 
     @pytest.mark.parametrize("count", [

@@ -35,7 +35,6 @@ TEST_ONLY_PARAMETERS = {
     "default_apparatus.pbs_error": "the one-call apparatus with an imperfect PBS; "
                                    "the CLI sets the rate through its config",
     "monte_carlo_counts.delay": "one table at a delay, the single point of delay_scan",
-    "monte_carlo_counts.v0": "one table at a visibility ceiling, as delay_scan takes it",
     "mix.mode_order": "the mode order of a mixture, as README's `mix([(1.0, psi)], modes)`",
     "bell_decompose.pair_a": "README's decomposition over `pair_a + pair_b`; the paper's is "
                              "(1,4) x (2,3), the default",
