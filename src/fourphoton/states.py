@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Number
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -81,12 +81,21 @@ class PureState:
             ket = tuple(tuple(slot) for slot in ket)
             _check_ket(ket, len(photons))
             sorted_ket = tuple(ket[k] for k in order)
+            # a number whose modulus `as_number` reads as finite: complex() would
+            # parse a string and overflow on 10**400, and a bool is no number
+            if (isinstance(a, bool) or not isinstance(a, Number)
+                    or not as_number(abs(a)) < math.inf):
+                raise StateError(f"ket {show(ket)}: amplitude {show(a)} "
+                                 "is not a finite complex number")
             amps[sorted_ket] = amps.get(sorted_ket, 0.0) + complex(a)
         amps = {k: a for k, a in amps.items() if abs(a) > PRUNE_TOL}
         if not amps:
             raise StateError("state has no nonzero amplitude")
         if normalize:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+            try:
+                norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+            except OverflowError:  # a float's square beyond float range
+                raise StateError("state amplitudes too large to normalize") from None
             first = amps[min(amps)]
             phase = first / abs(first)
             amps = {k: a / (norm * phase) for k, a in amps.items()}

@@ -37,6 +37,7 @@ from fourphoton import (
     monte_carlo_counts,
     phi_plus_via_45_coincidence,
     spdc_pair,
+    state_from_terms,
     three_photon_ghz,
     visibility_from_counts,
 )
@@ -89,6 +90,7 @@ ENTRY_POINTS = {
     "bell_state.photon": lambda x: bell_state("phi+", x, 2),
     "spdc_pair.photon": lambda x: spdc_pair(1, x),
     "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
+    "state_from_terms.amplitude": lambda x: state_from_terms([1, 2], ["a", "b"], {"HV": x, "VH": 0.5}),
 }
 
 # fixed, with explicit ids: pytest cannot print an integer of 5,001 digits

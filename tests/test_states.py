@@ -113,6 +113,33 @@ class TestImmutablePureState:
             again.amps = {}
 
 
+class TestAmplitudes:
+    @pytest.mark.parametrize("amp", [
+        # not dropped as below PRUNE_TOL, nor a state of NaNs
+        math.nan, math.inf, complex(0.5, math.inf),
+        # not parsed, nor taken as 1, nor a bare TypeError or OverflowError
+        "0.5", True, None, [0.5], pytest.param(10**400, id="10**400"),
+    ])
+    def test_amplitude_that_is_no_finite_complex_number_named(self, amp):
+        with pytest.raises(StateError, match=re.escape(
+            f"ket (('H', 'a'), ('V', 'b')): amplitude {amp!r} is not a finite complex number"
+        )):
+            state_from_terms([1, 2], ["a", "b"], {"HV": amp, "VH": 0.5})
+
+    @pytest.mark.parametrize("amp", [
+        0.5, 1, -0.5j, Fraction(1, 2), np.float32(0.5), np.int64(1), np.complex64(0.5),
+    ])
+    def test_numbers_read_as_complex(self, amp):
+        state = state_from_terms([1, 2], ["a", "b"], {"HV": amp, "VH": 0.5})
+        assert state.amps == state_from_terms([1, 2], ["a", "b"],
+                                              {"HV": complex(amp), "VH": 0.5}).amps
+
+    def test_norm_beyond_float_range_rejected(self):
+        # a float's square overflows: not a bare OverflowError
+        with pytest.raises(StateError, match="too large to normalize"):
+            state_from_terms([1, 2], ["a", "b"], {"HV": 1e300, "VH": 0.5})
+
+
 class TestFixedMode:
     def test_several_modes_listed_sorted(self):
         # a sorted list, not a set, so that the text is the same in every process
@@ -139,8 +166,10 @@ class TestFixedMode:
 class TestAsNumber:
     @pytest.mark.parametrize("value", [
         0.5, -3, pytest.param(10**300, id="10**300"), np.float64(2.5), np.int64(7),
+        np.float32(0.5), Fraction(1, 2),
     ])
     def test_number_returned_as_is(self, value):
+        # the draw relies on it: a value returned as something else was no number
         assert as_number(value) is value
 
     @pytest.mark.parametrize("value", [
