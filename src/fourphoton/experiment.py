@@ -251,6 +251,8 @@ def _exact_model(
     zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
     post-selected vectors and their dephasing partners.
     """
+    if not isinstance(setting, MeasurementSetting):
+        raise StateError(f"setting {show(setting)} is not a MeasurementSetting")
     angles = setting.angles
     # a plain dict skips the ABC isinstance check, a Python-level call per compile
     if type(angles) is not dict and not isinstance(angles, Mapping):
@@ -352,6 +354,8 @@ def draw_counts(
     """
     _check_integration_time(integration_time)
     _check_seed(seed)
+    if not isinstance(rates, RateModel):
+        raise StateError(f"rates {show(rates)} is not a RateModel")
     rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
     rng = np.random.default_rng(seed)
     counts = {}

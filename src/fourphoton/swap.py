@@ -84,6 +84,8 @@ def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray
     """The remaining pair conditioned on a measurement of the photons in
     `pair_modes`: tr_pair(F rho) as one contraction with `effect` = F^T (see
     `_effect`), renormalized, with its fidelity to |phi+>."""
+    if not isinstance(rho, DensityMatrix):
+        raise StateError(f"rho {show(rho)} is not a DensityMatrix")
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
@@ -175,6 +177,8 @@ def chsh_value(
     The default settings are optimal for |phi+> (S = 2 sqrt 2). The four
     correlations are one batched product with the stacked observables.
     """
+    if not isinstance(rho_pair, DensityMatrix):
+        raise StateError(f"rho_pair {show(rho_pair)} is not a DensityMatrix")
     if len(rho_pair.modes) != 2:
         raise StateError("chsh_value needs a two-photon density matrix")
     try:

@@ -228,6 +228,17 @@ class TestExactProbabilities:
                 f"setting angles {angles!r} are not a mapping of detector ids")):
             count(MeasurementSetting(angles))
 
+    @pytest.mark.parametrize("count", [
+        lambda s: exact_outcome_probabilities(APP, s),
+        lambda s: delay_scan(APP, s, [0.0, 100.0], RateModel(), 600.0, seed=1),
+    ], ids=["exact", "delay_scan"])
+    @pytest.mark.parametrize("setting", [{"D1": 0.0}, None, 45.0])
+    def test_setting_must_be_a_measurement_setting(self, count, setting):
+        # not a bare AttributeError for its missing angles
+        with pytest.raises(StateError, match=re.escape(
+                f"setting {setting!r} is not a MeasurementSetting")):
+            count(setting)
+
     def test_any_mapping_of_angles(self):
         angles = {"D1": 45.0, "D2": None, "D3": 30.0}
         assert (exact_outcome_probabilities(APP, MeasurementSetting(MappingProxyType(angles)))
@@ -711,6 +722,16 @@ class TestMonteCarlo:
             f"outcome VHHV: probability {p!r} is not a real number"
         )):
             draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
+
+    @pytest.mark.parametrize("count", [
+        lambda r: monte_carlo_counts(APP, hv_setting(APP), r, 10.0, seed=1),
+        lambda r: delay_scan(APP, diagonal_setting(APP), [0.0], r, 10.0, seed=1),
+        lambda r: draw_counts({"HVVH": 0.5, "VHHV": 0.5}, r, 10.0, seed=1),
+    ], ids=["monte_carlo_counts", "delay_scan", "draw_counts"])
+    @pytest.mark.parametrize("rates", [None, {"fourfold_rate_desired": 1.0}])
+    def test_rates_must_be_a_rate_model(self, count, rates):
+        with pytest.raises(StateError, match=re.escape(f"rates {rates!r} is not a RateModel")):
+            count(rates)
 
     @pytest.mark.parametrize("count", [
         lambda s: monte_carlo_counts(APP, hv_setting(APP), RateModel(), 10.0, seed=s),

@@ -66,9 +66,11 @@ ENTRY_POINTS = {
     "exact_outcome_probabilities.angle":
         lambda x: exact_outcome_probabilities(APP, MeasurementSetting({"D1": x})),
     "MeasurementSetting.angles": lambda x: exact_outcome_probabilities(APP, MeasurementSetting(x)),
+    "exact_outcome_probabilities.setting": lambda x: exact_outcome_probabilities(APP, x),
     "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
     "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
     "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
+    "draw_counts.rates": lambda x: draw_counts(PROBS, x, 6000.0, 1),
     "delay_scan.delay": lambda x: delay_scan(APP, DIAGONAL, [x], RATES, 6000.0, 1),
     "delay_scan.time_per_point": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, x, 1),
     "delay_scan.seed": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, x),
@@ -76,11 +78,14 @@ ENTRY_POINTS = {
         lambda x: delay_scan(APP, DIAGONAL, [100.0], RATES, 6000.0, 1, coherence_time_fs=x),
     "delay_scan.v0": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, 1, v0=x),
     "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
+    "monte_carlo_counts.rates": lambda x: monte_carlo_counts(APP, HV, x, 1.0, 1),
     "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
     "chsh_value.angle_b": lambda x: chsh_value(RHO_14, ((0.0, 45.0), (x, 67.5))),
     "chsh_value.settings": lambda x: chsh_value(RHO_14, x),
+    "chsh_value.rho_pair": chsh_value,
+    "phi_plus_via_45_coincidence.rho": phi_plus_via_45_coincidence,
     "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
     "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
     "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),

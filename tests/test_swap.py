@@ -396,6 +396,15 @@ class TestChsh:
         with pytest.raises(StateError, match="^chsh_value needs a two-photon density matrix$"):
             chsh_value(eq3_mixture())
 
+    @pytest.mark.parametrize("call, name", [
+        (chsh_value, "rho_pair"), (phi_plus_via_45_coincidence, "rho"),
+    ], ids=["chsh_value", "phi_plus_via_45_coincidence"])
+    @pytest.mark.parametrize("rho", [None, np.eye(4) / 4])
+    def test_rho_must_be_a_density_matrix(self, call, name, rho):
+        # not a bare AttributeError for its missing modes
+        with pytest.raises(StateError, match=re.escape(f"{name} {rho!r} is not a DensityMatrix")):
+            call(rho)
+
     @pytest.mark.parametrize("settings", [
         (0.0, 45.0), None, ((0.0, 45.0),), ((0.0, 45.0), (22.5, 67.5), (0.0, 45.0)),
         ((0.0, 45.0, 90.0), (22.5, 67.5)), 45.0,
