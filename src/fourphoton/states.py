@@ -12,7 +12,8 @@ Conventions:
 - The orthogonal analyzer port is |theta_perp> = sin(theta)|H> - cos(theta)|V>,
   which reproduces |+45> = (|H>+|V>)/sqrt2 and |-45> = (|H>-|V>)/sqrt2.
 - After normalization the first nonzero amplitude (lexicographic ket order)
-  is made real and nonnegative, so equal states compare equal.
+  is made real and nonnegative, so the `amps` of equal states compare equal.
+  A `PureState` itself has no `__eq__`: two equal states are not `==`.
 """
 
 from __future__ import annotations
