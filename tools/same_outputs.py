@@ -54,6 +54,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -197,8 +198,6 @@ BEYOND_FLOAT = 10**400
 
 
 def _hostile_family(fp, np):
-    from fractions import Fraction
-
     def draw(p, rates):
         return sorted(fp.draw_counts({"HHHH": 0.5, "VVVV": p}, rates, 6000.0, 1).counts.items())
 
