@@ -15,7 +15,8 @@ shows as added or removed. The corpus is fixed here, seeds included:
 - cli: the files, exit code and stderr of every scenario at seeds 0-199, at the
   default config and at PBS error_rate 0.01, once with a `{}` config file, at
   seeds 0-9 with the printed defaults' detectors reversed and an integer
-  error_rate, and of the error configs and flags of tests/test_cli.py (plus a
+  error_rate, and at seeds 0-9 with visibility_zero_delay 1.0 (the pure
+  channel at zero delay), and of the error configs and flags of tests/test_cli.py (plus a
   detector that no photon reaches); and the stdout of --print-default-config;
 - exact: random `exact_outcome_probabilities` calls (None angles, PBS errors,
   d*v0 = 1) and the post-selected and three-photon states, on relabelled,
@@ -25,8 +26,12 @@ shows as added or removed. The corpus is fixed here, seeds included:
   dense rho the coincidences at the pair ("1", "3'");
 - bell_decompose: the source states and random four-photon states;
 - hostile: `draw_counts` with each value of a fixed hostile list as one
-  probability, and at a rate of 1e300, and `state_from_terms` with each value
-  as one amplitude.
+  probability, at a rate of 1e300, with an integer expected count beyond float
+  range, at zero rates and at zero and nonzero expected counts mixed;
+  `state_from_terms` with each value as one amplitude, with hostile photons,
+  and with a key or mode list of the wrong length; `tensor` and `bell_state`
+  on a shared photon; each package function given an object of the wrong
+  type; and a ket, terms, modes or matrix of the wrong shape.
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
@@ -201,9 +206,11 @@ def _hostile_family(fp, np):
     def draw(p, rates):
         return sorted(fp.draw_counts({"HHHH": 0.5, "VVVV": p}, rates, 6000.0, 1).counts.items())
 
-    def amplitude(a):
-        state = fp.state_from_terms([1, 2], ["a", "b"], {"HV": a, "VH": 0.5})
+    def plain(state):
         return state.photons, list(state.amps.items())
+
+    def amplitude(a):
+        return plain(fp.state_from_terms([1, 2], ["a", "b"], {"HV": a, "VH": 0.5}))
 
     values = {"nan": float("nan"), "-0.5": -0.5, "inf": float("inf"), "1e300": 1e300,
               "1j": 1j, "np.complex128": np.complex128(0.5), "np.complex64": np.complex64(0.5),
@@ -213,6 +220,56 @@ def _hostile_family(fp, np):
         yield f"draw_counts: probability {name}", partial(_outcome, partial(draw, x, fp.RateModel()))
         yield f"state_from_terms: amplitude {name}", partial(_outcome, partial(amplitude, x))
     yield "draw_counts: rate 1e300", partial(_outcome, partial(draw, 0.5, fp.RateModel(1e300)))
+    for name, x in {"True": True, "1.5": 1.5, "None": None, "'a'": "a", "[1]": [1],
+                    "np.int64(2)": np.int64(2)}.items():
+        yield f"state_from_terms: photon {name}", partial(_outcome, lambda: plain(
+            fp.state_from_terms([x, 3], ["a", "b"], {"HV": 1, "VH": 1})))
+
+    app, hv = fp.default_apparatus(), fp.hv_setting(fp.default_apparatus())
+    pair = fp.bell_state("phi+", 1, 2)
+    calls = {
+        "state_from_terms: key 'HVH'":
+            lambda: plain(fp.state_from_terms([1, 2], ["a", "b"], {"HVH": 1, "HVV": 1})),
+        "state_from_terms: key 'H'": lambda: plain(fp.state_from_terms([1, 2], ["a", "b"], {"H": 1})),
+        "state_from_terms: three modes":
+            lambda: plain(fp.state_from_terms([1, 2], ["a", "b", "c"], {"HV": 1})),
+        "state_from_terms: one mode": lambda: plain(fp.state_from_terms([1, 2], ["a"], {"HV": 1})),
+        "tensor: shared photon": lambda: plain(fp.tensor(pair, fp.bell_state("phi+", 2, 3))),
+        "bell_state('phi+', 1, 1)": lambda: plain(fp.bell_state("phi+", 1, 1)),
+        "bell_state('phi+', 1, True)": lambda: plain(fp.bell_state("phi+", 1, True)),
+        "draw_counts: integer expected count beyond float range":
+            lambda: fp.draw_counts({"H": 1}, fp.RateModel(10**300, 0), 10**300, 1).counts,
+        "draw_counts: zero rates":
+            lambda: fp.draw_counts({"HHHH": 0.5, "VVVV": 0.5}, fp.RateModel(0.0, 0.0), 6000.0, 1
+                                   ).counts,
+        "draw_counts: zero and nonzero expected counts": lambda: fp.draw_counts(
+            {"HHHH": 0.0, "HHHV": 0.5, "HHVH": -0.0, "VVVV": 0.5}, fp.RateModel(1.0, 0.0),
+            6000.0, 1).counts,
+        # an object of the wrong type
+        "exact_outcome_probabilities(None, hv)": lambda: fp.exact_outcome_probabilities(None, hv),
+        "ghz_after_postselection(None)": lambda: fp.ghz_after_postselection(None),
+        "three_photon_ghz(None, '1', 0.0)": lambda: fp.three_photon_ghz(None, "1", 0.0),
+        "dephase_by_distinguishability(None, 1.0)":
+            lambda: fp.dephase_by_distinguishability(None, 1.0),
+        "bell_decompose(None)": lambda: fp.bell_decompose(None),
+        "tensor(pair, None)": lambda: plain(fp.tensor(pair, None)),
+        "fidelity(None, pair)": lambda: fp.fidelity(None, pair),
+        "mix([(1.0, None)])": lambda: fp.mix([(1.0, None)]).matrix.tobytes(),
+        "draw_counts(None, ...)": lambda: fp.draw_counts(None, fp.RateModel(), 1.0, 1).counts,
+        "visibility_from_counts(None, ...)":
+            lambda: fp.visibility_from_counts(None, ["e"], ["o"]),
+        "distinguishability(None)": lambda: fp.distinguishability(None),
+        "feasibility_estimate(10, None)": lambda: fp.feasibility_estimate(10, None),
+        # a ket, terms, modes or matrix of the wrong shape
+        "PureState: three-element slot": lambda: plain(fp.PureState([1], {(("H", "a", "x"),): 1})),
+        "PureState: slot 5": lambda: plain(fp.PureState([1], {(5,): 1})),
+        "state_from_terms: key 5": lambda: plain(fp.state_from_terms([1, 2], ["a", "b"], {5: 1})),
+        "state_from_terms: modes None": lambda: plain(fp.state_from_terms([1, 2], None, {"HV": 1})),
+        "state_from_terms: terms None": lambda: plain(fp.state_from_terms([1, 2], ["a", "b"], None)),
+        "DensityMatrix(['1'], 'ab')": lambda: fp.DensityMatrix(["1"], "ab").matrix.tobytes(),
+    }
+    for label, call in calls.items():
+        yield label, partial(_outcome, call)
 
 
 ERROR_CONFIGS = [
@@ -293,6 +350,8 @@ def _cli_family(fp, np):
     equal["apparatus"]["detectors"] = dict(reversed(equal["apparatus"]["detectors"].items()))
     equal["apparatus"]["pbs"]["error_rate"] = 0
     runs += [(s, seed, equal) for s in cli.SCENARIOS for seed in range(10)]
+    # the pure channel at zero delay, d*v0 = 1
+    runs += [(s, seed, {"visibility_zero_delay": 1.0}) for s in cli.SCENARIOS for seed in range(10)]
     runs += [(s, seed, {"apparatus": {"pbs": {"error_rate": 0.01}}})
              for s in cli.SCENARIOS for seed in range(200)]
     runs += [(s, 1, c) for c in ERROR_CONFIGS for s in cli.SCENARIOS]
