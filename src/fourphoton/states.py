@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from numbers import Integral, Number
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +41,7 @@ class StateError(ValueError):
 
 
 class LabelCollisionError(StateError):
-    """Photon index appears in both operands of a tensor product."""
+    """A photon index appears twice in one state, as in both factors of a tensor."""
 
 
 class PostselectionError(StateError):
@@ -74,6 +75,8 @@ class PureState:
         normalize: bool = True,
     ):
         photons = tuple(photons)
+        if not all(map(is_photon_index, photons)):
+            raise StateError(f"photon indices {show(photons)} must be integers (a bool is none)")
         if len(set(photons)) != len(photons):
             raise LabelCollisionError(f"duplicate photon indices in {show(photons)}")
         order = sorted(range(len(photons)), key=lambda k: photons[k])
@@ -210,20 +213,16 @@ def state_from_terms(
     """Build a state whose kets all share one photon->mode assignment.
 
     `terms` maps polarization strings like "HVVH" (one symbol per photon,
-    ascending index order) to amplitudes.
+    ascending index order, as many as `modes`) to amplitudes.
     """
     amps = {
-        tuple(zip(pols, modes)): a for pols, a in terms.items()
+        tuple(zip_longest(pols, modes)): a for pols, a in terms.items()
     }
     return PureState(photons, amps, normalize=normalize)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of states on disjoint photon sets."""
-    if set(a.photons) & set(b.photons):
-        raise LabelCollisionError(
-            f"photon labels overlap: {show(set(a.photons) & set(b.photons))}"
-        )
     photons = a.photons + b.photons
     amps = {
         ka + kb: aa * ab
@@ -244,8 +243,6 @@ def bell_state(
     """One of the four Bell states psi+/psi-/phi+/phi- on photons i, j."""
     if kind not in BELL_KINDS:
         raise StateError(f"unknown Bell kind {show(kind)}; expected one of {BELL_KINDS}")
-    if not is_photon_pair((i, j)):
-        raise StateError(f"a pair needs two distinct photon indices, got {show((i, j))}")
     if modes is None:
         try:
             modes = (str(i), str(j))

@@ -96,6 +96,7 @@ ENTRY_POINTS = {
     "spdc_pair.photon": lambda x: spdc_pair(1, x),
     "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
     "state_from_terms.amplitude": lambda x: state_from_terms([1, 2], ["a", "b"], {"HV": x, "VH": 0.5}),
+    "state_from_terms.photon": lambda x: state_from_terms([x, 2], ["a", "b"], {"HV": 1, "VH": 1}),
 }
 
 # fixed, with explicit ids: pytest cannot print an integer of 5,001 digits

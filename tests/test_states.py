@@ -140,6 +140,24 @@ class TestAmplitudes:
             state_from_terms([1, 2], ["a", "b"], {"HV": 1e300, "VH": 0.5})
 
 
+class TestPhotonsAndKeys:
+    @pytest.mark.parametrize("photon", [True, 1.5, None, "a", [1]])
+    def test_photon_that_is_no_integer_named(self, photon):
+        # not a state on photon True or 1.5, nor a bare TypeError from sorting
+        with pytest.raises(StateError, match=re.escape(
+            f"photon indices ({photon!r}, 3) must be integers (a bool is none)"
+        )):
+            state_from_terms([photon, 3], ["a", "b"], {"HV": 1.0})
+
+    @pytest.mark.parametrize("modes, key", [
+        (["a", "b"], "HVH"), (["a", "b"], "H"), (["a", "b", "c"], "HV"), (["a"], "HV"),
+    ], ids=["long key", "short key", "three modes", "one mode"])
+    def test_key_of_another_length_than_the_modes_rejected(self, modes, key):
+        # not cut to the shorter, as zip would
+        with pytest.raises(StateError):
+            state_from_terms([1, 2], modes, {key: 1.0, "HV": 1.0})
+
+
 class TestFixedMode:
     def test_several_modes_listed_sorted(self):
         # a sorted list, not a set, so that the text is the same in every process
@@ -221,13 +239,15 @@ class TestSpdcPair:
         with pytest.raises(StateError):
             spdc_pair(3, 3)
 
-    # the photon indices a PairSource takes: two distinct integers, no bool
+    # PureState's photon rule: integers, no bool, each once
     @pytest.mark.parametrize("index", [None, "2", 1j, 2.0, True, np.array([2]), 1])
     @pytest.mark.parametrize("make", [
         lambda i: spdc_pair(1, i), lambda i: spdc_pair(i, 1), lambda i: bell_state("phi+", 1, i),
     ], ids=["spdc_pair j", "spdc_pair i", "bell_state j"])
     def test_photon_indices_not_two_distinct_integers_rejected(self, make, index):
-        with pytest.raises(StateError, match="a pair needs two distinct photon indices"):
+        error, message = ((LabelCollisionError, "duplicate photon indices") if type(index) is int
+                          else (StateError, "must be integers"))
+        with pytest.raises(error, match=message):
             make(index)
 
     def test_numpy_integer_index_accepted(self):
