@@ -78,6 +78,8 @@ def distinguishability(delay: DelayElement) -> float:
     Even in tau, 1 at zero delay, monotone decreasing in |tau|. The Gaussian
     form models Gaussian spectral filtering; any even decaying form would do.
     """
+    if not isinstance(delay, DelayElement):
+        raise StateError(f"delay {show(delay)} is not a DelayElement")
     x = delay.delay_fs / delay.coherence_time_fs
     return math.exp(-(x * x))
 
@@ -109,5 +111,7 @@ def dephase_by_distinguishability(
     overlap, v0 the zero-delay visibility ceiling. The projectors are the
     state's memoised ones; only the weights depend on d and v0.
     """
+    if not isinstance(state_after_pbs, PureState):
+        raise StateError(f"state {show(state_after_pbs)} is not a PureState")
     modes, p_psi, p_phi = state_after_pbs.dephasing_projectors()
     return density_matrix(modes, dephasing_components(p_psi, p_phi, d, v0))

@@ -183,6 +183,8 @@ def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
     from its memo, and an apparatus whose routing keeps nothing raises the
     same PostselectionError again.
     """
+    if not isinstance(apparatus, Apparatus):
+        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
     entry = _compiled_pattern(apparatus, frozenset())
     if entry is None:
         raise PostselectionError(
@@ -251,6 +253,8 @@ def _exact_model(
     zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
     post-selected vectors and their dephasing partners.
     """
+    if not isinstance(apparatus, Apparatus):
+        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
     if not isinstance(setting, MeasurementSetting):
         raise StateError(f"setting {show(setting)} is not a MeasurementSetting")
     angles = setting.angles
@@ -356,6 +360,9 @@ def draw_counts(
     _check_seed(seed)
     if not isinstance(rates, RateModel):
         raise StateError(f"rates {show(rates)} is not a RateModel")
+    # a plain dict skips the ABC isinstance check, a Python-level call per draw
+    if type(probs) is not dict and not isinstance(probs, Mapping):
+        raise StateError(f"probabilities {show(probs)} are not a mapping of outcomes")
     rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
     rng = np.random.default_rng(seed)
     counts = {}
@@ -458,6 +465,8 @@ def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     usable four-fold events at the calibrated rates."""
     if not as_number(target_events) >= 0:  # negated, so that NaN fails it too
         raise StateError(f"target event count {show(target_events)} must be nonnegative")
+    if not isinstance(rates, RateModel):
+        raise StateError(f"rates {show(rates)} is not a RateModel")
     if target_events == 0:
         return 0.0
     rate = rates.fourfold_rate_desired

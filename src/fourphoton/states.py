@@ -223,6 +223,8 @@ def state_from_terms(
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of states on disjoint photon sets."""
+    if not (isinstance(a, PureState) and isinstance(b, PureState)):
+        raise StateError(f"tensor needs two PureStates, got {show(a)} and {show(b)}")
     photons = a.photons + b.photons
     amps = {
         ka + kb: aa * ab
@@ -383,6 +385,9 @@ def mix(components: Iterable[tuple[float, PureState]],
     weights = [float(w) for w in weights]
     if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
+    for _, psi in components:
+        if not isinstance(psi, PureState):
+            raise StateError(f"mixture component {show(psi)} is not a PureState")
     if mode_order is None:
         first = components[0][1]
         mode_order = sorted({m for ket in first.amps for _, m in ket})
@@ -405,5 +410,9 @@ def density_matrix(
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """<target|rho|target> for a pure target state."""
+    if not isinstance(rho, DensityMatrix):
+        raise StateError(f"rho {show(rho)} is not a DensityMatrix")
+    if not isinstance(target, PureState):
+        raise StateError(f"target {show(target)} is not a PureState")
     v = target.dense(rho.modes)
     return float(np.real(v.conj() @ rho.matrix @ v))

@@ -70,6 +70,8 @@ def bell_decompose(
     Keys are (kind on pair_a, kind on pair_b). Summing coefficient x basis
     state reproduces the input.
     """
+    if not isinstance(state, PureState):
+        raise StateError(f"state {show(state)} is not a PureState")
     if not (is_photon_pair(pair_a) and is_photon_pair(pair_b)
             and sorted((*pair_a, *pair_b)) == list(state.photons)):
         raise StateError("Bell decomposition needs two pairs that partition a four-photon "
@@ -131,6 +133,9 @@ def visibility_from_counts(
 
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
+    # a plain dict skips the ABC isinstance check, a Python-level call per table
+    if type(counts) is not dict and not isinstance(counts, Mapping):
+        raise StateError(f"counts {show(counts)} are not a mapping of outcomes")
     for k in (*even_parity_keys, *odd_parity_keys):
         try:
             n = counts[k]

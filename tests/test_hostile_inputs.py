@@ -22,15 +22,18 @@ from fourphoton import (
     PbsElement,
     RateModel,
     StateError,
+    bell_decompose,
     bell_state,
     chsh_value,
     default_apparatus,
     delay_scan,
     dephase_by_distinguishability,
     diagonal_setting,
+    distinguishability,
     draw_counts,
     exact_outcome_probabilities,
     feasibility_estimate,
+    fidelity,
     ghz_after_postselection,
     hv_setting,
     mix,
@@ -38,6 +41,7 @@ from fourphoton import (
     phi_plus_via_45_coincidence,
     spdc_pair,
     state_from_terms,
+    tensor,
     three_photon_ghz,
     visibility_from_counts,
 )
@@ -67,10 +71,13 @@ ENTRY_POINTS = {
         lambda x: exact_outcome_probabilities(APP, MeasurementSetting({"D1": x})),
     "MeasurementSetting.angles": lambda x: exact_outcome_probabilities(APP, MeasurementSetting(x)),
     "exact_outcome_probabilities.setting": lambda x: exact_outcome_probabilities(APP, x),
+    "exact_outcome_probabilities.apparatus": lambda x: exact_outcome_probabilities(x, HV),
+    "ghz_after_postselection.apparatus": ghz_after_postselection,
     "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
     "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
     "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
     "draw_counts.rates": lambda x: draw_counts(PROBS, x, 6000.0, 1),
+    "draw_counts.probs": lambda x: draw_counts(x, RATES, 6000.0, 1),
     "delay_scan.delay": lambda x: delay_scan(APP, DIAGONAL, [x], RATES, 6000.0, 1),
     "delay_scan.time_per_point": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, x, 1),
     "delay_scan.seed": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, x),
@@ -81,17 +88,27 @@ ENTRY_POINTS = {
     "monte_carlo_counts.rates": lambda x: monte_carlo_counts(APP, HV, x, 1.0, 1),
     "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
+    "three_photon_ghz.apparatus": lambda x: three_photon_ghz(x, "4", 0.0),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
     "chsh_value.angle_b": lambda x: chsh_value(RHO_14, ((0.0, 45.0), (x, 67.5))),
     "chsh_value.settings": lambda x: chsh_value(RHO_14, x),
     "chsh_value.rho_pair": chsh_value,
     "phi_plus_via_45_coincidence.rho": phi_plus_via_45_coincidence,
     "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
+    "feasibility_estimate.rates": lambda x: feasibility_estimate(10, x),
+    "distinguishability.delay": distinguishability,
+    "dephase_by_distinguishability.state": lambda x: dephase_by_distinguishability(x, 1.0),
     "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
     "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),
     "visibility_from_counts.count":
         lambda x: visibility_from_counts({"e": x, "o": 1}, ["e"], ["o"]),
+    "visibility_from_counts.counts": lambda x: visibility_from_counts(x, ["e"], ["o"]),
+    "bell_decompose.state": bell_decompose,
     "mix.weight": lambda x: mix([(x, PAIR)]),
+    "mix.state": lambda x: mix([(1.0, x)]),
+    "tensor.b": lambda x: tensor(PAIR, x),
+    "fidelity.rho": lambda x: fidelity(x, PAIR),
+    "fidelity.target": lambda x: fidelity(RHO_14, x),
     "bell_state.photon": lambda x: bell_state("phi+", x, 2),
     "spdc_pair.photon": lambda x: spdc_pair(1, x),
     "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
