@@ -48,14 +48,21 @@ class PostselectionError(StateError):
     """Post-selection or a projection left no surviving amplitude."""
 
 
-def _check_ket(ket: tuple, n: int) -> None:
-    if len(ket) != n:
-        raise StateError(f"ket {show(ket)} has {len(ket)} slots, expected {n}")
-    for pol, mode in ket:
-        if pol not in POLS:
+def _read_ket(ket, n: int) -> tuple:
+    """`ket` as a tuple of its n (polarization, mode) slots, once each holds
+    H or V and a string mode tag."""
+    try:
+        slots = tuple((pol, mode) for pol, mode in ket)
+    except (TypeError, ValueError):  # a ket or a slot not iterable, or a slot of no two
+        raise StateError(f"ket {show(ket)} is not a sequence of (polarization, mode) pairs") from None
+    if len(slots) != n:
+        raise StateError(f"ket {show(slots)} has {len(slots)} slots, expected {n}")
+    for pol, mode in slots:
+        if not (isinstance(pol, str) and pol in POLS):
             raise StateError(f"bad polarization symbol {show(pol)}")
         if not isinstance(mode, str):
             raise StateError(f"mode tag must be a string, got {show(mode)}")
+    return slots
 
 
 class PureState:
@@ -74,6 +81,8 @@ class PureState:
         amplitudes: Mapping[tuple, complex],
         normalize: bool = True,
     ):
+        if not isinstance(amplitudes, Mapping):
+            raise StateError(f"amplitudes {show(amplitudes)} are not a mapping of kets")
         photons = tuple(photons)
         if not all(map(is_photon_index, photons)):
             raise StateError(f"photon indices {show(photons)} must be integers (a bool is none)")
@@ -82,8 +91,7 @@ class PureState:
         order = sorted(range(len(photons)), key=lambda k: photons[k])
         amps: dict[tuple, complex] = {}
         for ket, a in amplitudes.items():
-            ket = tuple(tuple(slot) for slot in ket)
-            _check_ket(ket, len(photons))
+            ket = _read_ket(ket, len(photons))
             sorted_ket = tuple(ket[k] for k in order)
             # a number whose modulus `as_number` reads as finite: complex() would
             # parse a string and overflow on 10**400, and a bool is no number
@@ -215,9 +223,12 @@ def state_from_terms(
     `terms` maps polarization strings like "HVVH" (one symbol per photon,
     ascending index order, as many as `modes`) to amplitudes.
     """
-    amps = {
-        tuple(zip_longest(pols, modes)): a for pols, a in terms.items()
-    }
+    if not isinstance(terms, Mapping):
+        raise StateError(f"terms {show(terms)} are not a mapping of polarization strings")
+    try:
+        amps = {tuple(zip_longest(pols, modes)): a for pols, a in terms.items()}
+    except TypeError:  # a key or the modes not iterable, or an unhashable mode
+        raise StateError(f"terms {show(terms)} on modes {show(modes)} make no kets") from None
     return PureState(photons, amps, normalize=normalize)
 
 
@@ -342,7 +353,10 @@ class DensityMatrix:
 
     def __init__(self, modes: Sequence[str], matrix: np.ndarray):
         self.modes = tuple(modes)
-        matrix = np.asarray(matrix, dtype=complex)
+        try:
+            matrix = np.asarray(matrix, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # an entry that complex() cannot read
+            raise StateError(f"matrix {show(matrix)} is not an array of complex numbers") from None
         dim = 2 ** len(self.modes)
         if matrix.shape != (dim, dim):
             raise StateError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")

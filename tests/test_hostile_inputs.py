@@ -10,6 +10,7 @@ one only pins the exception type.
 
 import contextlib
 import math
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ import pytest
 
 from fourphoton import (
     DelayElement,
+    DensityMatrix,
     MeasurementSetting,
     PbsElement,
+    PureState,
     RateModel,
     StateError,
     bell_decompose,
@@ -55,6 +58,23 @@ PROBS = exact_outcome_probabilities(APP, HV)
 GHZ, _ = ghz_after_postselection(APP)
 RHO_14 = phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, 1.0)).conditioned_state_14
 PAIR = bell_state("phi+", 1, 2)
+
+
+class OneTerm(Mapping):
+    """The one-term mapping {key: 1}, whose key may be unhashable, as a dict's cannot."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __getitem__(self, key):
+        return 1
+
+    def __iter__(self):
+        return iter([self.key])
+
+    def __len__(self):
+        return 1
+
 
 # name -> a call that takes the hostile value in that one argument
 ENTRY_POINTS = {
@@ -114,6 +134,12 @@ ENTRY_POINTS = {
     "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
     "state_from_terms.amplitude": lambda x: state_from_terms([1, 2], ["a", "b"], {"HV": x, "VH": 0.5}),
     "state_from_terms.photon": lambda x: state_from_terms([x, 2], ["a", "b"], {"HV": 1, "VH": 1}),
+    "state_from_terms.key": lambda x: state_from_terms([1, 2], ["a", "b"], OneTerm(x)),
+    "state_from_terms.modes": lambda x: state_from_terms([1, 2], x, {"HV": 1}),
+    "state_from_terms.terms": lambda x: state_from_terms([1, 2], ["a", "b"], x),
+    "PureState.ket": lambda x: PureState([1], OneTerm(x)),
+    "PureState.slot": lambda x: PureState([1], OneTerm((x,))),
+    "DensityMatrix.matrix": lambda x: DensityMatrix(["1"], x),
 }
 
 # fixed, with explicit ids: pytest cannot print an integer of 5,001 digits

@@ -157,6 +157,12 @@ class TestPhotonsAndKeys:
         with pytest.raises(StateError):
             state_from_terms([1, 2], modes, {key: 1.0, "HV": 1.0})
 
+    @pytest.mark.parametrize("amplitudes", [{(("H", "a", "x"),): 1}, {(5,): 1}, {5: 1}],
+                             ids=["three-element slot", "slot 5", "ket 5"])
+    def test_ket_of_no_pairs_named(self, amplitudes):
+        with pytest.raises(StateError, match=r"is not a sequence of \(polarization, mode\) pairs"):
+            PureState([1], amplitudes)
+
 
 class TestFixedMode:
     def test_several_modes_listed_sorted(self):
