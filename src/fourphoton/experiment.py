@@ -373,9 +373,11 @@ def draw_counts(
         lam = (x * rate + floor) * integration_time
         try:
             counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
+            # an exact integer count beyond float range overflows, and in `.3g` too
+            shown = show(lam) if isinstance(exc, OverflowError) else f"{lam:.3g}"
             what = (f"probability {show(p)} is not a real number" if x is not p
-                    else f"expected count {lam:.3g} cannot be drawn ({exc})")
+                    else f"expected count {shown} cannot be drawn ({exc})")
             raise StateError(f"outcome {key}: {what}") from exc
     return CountTable(counts)
 

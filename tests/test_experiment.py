@@ -712,6 +712,13 @@ class TestMonteCarlo:
         with pytest.raises(StateError, match="outcome VHHV: expected count"):
             draw_counts({"HVVH": 0.5, "VHHV": p}, RateModel(), 1.0, 1)
 
+    def test_integer_expected_count_beyond_float_range_rejected(self):
+        # an exact int of 601 digits: not a bare OverflowError from numpy or from `.3g`
+        with pytest.raises(StateError, match=re.escape(
+            f"outcome H: expected count {10**600} cannot be drawn"
+        )):
+            draw_counts({"H": 1}, RateModel(10**300, 0), 10**300, 1)
+
     @pytest.mark.parametrize("p", [
         None, "0.5", Decimal("0.5"), pytest.param(10**400, id="10**400"), np.array([0.5]),
         True, False, 1j, np.complex128(0.5), np.complex64(0.5),
