@@ -372,7 +372,7 @@ def draw_counts(
         x = as_number(p)
         lam = (x * rate + floor) * integration_time
         try:
-            counts[key] = int(rng.poisson(lam)) if lam != 0 else 0
+            counts[key] = int(rng.poisson(lam))
         except (ValueError, OverflowError) as exc:
             # an exact integer count beyond float range overflows, and in `.3g` too
             shown = show(lam) if isinstance(exc, OverflowError) else f"{lam:.3g}"
