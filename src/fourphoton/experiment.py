@@ -174,6 +174,12 @@ def source_state(apparatus: Apparatus) -> PureState:
     return reduce(tensor, (spdc_pair(*s.photons, modes=s.modes) for s in apparatus.sources))
 
 
+def _check_apparatus(apparatus: Apparatus) -> None:
+    # before any of its fields is read, which would end in a bare AttributeError
+    if not isinstance(apparatus, Apparatus):
+        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
+
+
 def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
     """Route the source photons through the ideal PBS and keep the four-fold
     coincidences: the kets with one photon in each detector mode.
@@ -183,8 +189,7 @@ def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
     from its memo, and an apparatus whose routing keeps nothing raises the
     same PostselectionError again.
     """
-    if not isinstance(apparatus, Apparatus):
-        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
+    _check_apparatus(apparatus)
     entry = _compiled_pattern(apparatus, frozenset())
     if entry is None:
         raise PostselectionError(
@@ -253,8 +258,7 @@ def _exact_model(
     zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
     post-selected vectors and their dephasing partners.
     """
-    if not isinstance(apparatus, Apparatus):
-        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
+    _check_apparatus(apparatus)
     if not isinstance(setting, MeasurementSetting):
         raise StateError(f"setting {show(setting)} is not a MeasurementSetting")
     angles = setting.angles
@@ -394,6 +398,7 @@ def monte_carlo_counts(
     """`draw_counts` from the exact probabilities with the PBS's error rate."""
     # checked before the exact model too, so that it is reported first
     _check_integration_time(integration_time)
+    _check_apparatus(apparatus)
     probs = exact_outcome_probabilities(
         apparatus, setting, delay=delay, v0=v0, pbs_error=apparatus.pbs.error_rate
     )
@@ -429,6 +434,7 @@ def delay_scan(
         d = distinguishability(DelayElement(tau, coherence_time_fs))
         if evaluate is None:  # at the first point, so that an empty scan does no work
             _check_integration_time(time_per_point)
+            _check_apparatus(apparatus)
             evaluate = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
         out.append((tau, draw_counts(evaluate(d, v0), rates, time_per_point, point_seed)))
     return out

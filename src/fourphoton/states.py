@@ -233,7 +233,7 @@ def state_from_terms(
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product of states on disjoint photon sets."""
+    """Tensor product of states on disjoint photon sets; `PureState` rejects a shared one."""
     if not (isinstance(a, PureState) and isinstance(b, PureState)):
         raise StateError(f"tensor needs two PureStates, got {show(a)} and {show(b)}")
     photons = a.photons + b.photons

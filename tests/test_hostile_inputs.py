@@ -104,8 +104,10 @@ ENTRY_POINTS = {
     "delay_scan.coherence_time_fs":
         lambda x: delay_scan(APP, DIAGONAL, [100.0], RATES, 6000.0, 1, coherence_time_fs=x),
     "delay_scan.v0": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, 1, v0=x),
+    "delay_scan.apparatus": lambda x: delay_scan(x, DIAGONAL, [0.0], RATES, 6000.0, 1),
     "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
     "monte_carlo_counts.rates": lambda x: monte_carlo_counts(APP, HV, x, 1.0, 1),
+    "monte_carlo_counts.apparatus": lambda x: monte_carlo_counts(x, HV, RATES, 1.0, 1),
     "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
     "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
     "three_photon_ghz.apparatus": lambda x: three_photon_ghz(x, "4", 0.0),

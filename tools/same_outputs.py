@@ -248,6 +248,9 @@ def _hostile_family(fp, np):
         # an object of the wrong type
         "exact_outcome_probabilities(None, hv)": lambda: fp.exact_outcome_probabilities(None, hv),
         "ghz_after_postselection(None)": lambda: fp.ghz_after_postselection(None),
+        "monte_carlo_counts(None, ...)":
+            lambda: fp.monte_carlo_counts(None, hv, fp.RateModel(), 1.0, 1).counts,
+        "delay_scan(None, ...)": lambda: fp.delay_scan(None, hv, [0.0], fp.RateModel(), 1.0, 1),
         "three_photon_ghz(None, '1', 0.0)": lambda: fp.three_photon_ghz(None, "1", 0.0),
         "dephase_by_distinguishability(None, 1.0)":
             lambda: fp.dephase_by_distinguishability(None, 1.0),
