@@ -16,8 +16,9 @@ shows as added or removed. The corpus is fixed here, seeds included:
   default config and at PBS error_rate 0.01, once with a `{}` config file, at
   seeds 0-9 with the printed defaults' detectors reversed and an integer
   error_rate, and at seeds 0-9 with visibility_zero_delay 1.0 (the pure
-  channel at zero delay), and of the error configs and flags of tests/test_cli.py (plus a
-  detector that no photon reaches); and the stdout of --print-default-config;
+  channel at zero delay), and of the error configs and flags of
+  tests/test_cli.py (plus a detector that no photon reaches); and the stdout
+  of --print-default-config;
 - exact: random `exact_outcome_probabilities` calls (None angles, PBS errors,
   d*v0 = 1) and the post-selected and three-photon states, on relabelled,
   re-listed and permuted layouts;
@@ -30,8 +31,8 @@ shows as added or removed. The corpus is fixed here, seeds included:
   range, at zero rates and at zero and nonzero expected counts mixed;
   `state_from_terms` with each value as one amplitude, with hostile photons,
   and with a key or mode list of the wrong length; `tensor` and `bell_state`
-  on a shared photon; each package function given an object of the wrong
-  type; and a ket, terms, modes or matrix of the wrong shape.
+  on a shared photon; package functions given an object of the wrong type;
+  and a ket, terms, modes or matrix of the wrong shape.
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
