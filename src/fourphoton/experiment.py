@@ -138,11 +138,19 @@ class MeasurementSetting:
         return ("+", "-")
 
 
+def _check_apparatus(apparatus: Apparatus) -> None:
+    # before any of its fields is read, which would end in a bare AttributeError
+    if not isinstance(apparatus, Apparatus):
+        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
+
+
 def hv_setting(apparatus: Apparatus) -> MeasurementSetting:
+    _check_apparatus(apparatus)
     return MeasurementSetting({d: 0.0 for d in apparatus.detector_ids()})
 
 
 def diagonal_setting(apparatus: Apparatus) -> MeasurementSetting:
+    _check_apparatus(apparatus)
     return MeasurementSetting({d: 45.0 for d in apparatus.detector_ids()})
 
 
@@ -171,13 +179,8 @@ class CountTable:
 
 
 def source_state(apparatus: Apparatus) -> PureState:
+    _check_apparatus(apparatus)
     return reduce(tensor, (spdc_pair(*s.photons, modes=s.modes) for s in apparatus.sources))
-
-
-def _check_apparatus(apparatus: Apparatus) -> None:
-    # before any of its fields is read, which would end in a bare AttributeError
-    if not isinstance(apparatus, Apparatus):
-        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
 
 
 def ghz_after_postselection(apparatus: Apparatus) -> tuple[PureState, float]:
@@ -203,7 +206,8 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
     the photons in the PBS input modes `flipped` go to the wrong port, and the
     kets with one photon per detector mode are kept. The entry is ((state,
     p_sel), its dense vector psi in detector order, the dephasing partner phi
-    or None for a one-branch pattern), both read-only; None if nothing is kept."""
+    or None for a one-branch pattern), both read-only, in an `_Entry`; None if
+    nothing is kept."""
     memo = apparatus._compiled
     if flipped not in memo:
         source = source_state(apparatus)
@@ -228,8 +232,18 @@ def _compiled_pattern(apparatus: Apparatus, flipped: frozenset):
             phi = None if len(state.amps) == 1 else dephasing_partner(psi)
             if phi is not None:
                 phi.flags.writeable = False
-            memo[flipped] = ((state, p_sel), psi, phi)
+            memo[flipped] = _Entry(((state, p_sel), psi, phi))
     return memo[flipped]
+
+
+class _Entry(tuple):
+    """A compiled pattern's memo entry, hashed and compared by identity, so
+    that it keys `_outcome_rows` without a comparison of its arrays."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
 @lru_cache(maxsize=16)  # two label pairs per detector: 16 patterns
@@ -238,15 +252,25 @@ def _outcome_keys(*labels: tuple[str, str]) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=64)
-def _analyzer_product(*angles: float | None) -> tuple[tuple[str, ...], np.ndarray]:
-    """The 16 outcome keys and the read-only 16x16 Kronecker product of the
-    2x2 analyzers, ((A1 x A2) x A3) x A4, at the four angles in detector
-    order: each a `check_angle` key, or None for a missing angle (0 degrees,
-    labelled "+"/"-")."""
+def _outcome_rows(
+    angles: tuple[float | None, ...], entries: tuple[_Entry, ...], pure: bool
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The 16 outcome keys and the read-only rows |K v|^2, one per channel
+    component v of the compiled `entries` in order: K is the 16x16 Kronecker
+    product of the 2x2 analyzers, ((A1 x A2) x A3) x A4, at the four `angles`
+    in detector order, each a `check_angle` key, or None for a missing angle
+    (0 degrees, labelled "+"/"-"). A `pure` channel (d*v0 >= 1) keeps only
+    the psi vectors, because numpy rounds a product of fewer rows differently."""
     keys = _outcome_keys(*map(MeasurementSetting.labels, angles))
     product = reduce(kron, [unchecked_analyzer_matrix(0.0 if a is None else a) for a in angles])
-    product.setflags(write=False)
-    return keys, product
+    vectors = []  # the vectors of `dephasing_components`, in its order
+    for _, psi, phi in entries:
+        vectors.append(psi)
+        if phi is not None and not pure:
+            vectors.append(phi)
+    rows = np.abs(np.stack(vectors) @ product.T) ** 2
+    rows.setflags(write=False)
+    return keys, rows
 
 
 def _exact_model(
@@ -255,8 +279,9 @@ def _exact_model(
     """The delay-free part of `exact_outcome_probabilities`, done once.
 
     Returns `evaluate(d, v0)`: the probabilities at distinguishability d and
-    zero-delay visibility v0, which only weigh the fixed rows |K v|^2 of the
-    post-selected vectors and their dephasing partners.
+    zero-delay visibility v0, which only weigh the rows |K v|^2 of the
+    post-selected vectors and their dephasing partners, one `_outcome_rows`
+    lookup per call.
     """
     _check_apparatus(apparatus)
     if not isinstance(setting, MeasurementSetting):
@@ -274,8 +299,9 @@ def _exact_model(
 
     # wrong-port patterns by PBS input; an ideal PBS has only frozenset()
     inputs = apparatus.pbs.input_modes if err > 0.0 else ()
-    # (weight, psi, dephasing partner or None) per surviving pattern
+    # (weight, psi, dephasing partner or None) and the compiled entry per surviving pattern
     parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
+    entries: list[_Entry] = []
     total_mass = 0.0
     for r in range(len(inputs) + 1):
         for flipped in itertools.combinations(inputs, r):
@@ -286,29 +312,22 @@ def _exact_model(
             w = err ** r * (1 - err) ** (len(inputs) - r) * p_sel
             total_mass += w
             parts.append((w, psi, phi))
+            entries.append(entry)
     if total_mass <= 0.0:
         raise PostselectionError("no routing pattern survives post-selection")
 
     # each angle is checked before it keys the cache; a missing one keys as None
-    keys, analyzer = _analyzer_product(*[
+    angle_key = tuple([
         None if (ang := angles.get(det)) is None else check_angle(ang)
         for det in apparatus.detector_ids()
     ])
-    # rows per number of channel components, built on first use: a pure
-    # channel (d*v0 >= 1) stacks only the psi vectors, because numpy rounds a
-    # product of fewer rows differently
-    rows: dict[int, np.ndarray] = {}
+    entry_key = tuple(entries)
 
     def evaluate(d: float, v0: float) -> dict[str, float]:
-        weights: list[float] = []
-        vectors: list[np.ndarray] = []
-        for w, psi, phi in parts:
-            for w_branch, v in dephasing_components(psi, phi, d, v0):
-                weights.append(w * w_branch)
-                vectors.append(v)
-        if len(vectors) not in rows:
-            rows[len(vectors)] = np.abs(np.stack(vectors) @ analyzer.T) ** 2
-        probs = np.asarray(weights) @ rows[len(vectors)]
+        weights = [w * w_branch for w, psi, phi in parts
+                   for w_branch, _ in dephasing_components(psi, phi, d, v0)]
+        keys, rows = _outcome_rows(angle_key, entry_key, d * v0 >= 1.0)
+        probs = np.asarray(weights) @ rows
         return dict(zip(keys, (probs / total_mass).tolist()))
 
     return evaluate
@@ -327,10 +346,12 @@ def exact_outcome_probabilities(
     `pbs_error` mixes in incoherent wrong-port routing per PBS photon (the
     count tables pass the PBS's configured rate; the exact path defaults to
     None, the ideal PBS). Like that rate it must lie in [0, 1), else
-    StateError. Each call compiles `_exact_model` and evaluates it once;
-    the compile takes its analyzer product and outcome keys from a bounded
-    module cache keyed by the four checked angles, so a repeated setting
-    builds them once.
+    StateError. Each call checks its arguments and weighs the routing
+    patterns and dephasing branches anew, but takes the outcome keys and the
+    rows |K v|^2 from a bounded module cache, keyed by the four checked
+    angles, the compiled pattern entries by identity and whether the
+    channel is pure (d*v0 >= 1): a repeated apparatus and setting builds no
+    analyzer product.
     """
     d = 1.0 if delay is None else distinguishability(delay)
     return _exact_model(apparatus, setting, pbs_error)(d, v0)
@@ -427,9 +448,13 @@ def delay_scan(
     The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`,
     from one exact model compiled for the whole scan.
     """
+    try:
+        points = enumerate(delays_fs)  # takes no delay yet: an empty scan does no work
+    except TypeError:
+        raise StateError(f"delays {show(delays_fs)} are not an iterable of delays in fs") from None
     out = []
     evaluate = None
-    for i, tau in enumerate(delays_fs):
+    for i, tau in points:
         point_seed = derive_point_seed(seed, i)
         d = distinguishability(DelayElement(tau, coherence_time_fs))
         if evaluate is None:  # at the first point, so that an empty scan does no work

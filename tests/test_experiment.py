@@ -239,6 +239,23 @@ class TestExactProbabilities:
                 f"setting {setting!r} is not a MeasurementSetting")):
             count(setting)
 
+    @pytest.mark.parametrize("call", [
+        lambda a: exact_outcome_probabilities(a, hv_setting(APP)),
+        ghz_after_postselection,
+        lambda a: monte_carlo_counts(a, hv_setting(APP), RateModel(), 600.0, seed=1),
+        lambda a: delay_scan(a, hv_setting(APP), [0.0], RateModel(), 600.0, seed=1),
+        experiment.source_state,
+        hv_setting,
+        diagonal_setting,
+    ], ids=["exact", "ghz_after_postselection", "monte_carlo_counts", "delay_scan",
+            "source_state", "hv_setting", "diagonal_setting"])
+    @pytest.mark.parametrize("apparatus", [None, "app", APP.pbs])
+    def test_apparatus_must_be_an_apparatus(self, call, apparatus):
+        # not a bare AttributeError for its missing fields
+        with pytest.raises(StateError, match=re.escape(
+                f"apparatus {apparatus!r} is not an Apparatus")):
+            call(apparatus)
+
     def test_any_mapping_of_angles(self):
         angles = {"D1": 45.0, "D2": None, "D3": 30.0}
         assert (exact_outcome_probabilities(APP, MeasurementSetting(MappingProxyType(angles)))
@@ -470,9 +487,11 @@ class TestCompiledPatterns:
 
 
 class TestAnalyzerProductCache:
-    """The exact model takes its 16x16 analyzer product and outcome keys from
-    a bounded module cache, keyed by the four angles in detector order, each
-    as `check_angle` returns it."""
+    """The exact model takes its outcome keys and rows |K v|^2, and with them
+    the 16x16 analyzer product K, from one bounded module cache,
+    `_outcome_rows`, keyed by the four angles in detector order, each as
+    `check_angle` returns it, by the compiled pattern entries, which compare
+    by identity, and by whether the channel is pure (d*v0 >= 1)."""
 
     @staticmethod
     def exact(**angles):
@@ -481,18 +500,22 @@ class TestAnalyzerProductCache:
         )
 
     def test_cache_is_bounded_read_only_and_reused(self):
-        cache = experiment._analyzer_product
+        cache = experiment._outcome_rows
         cache.cache_clear()
-        keys, product = cache(0.0, 45.0, None, 22.5)
-        assert cache(0.0, 45.0, None, 22.5) is cache(0.0, 45.0, None, 22.5)
+        entries = (experiment._compiled_pattern(APP, frozenset()),)
+        keys, rows = cache((0.0, 45.0, None, 22.5), entries, False)
+        assert cache((0.0, 45.0, None, 22.5), entries, False) is cache(
+            (0.0, 45.0, None, 22.5), entries, False)
         assert cache.cache_info().maxsize is not None  # bounded
-        assert len(keys) == 16 and product.shape == (16, 16)
+        # psi and its dephasing partner, or psi alone in the pure channel
+        assert len(keys) == 16 and rows.shape == (2, 16)
+        assert cache((0.0, 45.0, None, 22.5), entries, True)[1].shape == (1, 16)
         with pytest.raises(ValueError):
-            product[0, 0] = 0
+            rows[0, 0] = 0
         # the exact path reads it: a repeated setting builds no product
         exact_outcome_probabilities(APP, hv_setting(APP))
         exact_outcome_probabilities(APP, hv_setting(APP))
-        assert cache.cache_info().misses == 2
+        assert cache.cache_info().misses == 3
 
     @pytest.mark.parametrize("angle", [True, False, "1.0", np.array([1.0])],
                              ids=["True", "False", "'1.0'", "one-element array"])
@@ -506,22 +529,67 @@ class TestAnalyzerProductCache:
     @pytest.mark.parametrize("angle", [45, np.float32(45.0), np.array(45.0), Fraction(45)],
                              ids=["int", "np.float32", "0-d array", "Fraction"])
     def test_angle_types_share_the_float_key(self, angle):
-        experiment._analyzer_product.cache_clear()
+        experiment._outcome_rows.cache_clear()
         probs = self.exact(D1=angle, D3=angle, D4=30.0)
-        experiment._analyzer_product.cache_clear()
+        experiment._outcome_rows.cache_clear()
         assert list(probs.items()) == list(self.exact(D1=45.0, D3=45.0, D4=30.0).items())
 
     def test_negative_zero_matches_zero_in_either_cache_order(self):
-        # -0.0 == 0.0 keys one entry, whose product holds the signed zeros of
+        # -0.0 == 0.0 keys one entry, whose rows hold the signed zeros of
         # whichever came first; the probabilities must not depend on which
         runs = []
         for order in ((0.0, -0.0), (-0.0, 0.0)):
-            experiment._analyzer_product.cache_clear()
+            experiment._outcome_rows.cache_clear()
             for zero in order:
                 for probs in (self.exact(D1=zero, D2=zero, D3=zero, D4=zero),
                               self.exact(D1=zero, D2=45.0, D3=zero, D4=30.0)):
                     runs.append([(k, p.hex()) for k, p in probs.items()])
         assert all(run == runs[i % 2] for i, run in enumerate(runs))
+
+    def test_seed_ensemble_on_one_apparatus_misses_once(self):
+        app = default_apparatus()
+        setting, rates = hv_setting(app), RateModel()
+        experiment._outcome_rows.cache_clear()
+        for seed in range(1000):
+            monte_carlo_counts(app, setting, rates, 6000.0, seed)
+        info = experiment._outcome_rows.cache_info()
+        assert (info.misses, info.hits) == (1, 999)
+
+    def test_equal_apparatus_keep_their_own_entries_and_equal_tables(self):
+        # entries compare by identity: an equal apparatus is no hit, and no
+        # array or apparatus is compared by value
+        a, b = default_apparatus(0.01), default_apparatus(0.01)
+        assert a == b and a is not b
+        experiment._outcome_rows.cache_clear()
+        setting = MeasurementSetting({"D1": 22.5, "D2": 45.0, "D4": 0.0})
+        table_a = exact_outcome_probabilities(a, setting, pbs_error=0.01)
+        table_b = exact_outcome_probabilities(b, setting, pbs_error=0.01)
+        assert table_a == table_b and list(table_a) == list(table_b)
+        assert experiment._outcome_rows.cache_info().currsize == 2
+        assert monte_carlo_counts(a, setting, RateModel(), 6000.0, 3) == (
+            monte_carlo_counts(b, setting, RateModel(), 6000.0, 3))
+
+    def test_fresh_apparatus_do_not_grow_the_cache(self):
+        experiment._outcome_rows.cache_clear()
+        for _ in range(200):
+            app = default_apparatus()
+            exact_outcome_probabilities(app, hv_setting(app))
+        info = experiment._outcome_rows.cache_info()
+        assert info.misses == 200 and info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("pbs_error", [None, 0.01])
+    @pytest.mark.parametrize("order", [(1.0, 0.79, 1.0), (0.79, 1.0, 0.79)],
+                             ids=["pure first", "dephased first"])
+    def test_pure_and_dephased_rows_kept_apart(self, order, pbs_error):
+        # d*v0 = 1 stacks only psi, d*v0 < 1 psi and phi, on one setting
+        setting = MeasurementSetting({"D1": 45.0, "D2": 45.0, "D3": 22.5, "D4": 45.0})
+        experiment._outcome_rows.cache_clear()
+        for v0 in order:
+            want = ref_exact_probabilities(setting, 1.0, v0, pbs_error)
+            got = exact_outcome_probabilities(
+                APP, setting, delay=DelayElement(0.0), v0=v0, pbs_error=pbs_error)
+            assert got == want and list(got) == list(want)
+        assert experiment._outcome_rows.cache_info().misses == 2
 
 
 class TestApparatusShape:
@@ -812,6 +880,14 @@ class TestDelayScan:
                 assert exact_outcome_probabilities(
                     APP, setting, delay=DelayElement(tau), v0=v0, pbs_error=pbs_error
                 ) == want
+
+    @pytest.mark.parametrize("delays", [None, 5, 1.5, np.array(0.0), object()],
+                             ids=["None", "5", "1.5", "0-d array", "object()"])
+    def test_delays_that_are_not_iterable_rejected(self, delays):
+        # not a bare TypeError from the loop over them
+        with pytest.raises(StateError, match=re.escape(
+                f"delays {delays!r} are not an iterable of delays in fs")):
+            delay_scan(APP, diagonal_setting(APP), delays, RateModel(), 1.0, seed=1)
 
     def test_empty_scan_does_no_work(self, monkeypatch):
         monkeypatch.setattr(experiment, "_exact_model", None)

@@ -42,6 +42,7 @@ from fourphoton import (
     mix,
     monte_carlo_counts,
     phi_plus_via_45_coincidence,
+    source_state,
     spdc_pair,
     state_from_terms,
     tensor,
@@ -93,6 +94,9 @@ ENTRY_POINTS = {
     "exact_outcome_probabilities.setting": lambda x: exact_outcome_probabilities(APP, x),
     "exact_outcome_probabilities.apparatus": lambda x: exact_outcome_probabilities(x, HV),
     "ghz_after_postselection.apparatus": ghz_after_postselection,
+    "source_state.apparatus": source_state,
+    "hv_setting.apparatus": hv_setting,
+    "diagonal_setting.apparatus": diagonal_setting,
     "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
     "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
     "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
@@ -105,6 +109,7 @@ ENTRY_POINTS = {
         lambda x: delay_scan(APP, DIAGONAL, [100.0], RATES, 6000.0, 1, coherence_time_fs=x),
     "delay_scan.v0": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, 1, v0=x),
     "delay_scan.apparatus": lambda x: delay_scan(x, DIAGONAL, [0.0], RATES, 6000.0, 1),
+    "delay_scan.delays_fs": lambda x: delay_scan(APP, DIAGONAL, x, RATES, 6000.0, 1),
     "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
     "monte_carlo_counts.rates": lambda x: monte_carlo_counts(APP, HV, x, 1.0, 1),
     "monte_carlo_counts.apparatus": lambda x: monte_carlo_counts(x, HV, RATES, 1.0, 1),

@@ -192,6 +192,48 @@ def unpassed_parameters(source: str, calls: dict) -> list[str]:
     ]
 
 
+def unbounded_caches(source: str) -> list[int]:
+    """The lines of `source` where a functools memo could grow with calls: an
+    `lru_cache` without an integer literal `maxsize` (bare, None or any other
+    expression), and a `cache` that wraps anything but a function of no
+    parameters defined in `source`."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    decorated = {id(d): f for f in functions.values() for d in f.decorator_list}
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = imported.get(node.id)
+        else:
+            continue
+        call = calls.get(id(node))
+        if name == "lru_cache":
+            size = None
+            if call is not None:
+                size = call.args[0] if call.args else next(
+                    (k.value for k in call.keywords if k.arg == "maxsize"), None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                lines.append(node.lineno)
+        elif name == "cache":
+            if call is None:
+                wrapped = decorated.get(id(node))
+            else:
+                arg = call.args[0] if len(call.args) == 1 else None
+                wrapped = functions.get(arg.id) if isinstance(arg, ast.Name) else None
+            params = wrapped and wrapped.args
+            if wrapped is None or (params.posonlyargs or params.args or params.vararg
+                                   or params.kwonlyargs or params.kwarg):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
 class TestRules:
     """The rules themselves catch what they are for."""
 
@@ -256,6 +298,26 @@ class TestRules:
         assert unpassed_parameters(source, call_arguments([caller])) == ["draw.fast"]
 
 
+    def test_unbounded_cache_found(self):
+        source = (
+            "import functools\n"
+            "from functools import cache, lru_cache as memo\n"
+            "@memo(maxsize=16)\ndef a(x): pass\n"                     # 3: bounded
+            "@functools.lru_cache(32)\ndef b(x): pass\n"              # 5: bounded
+            "@memo\ndef c(x): pass\n"                                 # 7: bare
+            "@functools.lru_cache(maxsize=None)\ndef d(x): pass\n"   # 9: unbounded
+            "@memo(maxsize=N)\ndef e(x): pass\n"                      # 11: not a literal
+            "@memo(maxsize=True)\ndef f(x): pass\n"                   # 13: a bool
+            "@cache\ndef g(): pass\n"                                 # 15: no parameters
+            "@functools.cache\ndef h(x): pass\n"                      # 17: a parameter
+            "i = functools.cache(g)\n"                                # 19: no parameters
+            "j = cache(h)\n"                                          # 20: a parameter
+            "k = cache(lambda: 0)\n"                                  # 21: no function here
+            "class Box:\n    @cache\n    def size(self): pass\n"     # 23: self
+        )
+        assert unbounded_caches(source) == [7, 9, 11, 13, 17, 20, 21, 23]
+
+
 def test_package_modules_found():
     assert {"elements.py", "experiment.py", "states.py", "swap.py"} <= {p.name for p in MODULES}
 
@@ -293,6 +355,12 @@ def test_parameters_only_tests_pass_are_kept_on_purpose():
     calls = call_arguments(outside_tests)
     test_only = {name for p in MODULES for name in unpassed_parameters(p.read_text(), calls)}
     assert test_only == set(TEST_ONLY_PARAMETERS)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_every_memo_is_bounded(module):
+    # a memo that grows with calls grows without bound under the fuzzers
+    assert unbounded_caches(module.read_text()) == []
 
 
 def test_no_orphaned_private_definition():
