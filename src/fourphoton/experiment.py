@@ -263,7 +263,9 @@ def _outcome_rows(
     the psi vectors, because numpy rounds a product of fewer rows differently."""
     keys = _outcome_keys(*map(MeasurementSetting.labels, angles))
     product = reduce(kron, [unchecked_analyzer_matrix(0.0 if a is None else a) for a in angles])
-    vectors = []  # the vectors of `dephasing_components`, in its order
+    # the vectors that `dephasing_components` returns, in its order: psi, and
+    # phi unless the channel is pure or the pattern has one branch
+    vectors = []
     for _, psi, phi in entries:
         vectors.append(psi)
         if phi is not None and not pure:

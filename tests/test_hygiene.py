@@ -4,7 +4,9 @@ without a reference anywhere in the package, and no public function, class or
 method is left without a reference anywhere in the repository's code. Deleting
 a caller must take its orphaned helpers and imports with it. A public name
 that only tests reference, and a defaulted parameter of a public function that
-only tests pass, is on an explicit keep-list with its reason.
+only tests pass, is on an explicit keep-list with its reason. No functools
+memo of the package grows with calls: every `lru_cache` has an integer
+`maxsize`, and `functools.cache` wraps only functions of no parameters.
 """
 
 import ast
