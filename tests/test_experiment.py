@@ -502,14 +502,13 @@ class TestAnalyzerProductCache:
     def test_cache_is_bounded_read_only_and_reused(self):
         cache = experiment._outcome_rows
         cache.cache_clear()
-        entries = (experiment._compiled_pattern(APP, frozenset()),)
-        keys, rows = cache((0.0, 45.0, None, 22.5), entries, False)
-        assert cache((0.0, 45.0, None, 22.5), entries, False) is cache(
-            (0.0, 45.0, None, 22.5), entries, False)
+        angles, entries = (0.0, 45.0, None, 22.5), (experiment._compiled_pattern(APP, frozenset()),)
+        keys, rows = cache(angles, entries, False)
+        assert cache(angles, entries, False) is cache(angles, entries, False)
         assert cache.cache_info().maxsize is not None  # bounded
         # psi and its dephasing partner, or psi alone in the pure channel
         assert len(keys) == 16 and rows.shape == (2, 16)
-        assert cache((0.0, 45.0, None, 22.5), entries, True)[1].shape == (1, 16)
+        assert cache(angles, entries, True)[1].shape == (1, 16)
         with pytest.raises(ValueError):
             rows[0, 0] = 0
         # the exact path reads it: a repeated setting builds no product
