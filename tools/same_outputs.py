@@ -32,7 +32,8 @@ shows as added or removed. The corpus is fixed here, seeds included:
   `state_from_terms` with each value as one amplitude, with hostile photons,
   and with a key or mode list of the wrong length; `tensor` and `bell_state`
   on a shared photon; package functions given an object of the wrong type;
-  and a ket, terms, modes or matrix of the wrong shape.
+  a ket, terms, modes or matrix of the wrong shape; the integer 5 as each
+  container or sequence argument; and a one-shot iterator of keys or modes.
 
 Each output is hashed from its exact floats (repr) and array bytes, and an
 exception is recorded by type and message. The check prints one line per
@@ -272,6 +273,42 @@ def _hostile_family(fp, np):
         "state_from_terms: terms None": lambda: plain(fp.state_from_terms([1, 2], ["a", "b"], None)),
         "DensityMatrix(['1'], 'ab')": lambda: fp.DensityMatrix(["1"], "ab").matrix.tobytes(),
     }
+    # a container or sequence argument that is none: the integer 5
+    source, rho = fp.source_state(app), fp.dephase_by_distinguishability(
+        fp.ghz_after_postselection(app)[0], 1.0)
+    sources, dets, io_modes = app.sources, dict(app.detectors), (("2", "3"), ("2'", "3'"))
+    calls.update({f"{name}: 5": call for name, call in {
+        "Apparatus.sources": lambda: fp.Apparatus(5, app.pbs, dets),
+        "Apparatus.pbs": lambda: fp.Apparatus(sources, 5, dets),
+        "Apparatus.detectors": lambda: fp.Apparatus(sources, app.pbs, 5),
+        "PairSource.photons": lambda: fp.PairSource(5, ("1", "2")),
+        "PairSource.modes": lambda: fp.PairSource((1, 2), 5),
+        "PbsElement.input_modes": lambda: fp.PbsElement(5, io_modes[1]),
+        "PbsElement.output_modes": lambda: fp.PbsElement(io_modes[0], 5),
+        "PureState.photons": lambda: plain(fp.PureState(5, {(("H", "a"),): 1})),
+        "state_from_terms.photons": lambda: plain(fp.state_from_terms(5, ["a", "b"], {"HV": 1})),
+        "DensityMatrix.modes": lambda: fp.DensityMatrix(5, np.eye(2) / 2).matrix.tobytes(),
+        "mode_view.mode_order": lambda: pair.mode_view(5),
+        "dense.mode_order": lambda: pair.dense(5).tobytes(),
+        "mix.components": lambda: fp.mix(5).matrix.tobytes(),
+        "mix.mode_order": lambda: fp.mix([(1.0, pair)], 5).matrix.tobytes(),
+        "bell_decompose.pair_a": lambda: fp.bell_decompose(source, 5),
+        "bell_decompose.pair_b": lambda: fp.bell_decompose(source, (1, 4), 5),
+        "phi_plus_via_45_coincidence.pair_modes":
+            lambda: fp.phi_plus_via_45_coincidence(rho, 5).projection_probability,
+        "visibility_from_counts.even_parity_keys":
+            lambda: fp.visibility_from_counts({"e": 5, "o": 1}, 5, ["o"]),
+        "visibility_from_counts.odd_parity_keys":
+            lambda: fp.visibility_from_counts({"e": 5, "o": 1}, ["e"], 5),
+    }.items()})
+    # a one-shot iterator, which a check must not use up before the call reads it
+    calls.update({
+        "visibility_from_counts: iterator of even keys":
+            lambda: fp.visibility_from_counts({"e": 5, "o": 1}, iter(["e"]), ["o"]),
+        "state_from_terms: iterator of modes": lambda: plain(
+            fp.state_from_terms([1, 2], iter(["a", "b"]), {"HV": 1, "VH": 1})),
+        "mode_view: iterator of modes": lambda: list(pair.mode_view(iter(["1", "2"])).items()),
+    })
     for label, call in calls.items():
         yield label, partial(_outcome, call)
 
