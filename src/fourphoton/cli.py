@@ -49,7 +49,7 @@ from .experiment import (
     hv_setting,
     monte_carlo_counts,
 )
-from .states import StateError, as_number
+from .states import StateError, as_number, check_type
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,8 +143,7 @@ def load_config(path: str | None) -> dict:
 
 
 def _merge(tree: dict, user, section: str) -> None:
-    if not isinstance(user, dict):
-        raise StateError(f"{section or 'config'} must be a JSON object")
+    check_type(user, dict, f"{section or 'config'} must be a JSON object")
     for key, val in user.items():
         name = f"{section}.{key}" if section else key
         if key not in tree:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import H, DensityMatrix, PureState, StateError, as_number, density_matrix, show
+from .states import (H, DensityMatrix, PureState, StateError, as_number, check_type,
+                     density_matrix, show)
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -78,8 +79,7 @@ def distinguishability(delay: DelayElement) -> float:
     Even in tau, 1 at zero delay, monotone decreasing in |tau|. The Gaussian
     form models Gaussian spectral filtering; any even decaying form would do.
     """
-    if not isinstance(delay, DelayElement):
-        raise StateError(f"delay {show(delay)} is not a DelayElement")
+    check_type(delay, DelayElement, "delay {} is not a DelayElement")
     x = delay.delay_fs / delay.coherence_time_fs
     return math.exp(-(x * x))
 
@@ -111,7 +111,6 @@ def dephase_by_distinguishability(
     overlap, v0 the zero-delay visibility ceiling. The projectors are the
     state's memoised ones; only the weights depend on d and v0.
     """
-    if not isinstance(state_after_pbs, PureState):
-        raise StateError(f"state {show(state_after_pbs)} is not a PureState")
+    check_type(state_after_pbs, PureState, "state {} is not a PureState")
     modes, p_psi, p_phi = state_after_pbs.dephasing_projectors()
     return density_matrix(modes, dephasing_components(p_psi, p_phi, d, v0))

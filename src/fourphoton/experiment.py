@@ -39,6 +39,7 @@ from .states import (
     analyzer_matrix,
     as_number,
     check_angle,
+    check_type,
     dephasing_partner,
     is_photon_pair,
     kron,
@@ -140,8 +141,7 @@ class MeasurementSetting:
 
 def _check_apparatus(apparatus: Apparatus) -> None:
     # before any of its fields is read, which would end in a bare AttributeError
-    if not isinstance(apparatus, Apparatus):
-        raise StateError(f"apparatus {show(apparatus)} is not an Apparatus")
+    check_type(apparatus, Apparatus, "apparatus {} is not an Apparatus")
 
 
 def hv_setting(apparatus: Apparatus) -> MeasurementSetting:
@@ -286,12 +286,9 @@ def _exact_model(
     lookup per call.
     """
     _check_apparatus(apparatus)
-    if not isinstance(setting, MeasurementSetting):
-        raise StateError(f"setting {show(setting)} is not a MeasurementSetting")
+    check_type(setting, MeasurementSetting, "setting {} is not a MeasurementSetting")
     angles = setting.angles
-    # a plain dict skips the ABC isinstance check, a Python-level call per compile
-    if type(angles) is not dict and not isinstance(angles, Mapping):
-        raise StateError(f"setting angles {show(angles)} are not a mapping of detector ids")
+    check_type(angles, Mapping, "setting angles {} are not a mapping of detector ids")
     unknown = [d for d in angles if d not in apparatus.detectors]
     if unknown:
         raise StateError(f"unknown detectors {show(unknown)}, not in {apparatus.detector_ids()}")
@@ -385,11 +382,8 @@ def draw_counts(
     """
     _check_integration_time(integration_time)
     _check_seed(seed)
-    if not isinstance(rates, RateModel):
-        raise StateError(f"rates {show(rates)} is not a RateModel")
-    # a plain dict skips the ABC isinstance check, a Python-level call per draw
-    if type(probs) is not dict and not isinstance(probs, Mapping):
-        raise StateError(f"probabilities {show(probs)} are not a mapping of outcomes")
+    check_type(rates, RateModel, "rates {} is not a RateModel")
+    check_type(probs, Mapping, "probabilities {} are not a mapping of outcomes")
     rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
     rng = np.random.default_rng(seed)
     counts = {}
@@ -500,8 +494,7 @@ def feasibility_estimate(target_events: int, rates: RateModel) -> float:
     usable four-fold events at the calibrated rates."""
     if not as_number(target_events) >= 0:  # negated, so that NaN fails it too
         raise StateError(f"target event count {show(target_events)} must be nonnegative")
-    if not isinstance(rates, RateModel):
-        raise StateError(f"rates {show(rates)} is not a RateModel")
+    check_type(rates, RateModel, "rates {} is not a RateModel")
     if target_events == 0:
         return 0.0
     rate = rates.fourfold_rate_desired

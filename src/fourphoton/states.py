@@ -19,10 +19,10 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import zip_longest
 from numbers import Integral, Number
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def _read_ket(ket, n: int) -> tuple:
     for pol, mode in slots:
         if not (isinstance(pol, str) and pol in POLS):
             raise StateError(f"bad polarization symbol {show(pol)}")
-        if not isinstance(mode, str):
-            raise StateError(f"mode tag must be a string, got {show(mode)}")
+        check_type(mode, str, "mode tag must be a string, got {}")
     return slots
 
 
@@ -81,8 +80,7 @@ class PureState:
         amplitudes: Mapping[tuple, complex],
         normalize: bool = True,
     ):
-        if not isinstance(amplitudes, Mapping):
-            raise StateError(f"amplitudes {show(amplitudes)} are not a mapping of kets")
+        check_type(amplitudes, Mapping, "amplitudes {} are not a mapping of kets")
         photons = tuple(photons)
         if not all(map(is_photon_index, photons)):
             raise StateError(f"photon indices {show(photons)} must be integers (a bool is none)")
@@ -223,8 +221,7 @@ def state_from_terms(
     `terms` maps polarization strings like "HVVH" (one symbol per photon,
     ascending index order, as many as `modes`) to amplitudes.
     """
-    if not isinstance(terms, Mapping):
-        raise StateError(f"terms {show(terms)} are not a mapping of polarization strings")
+    check_type(terms, Mapping, "terms {} are not a mapping of polarization strings")
     try:
         amps = {tuple(zip_longest(pols, modes)): a for pols, a in terms.items()}
     except TypeError:  # a key or the modes not iterable, or an unhashable mode
@@ -311,6 +308,16 @@ def show(value) -> str:
         if not isinstance(value, int):
             return f"<{type(value).__name__}>"
         return f"<int of {value.bit_length()} bits>"
+
+
+def check_type(value, kind: type, message: str):
+    """`value` once it is an instance of `kind`, else StateError(`message`
+    formatted with `show(value)`): the one type test of a caller's argument,
+    whose message is built only when it fails. A plain dict passes a `Mapping`
+    test without the ABC's isinstance check, a Python-level call."""
+    if not (kind is Mapping and type(value) is dict or isinstance(value, kind)):
+        raise StateError(message.format(show(value)))
+    return value
 
 
 def check_angle(angle_deg: float) -> float:
@@ -400,8 +407,7 @@ def mix(components: Iterable[tuple[float, PureState]],
     if not abs(sum(weights) - 1.0) <= NORM_TOL:
         raise StateError(f"mixture weights sum to {sum(weights)}, expected 1")
     for _, psi in components:
-        if not isinstance(psi, PureState):
-            raise StateError(f"mixture component {show(psi)} is not a PureState")
+        check_type(psi, PureState, "mixture component {} is not a PureState")
     if mode_order is None:
         first = components[0][1]
         mode_order = sorted({m for ket in first.amps for _, m in ket})
@@ -424,9 +430,7 @@ def density_matrix(
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """<target|rho|target> for a pure target state."""
-    if not isinstance(rho, DensityMatrix):
-        raise StateError(f"rho {show(rho)} is not a DensityMatrix")
-    if not isinstance(target, PureState):
-        raise StateError(f"target {show(target)} is not a PureState")
+    check_type(rho, DensityMatrix, "rho {} is not a DensityMatrix")
+    check_type(target, PureState, "target {} is not a PureState")
     v = target.dense(rho.modes)
     return float(np.real(v.conj() @ rho.matrix @ v))

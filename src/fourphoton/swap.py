@@ -8,8 +8,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .states import (
     as_number,
     bell_state,
     check_angle,
+    check_type,
     is_photon_pair,
     kron,
     show,
@@ -70,8 +71,7 @@ def bell_decompose(
     Keys are (kind on pair_a, kind on pair_b). Summing coefficient x basis
     state reproduces the input.
     """
-    if not isinstance(state, PureState):
-        raise StateError(f"state {show(state)} is not a PureState")
+    check_type(state, PureState, "state {} is not a PureState")
     if not (is_photon_pair(pair_a) and is_photon_pair(pair_b)
             and sorted((*pair_a, *pair_b)) == list(state.photons)):
         raise StateError("Bell decomposition needs two pairs that partition a four-photon "
@@ -86,8 +86,7 @@ def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray
     """The remaining pair conditioned on a measurement of the photons in
     `pair_modes`: tr_pair(F rho) as one contraction with `effect` = F^T (see
     `_effect`), renormalized, with its fidelity to |phi+>."""
-    if not isinstance(rho, DensityMatrix):
-        raise StateError(f"rho {show(rho)} is not a DensityMatrix")
+    check_type(rho, DensityMatrix, "rho {} is not a DensityMatrix")
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
@@ -133,9 +132,7 @@ def visibility_from_counts(
 
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
-    # a plain dict skips the ABC isinstance check, a Python-level call per table
-    if type(counts) is not dict and not isinstance(counts, Mapping):
-        raise StateError(f"counts {show(counts)} are not a mapping of outcomes")
+    check_type(counts, Mapping, "counts {} are not a mapping of outcomes")
     for k in (*even_parity_keys, *odd_parity_keys):
         try:
             n = counts[k]
@@ -182,8 +179,7 @@ def chsh_value(
     The default settings are optimal for |phi+> (S = 2 sqrt 2). The four
     correlations are one batched product with the stacked observables.
     """
-    if not isinstance(rho_pair, DensityMatrix):
-        raise StateError(f"rho_pair {show(rho_pair)} is not a DensityMatrix")
+    check_type(rho_pair, DensityMatrix, "rho_pair {} is not a DensityMatrix")
     if len(rho_pair.modes) != 2:
         raise StateError("chsh_value needs a two-photon density matrix")
     try:
