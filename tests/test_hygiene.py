@@ -6,7 +6,9 @@ a caller must take its orphaned helpers and imports with it. A public name
 that only tests reference, and a defaulted parameter of a public function that
 only tests pass, is on an explicit keep-list with its reason. No functools
 memo of the package grows with calls: every `lru_cache` has an integer
-`maxsize`, and `functools.cache` wraps only functions of no parameters.
+`maxsize`, and `functools.cache` wraps only functions of no parameters. No
+type test of an argument is written by hand: `states.check_type` alone holds
+an `if not isinstance(...)` that raises.
 """
 
 import ast
@@ -236,6 +238,29 @@ def unbounded_caches(source: str) -> list[int]:
     return sorted(lines)
 
 
+def isinstance_rejections(source: str) -> list[int]:
+    """The lines of `source` where an `if not isinstance(...)`, alone or as the
+    last operand of an `and` (a mapping test's plain-dict fast path), guards a
+    `raise` outside a function named `check_type`: a hand-written type check."""
+    tree = ast.parse(source)
+    allowed = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "check_type"
+               for node in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If) or id(node) in allowed:
+            continue
+        test = node.test
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            test = test.values[-1]
+        negated = test.operand if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not) \
+            else None
+        if (isinstance(negated, ast.Call) and getattr(negated.func, "id", None) == "isinstance"
+                and any(isinstance(stmt, ast.Raise) for stmt in node.body)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 class TestRules:
     """The rules themselves catch what they are for."""
 
@@ -319,6 +344,25 @@ class TestRules:
         )
         assert unbounded_caches(source) == [7, 9, 11, 13, 17, 20, 21, 23]
 
+    def test_isinstance_rejection_found(self):
+        source = (
+            "def check_type(value, kind, message):\n"
+            "    if not isinstance(value, kind):\n"                         # 2: the one reader
+            "        raise StateError(message)\n"
+            "def f(x, m, a, b):\n"
+            "    if not isinstance(x, int):\n"                              # 5: by hand
+            "        raise StateError('x')\n"
+            "    if type(m) is not dict and not isinstance(m, Mapping):\n"  # 7: a mapping test
+            "        raise StateError('m')\n"
+            "    if not isinstance(x, str):\n"                              # 9: no raise
+            "        x = str(x)\n"
+            "    if not (isinstance(a, P) and isinstance(b, P)):\n"         # 11: a joint test
+            "        raise StateError('a, b')\n"
+            "    if isinstance(x, bool) or not isinstance(x, int):\n"       # 13: a value rule
+            "        raise StateError('x')\n"
+        )
+        assert isinstance_rejections(source) == [5, 7]
+
 
 def test_package_modules_found():
     assert {"elements.py", "experiment.py", "states.py", "swap.py"} <= {p.name for p in MODULES}
@@ -363,6 +407,11 @@ def test_parameters_only_tests_pass_are_kept_on_purpose():
 def test_every_memo_is_bounded(module):
     # a memo that grows with calls grows without bound under the fuzzers
     assert unbounded_caches(module.read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_only_check_type_rejects_a_type(module):
+    assert isinstance_rejections(module.read_text()) == []
 
 
 def test_no_orphaned_private_definition():
