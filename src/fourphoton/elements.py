@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (H, DensityMatrix, PureState, StateError, as_number, check_type,
-                     density_matrix, show)
+                     density_matrix, read_sequence, show)
 
 # Calibrated defaults of the experiment: the interference visibility measured
 # at zero PBS delay, and the coherence time after spectral filtering.
@@ -39,13 +39,13 @@ class PbsElement:
     error_rate: float = 0.0
 
     def __post_init__(self):
-        for side, modes in (("input", self.input_modes), ("output", self.output_modes)):
-            if not (
-                len(modes) == 2
-                and all(isinstance(m, str) for m in modes)
-                and modes[0] != modes[1]
-            ):
-                raise StateError(f"PBS needs two distinct string {side} modes, got {show(modes)}")
+        for side in ("input", "output"):  # each read once into the tuple that is stored
+            message = f"PBS needs two distinct string {side} modes, got {{}}"
+            modes = read_sequence(getattr(self, f"{side}_modes"), message)
+            object.__setattr__(self, f"{side}_modes", modes)
+            if not (len(modes) == 2 and all(isinstance(m, str) for m in modes)
+                    and modes[0] != modes[1]):
+                raise StateError(message.format(show(modes)))
         if not 0.0 <= as_number(self.error_rate) < 1.0:
             raise StateError(f"PBS error_rate {show(self.error_rate)} outside [0, 1)")
 

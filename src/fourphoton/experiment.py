@@ -43,6 +43,7 @@ from .states import (
     dephasing_partner,
     is_photon_pair,
     kron,
+    read_sequence,
     show,
     spdc_pair,
     state_from_terms,
@@ -59,12 +60,15 @@ class PairSource:
     modes: tuple[str, str]
 
     def __post_init__(self):
-        photons, modes = self.photons, self.modes
-        if not is_photon_pair(photons):
-            raise StateError("a pair source needs two distinct photon indices, "
-                             f"got {show(photons)}")
-        if not (len(modes) == 2 and all(isinstance(m, str) for m in modes)):
-            raise StateError(f"a pair source needs two string modes, got {show(modes)}")
+        needs_photons = "a pair source needs two distinct photon indices, got {}"
+        needs_modes = "a pair source needs two string modes, got {}"
+        # each read once into the tuple that is stored
+        object.__setattr__(self, "photons", read_sequence(self.photons, needs_photons))
+        object.__setattr__(self, "modes", read_sequence(self.modes, needs_modes))
+        if not is_photon_pair(self.photons):
+            raise StateError(needs_photons.format(show(self.photons)))
+        if not (len(self.modes) == 2 and all(isinstance(m, str) for m in self.modes)):
+            raise StateError(needs_modes.format(show(self.modes)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,12 @@ class Apparatus:
 
     def __post_init__(self):
         # read-only copies, so that the compiled patterns cannot go stale
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
+        object.__setattr__(self, "sources", tuple(
+            check_type(s, PairSource, "source {} is not a PairSource")
+            for s in read_sequence(self.sources, "sources {} are not a sequence of PairSources")))
+        check_type(self.pbs, PbsElement, "pbs {} is not a PbsElement")
+        detectors = check_type(self.detectors, Mapping, "detectors {} are not a mapping to modes")
+        object.__setattr__(self, "detectors", MappingProxyType(dict(detectors)))
         # routing pattern -> its compiled entry or None; see `_compiled_pattern`
         object.__setattr__(self, "_compiled", {})
         modes = list(self.detectors.values())

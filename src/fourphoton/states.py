@@ -34,6 +34,7 @@ NORM_TOL = 1e-9
 PRUNE_TOL = 1e-14
 
 BELL_KINDS = ("psi+", "psi-", "phi+", "phi-")
+_NOT_MODES = "modes {} are not a sequence of mode tags"  # a `read_sequence` message
 
 
 class StateError(ValueError):
@@ -81,7 +82,7 @@ class PureState:
         normalize: bool = True,
     ):
         check_type(amplitudes, Mapping, "amplitudes {} are not a mapping of kets")
-        photons = tuple(photons)
+        photons = read_sequence(photons, "photon indices {} are not a sequence")
         if not all(map(is_photon_index, photons)):
             raise StateError(f"photon indices {show(photons)} must be integers (a bool is none)")
         if len(set(photons)) != len(photons):
@@ -148,6 +149,7 @@ class PureState:
 
         Requires every ket to place exactly one photon in each listed mode.
         """
+        mode_order = read_sequence(mode_order, _NOT_MODES)
         out: dict[tuple, complex] = {}
         for ket, a in self.amps.items():
             by_mode: dict[str, str] = {}
@@ -165,6 +167,7 @@ class PureState:
 
     def dense(self, mode_order: Sequence[str]) -> np.ndarray:
         """A fresh dense 2^n vector over mode-ordered H/V kets (H before V)."""
+        mode_order = read_sequence(mode_order, _NOT_MODES)
         n = len(mode_order)
         vec = np.zeros(2**n, dtype=complex)
         for key, a in self.mode_view(mode_order).items():
@@ -223,7 +226,8 @@ def state_from_terms(
     """
     check_type(terms, Mapping, "terms {} are not a mapping of polarization strings")
     try:
-        amps = {tuple(zip_longest(pols, modes)): a for pols, a in terms.items()}
+        ordered = tuple(modes)  # read once: a one-shot iterator would serve one key only
+        amps = {tuple(zip_longest(pols, ordered)): a for pols, a in terms.items()}
     except TypeError:  # a key or the modes not iterable, or an unhashable mode
         raise StateError(f"terms {show(terms)} on modes {show(modes)} make no kets") from None
     return PureState(photons, amps, normalize=normalize)
@@ -311,13 +315,21 @@ def show(value) -> str:
 
 
 def check_type(value, kind: type, message: str):
-    """`value` once it is an instance of `kind`, else StateError(`message`
-    formatted with `show(value)`): the one type test of a caller's argument,
-    whose message is built only when it fails. A plain dict passes a `Mapping`
-    test without the ABC's isinstance check, a Python-level call."""
+    """`value` if it is a `kind`, else StateError(`message` formatted with `show(value)`):
+    the one type test of a caller's argument, whose message is built only on failure.
+    A plain dict passes a `Mapping` test without the ABC's Python-level check."""
     if not (kind is Mapping and type(value) is dict or isinstance(value, kind)):
         raise StateError(message.format(show(value)))
     return value
+
+
+def read_sequence(value, message: str) -> tuple:
+    """`tuple(value)`, read once before anything checks or uses it, so that no check
+    uses up a one-shot iterator; StateError as `check_type` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise StateError(message.format(show(value))) from None
 
 
 def check_angle(angle_deg: float) -> float:
@@ -359,7 +371,7 @@ class DensityMatrix:
     """Dense Hermitian operator over mode-ordered H/V basis kets."""
 
     def __init__(self, modes: Sequence[str], matrix: np.ndarray):
-        self.modes = tuple(modes)
+        self.modes = read_sequence(modes, _NOT_MODES)
         try:
             matrix = np.asarray(matrix, dtype=complex)
         except (TypeError, ValueError, OverflowError):  # an entry that complex() cannot read
@@ -395,10 +407,14 @@ def mix(components: Iterable[tuple[float, PureState]],
     must occupy the same spatial modes; `mode_order` defaults to the sorted
     mode set of the first component.
     """
-    components = list(components)
+    message = "mixture components {} are not a sequence of (weight, PureState) pairs"
+    components = read_sequence(components, message)
     if not components:
         raise StateError("mix needs at least one component")
-    weights = [w for w, _ in components]
+    try:
+        weights = [w for w, _ in components]
+    except (TypeError, ValueError):  # a component that is no pair
+        raise StateError(message.format(show(components))) from None
     # negated tests, so that a NaN weight fails them too
     if not all(as_number(w) >= 0 for w in weights):
         raise StateError(f"a mixture weight in {show(weights)} is negative or not a number")
@@ -411,6 +427,7 @@ def mix(components: Iterable[tuple[float, PureState]],
     if mode_order is None:
         first = components[0][1]
         mode_order = sorted({m for ket in first.amps for _, m in ket})
+    mode_order = read_sequence(mode_order, _NOT_MODES)  # once, for every component
     return density_matrix(mode_order, [
         (w, projector(psi.dense(mode_order))) for w, (_, psi) in zip(weights, components)
     ])

@@ -25,6 +25,7 @@ from .states import (
     check_type,
     is_photon_pair,
     kron,
+    read_sequence,
     show,
     unchecked_analyzer_matrix,
 )
@@ -72,6 +73,7 @@ def bell_decompose(
     state reproduces the input.
     """
     check_type(state, PureState, "state {} is not a PureState")
+    pair_a, pair_b = (read_sequence(p, "Bell pair {} is not a sequence") for p in (pair_a, pair_b))
     if not (is_photon_pair(pair_a) and is_photon_pair(pair_b)
             and sorted((*pair_a, *pair_b)) == list(state.photons)):
         raise StateError("Bell decomposition needs two pairs that partition a four-photon "
@@ -87,10 +89,11 @@ def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray
     `pair_modes`: tr_pair(F rho) as one contraction with `effect` = F^T (see
     `_effect`), renormalized, with its fidelity to |phi+>."""
     check_type(rho, DensityMatrix, "rho {} is not a DensityMatrix")
+    pair_modes = read_sequence(pair_modes, "pair modes {} are not a sequence of mode tags")
     n = len(rho.modes)
     rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
     if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
-        raise StateError(f"{show(tuple(pair_modes))} must be two of the four modes {rho.modes}")
+        raise StateError(f"{show(pair_modes)} must be two of the four modes {rho.modes}")
     # pair qubits first on both sides: t[pair, rest, pair', rest']
     pos = [rho.modes.index(m) for m in pair_modes]
     order = pos + [i for i in range(n) if i not in pos]
@@ -133,15 +136,16 @@ def visibility_from_counts(
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
     check_type(counts, Mapping, "counts {} are not a mapping of outcomes")
-    for k in (*even_parity_keys, *odd_parity_keys):
+    even, odd = (read_sequence(keys, "parity keys {} are not a sequence of outcomes")
+                 for keys in (even_parity_keys, odd_parity_keys))
+    for k in (*even, *odd):
         try:
             n = counts[k]
         except KeyError:
             raise StateError(f"no count for outcome {show(k)} in the table") from None
         if not 0 <= as_number(n) < math.inf:
             raise StateError(f"count {show(k)} is not a finite nonnegative number: {show(n)}")
-    ne = sum(counts[k] for k in even_parity_keys)
-    no = sum(counts[k] for k in odd_parity_keys)
+    ne, no = (sum(counts[k] for k in keys) for keys in (even, odd))
     total = ne + no
     if total == 0:
         raise StateError("visibility needs at least one count")

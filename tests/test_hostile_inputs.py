@@ -2,13 +2,20 @@
 with every value of one fixed corpus, raises `StateError` or returns a result,
 never a bare exception.
 
-Each entry of `ENTRY_POINTS` is a call that takes one value in one argument
-and passes valid values everywhere else. `CORPUS` is fixed here and not chosen
-per change. The rejection tests of the other files pin the message texts; this
-one only pins the exception type.
+The table is generated: one row per parameter of every public callable of
+`fourphoton` and of `PureState.fixed_mode`, `mode_view` and `dense`, read from
+their signatures. A row passes the hostile value in that one parameter and the
+value of `VALID` for the parameter's name everywhere else, so a new parameter
+without an entry there fails `test_every_parameter_has_a_valid_value`. The
+rows of `REACH_IN` are written by hand: each puts the value inside a valid
+argument, as an angle, a count, a ket slot or key, an amplitude or a weight.
+`CORPUS` is fixed here and not chosen per change. The rejection tests of the
+other files pin the message texts; this one only pins the exception type.
 """
 
 import contextlib
+import dataclasses
+import inspect
 import math
 from collections.abc import Mapping
 from decimal import Decimal
@@ -17,39 +24,30 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fourphoton
 from fourphoton import (
     DelayElement,
     DensityMatrix,
     MeasurementSetting,
-    PbsElement,
     PureState,
     RateModel,
     StateError,
-    bell_decompose,
     bell_state,
     chsh_value,
     default_apparatus,
     delay_scan,
     dephase_by_distinguishability,
     diagonal_setting,
-    distinguishability,
     draw_counts,
     exact_outcome_probabilities,
-    feasibility_estimate,
-    fidelity,
     ghz_after_postselection,
     hv_setting,
     mix,
-    monte_carlo_counts,
     phi_plus_via_45_coincidence,
     source_state,
-    spdc_pair,
     state_from_terms,
-    tensor,
-    three_photon_ghz,
     visibility_from_counts,
 )
-from fourphoton.experiment import derive_point_seed
 
 APP = default_apparatus()
 HV = hv_setting(APP)
@@ -57,8 +55,9 @@ DIAGONAL = diagonal_setting(APP)
 RATES = RateModel()
 PROBS = exact_outcome_probabilities(APP, HV)
 GHZ, _ = ghz_after_postselection(APP)
-RHO_14 = phi_plus_via_45_coincidence(dephase_by_distinguishability(GHZ, 1.0)).conditioned_state_14
-PAIR = bell_state("phi+", 1, 2)
+RHO = dephase_by_distinguishability(GHZ, 1.0)
+RHO_14 = phi_plus_via_45_coincidence(RHO).conditioned_state_14
+PAIR = bell_state("phi+", 1, 2, ("a", "b"))
 
 
 class OneTerm(Mapping):
@@ -77,76 +76,78 @@ class OneTerm(Mapping):
         return 1
 
 
-# name -> a call that takes the hostile value in that one argument
-ENTRY_POINTS = {
-    "PbsElement.error_rate": lambda x: PbsElement(("2", "3"), ("2'", "3'"), x),
-    "DelayElement.delay_fs": lambda x: DelayElement(x),
-    "DelayElement.coherence_time_fs": lambda x: DelayElement(0.0, x),
-    "RateModel.fourfold_rate_desired": lambda x: RateModel(x),
-    "RateModel.background_fourfold_rate": lambda x: RateModel(background_fourfold_rate=x),
-    "default_apparatus.pbs_error": default_apparatus,
-    "exact_outcome_probabilities.v0": lambda x: exact_outcome_probabilities(APP, HV, v0=x),
-    "exact_outcome_probabilities.pbs_error":
-        lambda x: exact_outcome_probabilities(APP, HV, pbs_error=x),
+# the public callables by name: the package's functions and classes, but no
+# exception class, which takes any argument; and the methods that take one
+CALLABLES = {
+    name: obj for name, obj in vars(fourphoton).items()
+    if not name.startswith("_") and callable(obj)
+    and not (isinstance(obj, type) and issubclass(obj, BaseException))
+}
+CALLABLES.update({f"PureState.{name}": getattr(PAIR, name)
+                  for name in ("fixed_mode", "mode_view", "dense")})
+
+# parameter name -> one valid value, the same for every callable that has it:
+# a pair state on modes "a", "b" and the default apparatus with its GHZ state
+VALID = {
+    # states
+    "photons": (1, 2), "modes": ("a", "b"), "amplitudes": {(("H", "a"), ("V", "b")): 1.0},
+    "terms": {"HV": 1, "VH": 1}, "normalize": True, "kind": "phi+", "i": 1, "j": 2,
+    "a": PAIR, "b": bell_state("phi+", 3, 4), "photon": 1, "mode_order": ("a", "b"),
+    "matrix": np.eye(4) / 4, "components": [(1.0, PAIR)], "rho": RHO, "target": GHZ,
+    # elements
+    "input_modes": ("2", "3"), "output_modes": ("2'", "3'"), "error_rate": 0.0,
+    "delay_fs": 100.0, "coherence_time_fs": 550.0, "delay": DelayElement(100.0),
+    "state_after_pbs": GHZ, "d": 1.0, "v0": 0.79,
+    # experiment
+    "sources": APP.sources, "pbs": APP.pbs, "detectors": dict(APP.detectors),
+    "apparatus": APP, "pbs_error": 0.0, "angles": {"D1": 45.0}, "setting": HV,
+    "fourfold_rate_desired": 0.03, "background_fourfold_rate": 1e-4, "counts": {"e": 5, "o": 1},
+    "probs": PROBS, "rates": RATES, "integration_time": 6000.0, "seed": 1,
+    "delays_fs": [0.0, 100.0], "time_per_point": 6000.0, "polarizer_mode": "4", "angle": 0.0,
+    "target_events": 10,
+    # swap
+    "state": source_state(APP), "pair_a": (1, 4), "pair_b": (2, 3), "pair_modes": ("2'", "3'"),
+    "rho_pair": RHO_14, "settings": ((0.0, 45.0), (22.5, 67.5)), "even_parity_keys": ["e"],
+    "odd_parity_keys": ["o"], "conditioned_state_14": RHO_14, "projection_probability": 0.5,
+    "fidelity_to_target": 1.0, "visibility_45": 1.0,
+}
+
+PARAMETERS = {f"{name}.{param}": (call, param) for name, call in CALLABLES.items()
+              for param in inspect.signature(call).parameters}
+
+
+def valid_call(call, **replaced):
+    """`call` with the `VALID` value of each parameter but those `replaced`."""
+    names = inspect.signature(call).parameters
+    return call(**{name: replaced[name] if name in replaced else VALID[name] for name in names})
+
+
+# name -> a call that takes the hostile value inside one valid argument
+REACH_IN = {
     "exact_outcome_probabilities.angle":
         lambda x: exact_outcome_probabilities(APP, MeasurementSetting({"D1": x})),
-    "MeasurementSetting.angles": lambda x: exact_outcome_probabilities(APP, MeasurementSetting(x)),
-    "exact_outcome_probabilities.setting": lambda x: exact_outcome_probabilities(APP, x),
-    "exact_outcome_probabilities.apparatus": lambda x: exact_outcome_probabilities(x, HV),
-    "ghz_after_postselection.apparatus": ghz_after_postselection,
-    "source_state.apparatus": source_state,
-    "hv_setting.apparatus": hv_setting,
-    "diagonal_setting.apparatus": diagonal_setting,
-    "draw_counts.integration_time": lambda x: draw_counts(PROBS, RATES, x, 1),
+    "exact_outcome_probabilities.angles":
+        lambda x: exact_outcome_probabilities(APP, MeasurementSetting(x)),
     "draw_counts.probability": lambda x: draw_counts({"HHHH": x}, RATES, 6000.0, 1),
-    "draw_counts.seed": lambda x: draw_counts(PROBS, RATES, 6000.0, x),
-    "draw_counts.rates": lambda x: draw_counts(PROBS, x, 6000.0, 1),
-    "draw_counts.probs": lambda x: draw_counts(x, RATES, 6000.0, 1),
     "delay_scan.delay": lambda x: delay_scan(APP, DIAGONAL, [x], RATES, 6000.0, 1),
-    "delay_scan.time_per_point": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, x, 1),
-    "delay_scan.seed": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, x),
-    "delay_scan.coherence_time_fs":
-        lambda x: delay_scan(APP, DIAGONAL, [100.0], RATES, 6000.0, 1, coherence_time_fs=x),
-    "delay_scan.v0": lambda x: delay_scan(APP, DIAGONAL, [0.0], RATES, 6000.0, 1, v0=x),
-    "delay_scan.apparatus": lambda x: delay_scan(x, DIAGONAL, [0.0], RATES, 6000.0, 1),
-    "delay_scan.delays_fs": lambda x: delay_scan(APP, DIAGONAL, x, RATES, 6000.0, 1),
-    "monte_carlo_counts.integration_time": lambda x: monte_carlo_counts(APP, HV, RATES, x, 1),
-    "monte_carlo_counts.rates": lambda x: monte_carlo_counts(APP, HV, x, 1.0, 1),
-    "monte_carlo_counts.apparatus": lambda x: monte_carlo_counts(x, HV, RATES, 1.0, 1),
-    "derive_point_seed.seed": lambda x: derive_point_seed(x, 0),
-    "three_photon_ghz.angle": lambda x: three_photon_ghz(APP, "4", x),
-    "three_photon_ghz.apparatus": lambda x: three_photon_ghz(x, "4", 0.0),
     "chsh_value.angle": lambda x: chsh_value(RHO_14, ((x, 45.0), (22.5, 67.5))),
     "chsh_value.angle_b": lambda x: chsh_value(RHO_14, ((0.0, 45.0), (x, 67.5))),
-    "chsh_value.settings": lambda x: chsh_value(RHO_14, x),
-    "chsh_value.rho_pair": chsh_value,
-    "phi_plus_via_45_coincidence.rho": phi_plus_via_45_coincidence,
-    "feasibility_estimate.target_events": lambda x: feasibility_estimate(x, RATES),
-    "feasibility_estimate.rates": lambda x: feasibility_estimate(10, x),
-    "distinguishability.delay": distinguishability,
-    "dephase_by_distinguishability.state": lambda x: dephase_by_distinguishability(x, 1.0),
-    "dephase_by_distinguishability.d": lambda x: dephase_by_distinguishability(GHZ, x),
-    "dephase_by_distinguishability.v0": lambda x: dephase_by_distinguishability(GHZ, 1.0, x),
     "visibility_from_counts.count":
         lambda x: visibility_from_counts({"e": x, "o": 1}, ["e"], ["o"]),
-    "visibility_from_counts.counts": lambda x: visibility_from_counts(x, ["e"], ["o"]),
-    "bell_decompose.state": bell_decompose,
     "mix.weight": lambda x: mix([(x, PAIR)]),
     "mix.state": lambda x: mix([(1.0, x)]),
-    "tensor.b": lambda x: tensor(PAIR, x),
-    "fidelity.rho": lambda x: fidelity(x, PAIR),
-    "fidelity.target": lambda x: fidelity(RHO_14, x),
-    "bell_state.photon": lambda x: bell_state("phi+", x, 2),
-    "spdc_pair.photon": lambda x: spdc_pair(1, x),
-    "PureState.fixed_mode.photon": lambda x: GHZ.fixed_mode(x),
     "state_from_terms.amplitude": lambda x: state_from_terms([1, 2], ["a", "b"], {"HV": x, "VH": 0.5}),
     "state_from_terms.photon": lambda x: state_from_terms([x, 2], ["a", "b"], {"HV": 1, "VH": 1}),
     "state_from_terms.key": lambda x: state_from_terms([1, 2], ["a", "b"], OneTerm(x)),
-    "state_from_terms.modes": lambda x: state_from_terms([1, 2], x, {"HV": 1}),
-    "state_from_terms.terms": lambda x: state_from_terms([1, 2], ["a", "b"], x),
     "PureState.ket": lambda x: PureState([1], OneTerm(x)),
     "PureState.slot": lambda x: PureState([1], OneTerm((x,))),
-    "DensityMatrix.matrix": lambda x: DensityMatrix(["1"], x),
+}
+
+# name -> a call that takes the hostile value in one argument or inside one
+ENTRY_POINTS = {
+    **{name: lambda x, call=call, param=param: valid_call(call, **{param: x})
+       for name, (call, param) in PARAMETERS.items()},
+    **REACH_IN,
 }
 
 # fixed, with explicit ids: pytest cannot print an integer of 5,001 digits
@@ -181,3 +182,44 @@ CORPUS = {
 def test_hostile_value_raises_state_error_or_returns(call, value):
     with contextlib.suppress(StateError):  # any other exception fails the test
         call(value)
+
+
+def test_every_parameter_has_a_valid_value():
+    assert sorted({p.rsplit(".", 1)[1] for p in PARAMETERS} - set(VALID)) == []
+
+
+def test_table_rows_are_distinct():
+    assert set(PARAMETERS).isdisjoint(REACH_IN)
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+def test_valid_values_are_valid(name):
+    valid_call(CALLABLES[name])  # a row is only hostile in its one value
+
+
+def plain(result):
+    """A result as values that compare by value: a state, a matrix or an
+    array has no value equality of its own."""
+    if isinstance(result, PureState):
+        return result.photons, dict(result.amps)
+    if isinstance(result, DensityMatrix):
+        return result.modes, result.matrix.tolist()
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if dataclasses.is_dataclass(result):
+        return tuple(plain(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return [plain(x) for x in result]
+    return result
+
+
+SEQUENCES = [name for name, (_, param) in PARAMETERS.items()
+             if isinstance(VALID[param], (tuple, list))]
+
+
+@pytest.mark.parametrize("name", SEQUENCES)
+def test_one_shot_iterator_reads_as_its_sequence(name):
+    # a check that iterates the argument would leave the call an empty iterator
+    call, param = PARAMETERS[name]
+    expected = plain(valid_call(call))
+    assert plain(valid_call(call, **{param: iter(VALID[param])})) == expected
