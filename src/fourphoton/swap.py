@@ -136,8 +136,8 @@ def visibility_from_counts(
     error = 2 sqrt(Ne * No / (Ne + No)^3).
     """
     check_type(counts, Mapping, "counts {} are not a mapping of outcomes")
-    even, odd = (read_sequence(keys, "parity keys {} are not a sequence of outcomes")
-                 for keys in (even_parity_keys, odd_parity_keys))
+    message = "parity keys {} are not a sequence of outcomes"
+    even, odd = read_sequence(even_parity_keys, message), read_sequence(odd_parity_keys, message)
     for k in (*even, *odd):
         try:
             n = counts[k]
@@ -145,7 +145,7 @@ def visibility_from_counts(
             raise StateError(f"no count for outcome {show(k)} in the table") from None
         if not 0 <= as_number(n) < math.inf:
             raise StateError(f"count {show(k)} is not a finite nonnegative number: {show(n)}")
-    ne, no = (sum(counts[k] for k in keys) for keys in (even, odd))
+    ne, no = sum(counts[k] for k in even), sum(counts[k] for k in odd)
     total = ne + no
     if total == 0:
         raise StateError("visibility needs at least one count")
