@@ -452,13 +452,10 @@ def delay_scan(
     The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`,
     from one exact model compiled for the whole scan.
     """
-    try:
-        points = enumerate(delays_fs)  # takes no delay yet: an empty scan does no work
-    except TypeError:
-        raise StateError(f"delays {show(delays_fs)} are not an iterable of delays in fs") from None
+    delays = read_sequence(delays_fs, "delays {} are not an iterable of delays in fs")
     out = []
     evaluate = None
-    for i, tau in points:
+    for i, tau in enumerate(delays):
         point_seed = derive_point_seed(seed, i)
         d = distinguishability(DelayElement(tau, coherence_time_fs))
         if evaluate is None:  # at the first point, so that an empty scan does no work
