@@ -77,7 +77,8 @@ class OneTerm(Mapping):
 
 
 # the public callables by name: the package's functions and classes, but no
-# exception class, which takes any argument; and the methods that take one
+# exception class, which takes any argument; and the `PureState` methods that
+# take an argument, bound to the valid pair state
 CALLABLES = {
     name: obj for name, obj in vars(fourphoton).items()
     if not name.startswith("_") and callable(obj)
