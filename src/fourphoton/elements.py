@@ -9,6 +9,7 @@ post-selected GHZ superposition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,5 +113,14 @@ def dephase_by_distinguishability(
     state's memoised ones; only the weights depend on d and v0.
     """
     check_type(state_after_pbs, PureState, "state {} is not a PureState")
-    modes, p_psi, p_phi = state_after_pbs.dephasing_projectors()
+    _, p_psi, p_phi = state_after_pbs.dephasing_projectors()
+    dephasing_components(p_psi, p_phi, d, v0)  # its checks, before d and v0 key the memo
+    return _dephased(state_after_pbs, float(d), float(v0))
+
+
+@functools.lru_cache(maxsize=64)
+def _dephased(state: PureState, d: float, v0: float) -> DensityMatrix:
+    """`dephase_by_distinguishability` at checked floats d and v0: neither the
+    state, a key by identity, nor the `DensityMatrix` returned can change."""
+    modes, p_psi, p_phi = state.dephasing_projectors()
     return density_matrix(modes, dephasing_components(p_psi, p_phi, d, v0))

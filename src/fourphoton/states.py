@@ -118,10 +118,10 @@ class PureState:
         object.__setattr__(self, "_dephasing", None)  # set by dephasing_projectors
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"PureState is immutable: cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"PureState is immutable: cannot delete {name!r}")
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         # rebuilt from its fields as they are, without the memos: the
@@ -150,6 +150,10 @@ class PureState:
         Requires every ket to place exactly one photon in each listed mode.
         """
         mode_order = read_sequence(mode_order, _NOT_MODES)
+        try:
+            wanted = set(mode_order)
+        except TypeError:  # an unhashable mode, which no ket holds
+            raise StateError(_NOT_MODES.format(show(mode_order))) from None
         out: dict[tuple, complex] = {}
         for ket, a in self.amps.items():
             by_mode: dict[str, str] = {}
@@ -157,9 +161,9 @@ class PureState:
                 if mode in by_mode:
                     raise StateError(f"two photons in mode {mode!r}")
                 by_mode[mode] = pol
-            if set(by_mode) != set(mode_order):
+            if set(by_mode) != wanted:
                 raise StateError(
-                    f"ket occupies modes {sorted(by_mode)}, expected {list(mode_order)}"
+                    f"ket occupies modes {sorted(by_mode)}, expected {show(list(mode_order))}"
                 )
             key = tuple(by_mode[m] for m in mode_order)
             out[key] = out.get(key, 0.0) + a
@@ -368,19 +372,35 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Dense Hermitian operator over mode-ordered H/V basis kets."""
+    """Dense Hermitian operator over mode-ordered H/V basis kets. Immutable like
+    `PureState`, so that a memo may return one: `modes` is a tuple, `matrix` a
+    read-only copy of the caller's array, and each has passed `validate`."""
+
+    __slots__ = ("modes", "matrix")
+    __setattr__, __delattr__ = PureState.__setattr__, PureState.__delattr__
 
     def __init__(self, modes: Sequence[str], matrix: np.ndarray):
-        self.modes = read_sequence(modes, _NOT_MODES)
+        modes = read_sequence(modes, _NOT_MODES)
         try:
-            matrix = np.asarray(matrix, dtype=complex)
+            matrix = np.array(matrix, dtype=complex)  # a copy: the caller's array stays its own
         except (TypeError, ValueError, OverflowError):  # an entry that complex() cannot read
             raise StateError(f"matrix {show(matrix)} is not an array of complex numbers") from None
-        dim = 2 ** len(self.modes)
+        dim = 2 ** len(modes)
         if matrix.shape != (dim, dim):
             raise StateError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")
-        self.matrix = matrix
+        self._own(modes, matrix)
+
+    def _own(self, modes: tuple, matrix: np.ndarray) -> DensityMatrix:
+        """Freeze and `validate` `matrix`, a complex array of the right shape that nothing
+        else holds: every constructor ends here, and the package's builders start here."""
+        matrix.setflags(write=False)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "matrix", matrix)
         self.validate()
+        return self
+
+    def __reduce__(self):
+        return (DensityMatrix, (self.modes, self.matrix))  # checked again; the copy keeps every bit
 
     def validate(self) -> None:
         m = self.matrix
@@ -438,11 +458,12 @@ def density_matrix(
 ) -> DensityMatrix:
     """The `DensityMatrix` on `modes` that sums w P over weighted projectors P,
     added in order to a zero matrix. Weights are not checked here."""
+    modes = read_sequence(modes, _NOT_MODES)
     dim = 2 ** len(modes)
     rho = np.zeros((dim, dim), dtype=complex)
     for w, p in components:
         rho += w * p
-    return DensityMatrix(modes, rho)
+    return DensityMatrix.__new__(DensityMatrix)._own(modes, rho)
 
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:

@@ -84,33 +84,32 @@ def bell_decompose(
     return dict(zip(itertools.product(BELL_KINDS, repeat=2), coeffs))
 
 
-def _condition(rho: DensityMatrix, pair_modes: Sequence[str], effect: np.ndarray) -> SwapResult:
-    """The remaining pair conditioned on a measurement of the photons in
-    `pair_modes`: tr_pair(F rho) as one contraction with `effect` = F^T (see
-    `_effect`), renormalized, with its fidelity to |phi+>."""
+def _pair_positions(rho: DensityMatrix, pair_modes: Sequence[str]) -> tuple[int, ...]:
+    """The positions in `rho.modes` of the measured pair, then of the rest: the checks
+    of a conditioning step on a four-mode `DensityMatrix`, whose result keys its memo."""
     check_type(rho, DensityMatrix, "rho {} is not a DensityMatrix")
     pair_modes = read_sequence(pair_modes, "pair modes {} are not a sequence of mode tags")
-    n = len(rho.modes)
-    rest_modes = tuple(m for m in rho.modes if m not in pair_modes)
-    if n != 4 or len(pair_modes) != 2 or len(rest_modes) != 2:
+    rest = [i for i, m in enumerate(rho.modes) if m not in pair_modes]
+    if len(rho.modes) != 4 or len(pair_modes) != 2 or len(rest) != 2:
         raise StateError(f"{show(pair_modes)} must be two of the four modes {rho.modes}")
+    return (rho.modes.index(pair_modes[0]), rho.modes.index(pair_modes[1]), *rest)
+
+
+def _condition(rho: DensityMatrix, order: tuple[int, ...], effect: np.ndarray) -> SwapResult:
+    """The remaining pair conditioned on a measurement of the photons at the
+    first two `_pair_positions` `order`: tr_pair(F rho) as one contraction with
+    `effect` = F^T (see `_effect`), renormalized, with its fidelity to |phi+>."""
     # pair qubits first on both sides: t[pair, rest, pair', rest']
-    pos = [rho.modes.index(m) for m in pair_modes]
-    order = pos + [i for i in range(n) if i not in pos]
-    t = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])
+    t = rho.matrix.reshape((2,) * 8).transpose([*order, *(4 + i for i in order)])
     t = t.reshape(4, 4, 4, 4)
     reduced = np.einsum("qr,qarb->ab", effect, t)
     prob = float(reduced.trace().real)
     if prob <= 1e-30:
         raise PostselectionError("zero-probability Bell projection")
-    rho14 = DensityMatrix(rest_modes, reduced / prob)
+    rest_modes = (rho.modes[order[2]], rho.modes[order[3]])
+    rho14 = DensityMatrix.__new__(DensityMatrix)._own(rest_modes, reduced / prob)
     f = float((_BELL_BRAS[BELL_KINDS.index("phi+")] @ rho14.matrix @ _BELL_VECS["phi+"]).real)
-    return SwapResult(
-        conditioned_state_14=rho14,
-        projection_probability=prob,
-        fidelity_to_target=f,
-        visibility_45=2.0 * f - 1.0,
-    )
+    return SwapResult(rho14, prob, f, 2.0 * f - 1.0)
 
 
 def phi_plus_via_45_coincidence(
@@ -123,7 +122,13 @@ def phi_plus_via_45_coincidence(
     coincidence subspace (no psi+- component in the analyzed pair) this
     equals the abstract phi+ projection.
     """
-    return _condition(rho, pair_modes, _EFFECT_45)
+    return _coincidence_45(rho, _pair_positions(rho, pair_modes))
+
+
+@functools.lru_cache(maxsize=64)
+def _coincidence_45(rho: DensityMatrix, order: tuple[int, ...]) -> SwapResult:
+    """`phi_plus_via_45_coincidence` at checked `_pair_positions`; `rho` cannot change."""
+    return _condition(rho, order, _EFFECT_45)
 
 
 def visibility_from_counts(
@@ -141,7 +146,7 @@ def visibility_from_counts(
     for k in (*even, *odd):
         try:
             n = counts[k]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable key
             raise StateError(f"no count for outcome {show(k)} in the table") from None
         if not 0 <= as_number(n) < math.inf:
             raise StateError(f"count {show(k)} is not a finite nonnegative number: {show(n)}")
@@ -154,22 +159,16 @@ def visibility_from_counts(
     return v, err
 
 
-def _observable(angle_a: float, angle_b: float) -> np.ndarray:
-    """sigma(a) x sigma(b); sigma = |theta><theta| - |theta_perp><theta_perp|,
-    at two `check_angle` keys."""
-    sa, sb = (np.outer(m[0], m[0]) - np.outer(m[1], m[1])
-              for m in map(unchecked_analyzer_matrix, (angle_a, angle_b)))
-    return kron(sa, sb)
-
-
 CHSH_PHI_PLUS_SETTINGS = ((0.0, 45.0), (22.5, 67.5))
 
 
 @functools.lru_cache(maxsize=16)
 def _chsh_observables(a: float, ap: float, b: float, bp: float) -> np.ndarray:
-    """The CHSH observables sa x sb, sa x sb', sa' x sb, sa' x sb' as one
-    read-only (4, 4, 4) stack."""
-    ops = np.stack([_observable(x, y) for x, y in ((a, b), (a, bp), (ap, b), (ap, bp))])
+    """The CHSH observables sa x sb, sa x sb', sa' x sb, sa' x sb' as one read-only
+    (4, 4, 4) stack; s = |theta><theta| - |theta_perp><theta_perp| at a `check_angle` key."""
+    sa, sap, sb, sbp = (np.outer(m[0], m[0]) - np.outer(m[1], m[1])
+                        for m in map(unchecked_analyzer_matrix, (a, ap, b, bp)))
+    ops = np.stack([kron(sa, sb), kron(sa, sbp), kron(sap, sb), kron(sap, sbp)])
     ops.setflags(write=False)
     return ops
 
@@ -191,6 +190,12 @@ def chsh_value(
     except (TypeError, ValueError):
         raise StateError("CHSH settings must be two pairs of angles ((a, a'), (b, b')), "
                          f"got {show(settings)}") from None
-    products = rho_pair.matrix @ _chsh_observables(*map(check_angle, (a, ap, b, bp)))
+    return _chsh(rho_pair, check_angle(a), check_angle(ap), check_angle(b), check_angle(bp))
+
+
+@functools.lru_cache(maxsize=64)
+def _chsh(rho_pair: DensityMatrix, a: float, ap: float, b: float, bp: float) -> float:
+    """`chsh_value` at four `check_angle` keys; `rho_pair` cannot change."""
+    products = rho_pair.matrix @ _chsh_observables(a, ap, b, bp)
     ab, abp, apb, apbp = products.trace(axis1=1, axis2=2).real.tolist()
     return ab - abp + apb + apbp

@@ -176,11 +176,16 @@ class TestDephasing:
         assert rho.matrix.tobytes() != terms[0].tobytes()
 
     def test_returned_matrix_is_fresh(self):
+        # memoised: read-only and not rebindable, so a repeat call may return it
         ghz, _ = ghz_after_postselection(APP)
-        want = dephase_by_distinguishability(ghz, 0.5).matrix.tobytes()
         rho = dephase_by_distinguishability(ghz, 0.5)
-        rho.matrix[:] = 7.0  # writable, and shares nothing with the memo
-        assert dephase_by_distinguishability(ghz, 0.5).matrix.tobytes() == want
+        want = rho.matrix.tobytes()
+        with pytest.raises(ValueError):
+            rho.matrix[:] = 7.0
+        with pytest.raises(AttributeError):
+            rho.matrix = np.eye(16) / 16
+        again = dephase_by_distinguishability(ghz, 0.5)
+        assert again is rho and again.matrix.tobytes() == want
 
     def test_memoised_projectors_are_read_only_and_built_once(self):
         ghz, _ = ghz_after_postselection(APP)

@@ -26,6 +26,7 @@ import pytest
 
 import fourphoton
 from fourphoton import (
+    Apparatus,
     DelayElement,
     DensityMatrix,
     MeasurementSetting,
@@ -60,20 +61,24 @@ RHO_14 = phi_plus_via_45_coincidence(RHO).conditioned_state_14
 PAIR = bell_state("phi+", 1, 2, ("a", "b"))
 
 
-class OneTerm(Mapping):
-    """The one-term mapping {key: 1}, whose key may be unhashable, as a dict's cannot."""
+class Pairs(Mapping):
+    """The mapping of (key, value) `pairs`, whose keys may be unhashable, as a
+    dict's cannot; a key is looked up by identity."""
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self, *pairs):
+        self.pairs = pairs
 
     def __getitem__(self, key):
-        return 1
+        for k, value in self.pairs:
+            if k is key:
+                return value
+        raise KeyError(key)
 
     def __iter__(self):
-        return iter([self.key])
+        return (k for k, _ in self.pairs)
 
     def __len__(self):
-        return 1
+        return len(self.pairs)
 
 
 # the public callables by name: the package's functions and classes, but no
@@ -139,9 +144,21 @@ REACH_IN = {
     "mix.state": lambda x: mix([(1.0, x)]),
     "state_from_terms.amplitude": lambda x: state_from_terms([1, 2], ["a", "b"], {"HV": x, "VH": 0.5}),
     "state_from_terms.photon": lambda x: state_from_terms([x, 2], ["a", "b"], {"HV": 1, "VH": 1}),
-    "state_from_terms.key": lambda x: state_from_terms([1, 2], ["a", "b"], OneTerm(x)),
-    "PureState.ket": lambda x: PureState([1], OneTerm(x)),
-    "PureState.slot": lambda x: PureState([1], OneTerm((x,))),
+    "state_from_terms.key": lambda x: state_from_terms([1, 2], ["a", "b"], Pairs((x, 1))),
+    "PureState.ket": lambda x: PureState([1], Pairs((x, 1))),
+    "PureState.slot": lambda x: PureState([1], Pairs(((x,), 1))),
+    "PureState.mode_view.mode": lambda x: PAIR.mode_view([x, "b"]),
+    "PureState.dense.mode": lambda x: PAIR.dense([x, "b"]),
+    "visibility_from_counts.parity_key": lambda x: visibility_from_counts({"e": 1}, [x], []),
+    "Apparatus.detector_id": lambda x: hv_setting(Apparatus(APP.sources, APP.pbs, Pairs(
+        (x, "1"), ("D2", "2'"), ("D3", "3'"), ("D4", "4")))),
+    # the swap chain's memo keys: d and v0 as 0-d arrays, a pair mode inside a list
+    "dephase_by_distinguishability.0-d d":
+        lambda x: dephase_by_distinguishability(GHZ, np.array(x), 0.79),
+    "dephase_by_distinguishability.0-d v0":
+        lambda x: dephase_by_distinguishability(GHZ, 1.0, np.array(x)),
+    "phi_plus_via_45_coincidence.nested_mode":
+        lambda x: phi_plus_via_45_coincidence(RHO, [[x], "3'"]),
 }
 
 # name -> a call that takes the hostile value in one argument or inside one

@@ -8,7 +8,8 @@ only tests pass, is on an explicit keep-list with its reason. No functools
 memo of the package grows with calls: every `lru_cache` has an integer
 `maxsize`, and `functools.cache` wraps only functions of no parameters. No
 type test of an argument is written by hand: `states.check_type` alone holds
-an `if not isinstance(...)` that raises.
+an `if not isinstance(...)` that raises. The classes that the swap chain's
+memos key by identity define no value equality.
 """
 
 import ast
@@ -261,6 +262,28 @@ def isinstance_rejections(source: str) -> list[int]:
     return sorted(lines)
 
 
+# the classes that a memo keys by identity: a value `__eq__` or `__hash__`
+# would make two equal objects share an entry, and cost a comparison per lookup
+IDENTITY_KEYED = ("PureState", "DensityMatrix")
+
+
+def value_equality(source: str) -> dict[str, list[str]]:
+    """Per `IDENTITY_KEYED` class defined in `source`: each base it names, and
+    each `__eq__` or `__hash__` it defines or assigns, none of which it may have."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name in IDENTITY_KEYED:
+            defined = []
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    defined.append(stmt.name)
+                elif isinstance(stmt, ast.Assign):
+                    defined += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            found[node.name] = [ast.unparse(base) for base in node.bases] + [
+                name for name in defined if name in ("__eq__", "__hash__")]
+    return found
+
+
 class TestRules:
     """The rules themselves catch what they are for."""
 
@@ -344,6 +367,15 @@ class TestRules:
         )
         assert unbounded_caches(source) == [7, 9, 11, 13, 17, 20, 21, 23]
 
+    def test_value_equality_found(self):
+        source = (
+            "class PureState(Base):\n    __hash__ = None\n"
+            "class DensityMatrix:\n    __slots__ = ()\n    def __eq__(self, other): pass\n"
+            "class Other:\n    def __eq__(self, other): pass\n"
+        )
+        assert value_equality(source) == {"PureState": ["Base", "__hash__"],
+                                          "DensityMatrix": ["__eq__"]}
+
     def test_isinstance_rejection_found(self):
         source = (
             "def check_type(value, kind, message):\n"
@@ -424,3 +456,8 @@ def test_no_orphaned_private_definition():
         if name not in referenced
     ]
     assert orphans == []
+
+
+def test_identity_keyed_classes_have_no_value_equality():
+    found = value_equality((SRC / "states.py").read_text())
+    assert found == {name: [] for name in IDENTITY_KEYED}

@@ -113,6 +113,46 @@ class TestImmutablePureState:
             again.amps = {}
 
 
+class TestImmutableDensityMatrix:
+    """A memo may return a DensityMatrix: nothing of one can be changed, and it
+    neither aliases nor freezes the caller's array."""
+
+    @staticmethod
+    def caller_matrix():
+        # -0.0 imaginary parts on the diagonal, and Fortran order, both kept
+        v = np.array([1.0, 1j, -1.0, 0.5j]) / math.sqrt(3.25)
+        return np.asfortranarray(np.outer(v, v.conj()) - 0j)
+
+    def test_caller_array_stays_writable_and_unaliased(self):
+        m = self.caller_matrix()
+        want = m.tobytes()
+        rho = DensityMatrix(["1", "2"], m)
+        assert m.flags.writeable and not rho.matrix.flags.writeable
+        assert not np.shares_memory(m, rho.matrix)
+        m[:] = 7.0
+        assert rho.matrix.tobytes() == want
+
+    @pytest.mark.parametrize("name", ["matrix", "modes", "extra"])
+    def test_attributes_cannot_be_rebound(self, name):
+        rho = DensityMatrix(["1"], np.eye(2) / 2)
+        with pytest.raises(AttributeError):
+            setattr(rho, name, np.eye(2) / 2)
+        with pytest.raises(AttributeError):
+            delattr(rho, name)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_pickle_round_trip_keeps_every_bit(self):
+        m = self.caller_matrix()
+        rho = DensityMatrix(["1", "2"], m)
+        again = pickle.loads(pickle.dumps(rho))
+        assert again.modes == rho.modes == ("1", "2")
+        assert again.matrix.tobytes() == rho.matrix.tobytes() == m.tobytes()
+        assert again.matrix.flags.f_contiguous and not again.matrix.flags.writeable
+        with pytest.raises(AttributeError):
+            again.matrix = m
+
+
 class TestAmplitudes:
     @pytest.mark.parametrize("amp", [
         # not dropped as below PRUNE_TOL, nor a state of NaNs

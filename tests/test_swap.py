@@ -1,13 +1,14 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourphoton import swap
+from fourphoton import elements, swap
 from fourphoton import (
     DelayElement,
     DensityMatrix,
@@ -37,6 +38,12 @@ import oracle
 S2 = 1 / math.sqrt(2)
 MODES = ["1", "2'", "3'", "4"]
 GHZ_HVVH = state_from_terms([1, 2, 3, 4], MODES, {"HVVH": S2, "VHHV": S2}, normalize=False)
+
+
+def condition(rho, pair_modes, effect):
+    """The library's one conditioning step on the pair in `pair_modes`, through
+    its checks and without the memo of the 45-degree coincidences."""
+    return swap._condition(rho, swap._pair_positions(rho, pair_modes), effect)
 
 
 def two_pair_state():
@@ -257,7 +264,7 @@ class TestOperationalPhiPlus:
         for v1, v2 in ((plus, minus), (minus, plus)):
             v = np.kron(v1, v2)
             kraus.append(np.outer(v, v.conj()))
-        res = swap._condition(rho, ("2'", "3'"), swap._effect(kraus))
+        res = condition(rho, ("2'", "3'"), swap._effect(kraus))
         phi_minus = bell_state("phi-", 1, 4, modes=("1", "4"))
         from fourphoton import fidelity
 
@@ -309,12 +316,12 @@ class TestPairPlacement:
             for terms in self.BELL.values():
                 v = oracle.dense_from_terms(terms, 2)
                 kraus = [np.outer(v, v.conj())]
-                self.check(swap._condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
+                self.check(condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
             # Bell and same-angle projectors are symmetric under exchange of
             # the pair; a +45/-45 coincidence is not, so it pins the order
             v = np.kron(plus, minus)
             kraus = [np.outer(v, v.conj())]
-            self.check(swap._condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
+            self.check(condition(dm, pair, swap._effect(kraus)), rho, pair, kraus)
 
     def test_remaining_photons_not_a_pair(self):
         rho = mix([(1.0, state_from_terms([1, 2, 3], ["1", "2'", "3'"], {"HVV": S2, "VHH": S2}))])
@@ -513,7 +520,7 @@ def ref_bell_projector(kind):
 def bell_projection(rho, pair_modes, kind):
     """The abstract Bell projection of a pair, through the library's one
     conditioning step."""
-    return swap._condition(rho, pair_modes, swap._effect([ref_bell_projector(kind)]))
+    return condition(rho, pair_modes, swap._effect([ref_bell_projector(kind)]))
 
 
 def chsh_correlation(rho, angle_a, angle_b):
@@ -596,6 +603,7 @@ class TestFixedOperators:
         default = chsh_value(pair)
         after_default = chsh_value(pair, others)
         swap._chsh_observables.cache_clear()
+        swap._chsh.cache_clear()
         assert after_default == chsh_value(pair, others) == ref_chsh(pair, others)
         assert default == chsh_value(pair) == ref_chsh(pair, swap.CHSH_PHI_PLUS_SETTINGS)
         assert chsh_value(pair, [[10.0, 100.0], [33.0, 170.0]]) == after_default
@@ -639,7 +647,7 @@ class TestEffectMatchesKrausSum:
         for rho in (dephase_by_distinguishability(GHZ, d, v0), DensityMatrix(MODES, dense)):
             for pair in itertools.permutations(MODES, 2):
                 runs = [(lambda: phi_plus_via_45_coincidence(rho, pair), ref_kraus_45()),
-                        (lambda: swap._condition(rho, pair, swap._effect(asymmetric)), asymmetric)]
+                        (lambda: condition(rho, pair, swap._effect(asymmetric)), asymmetric)]
                 runs += [(lambda kind=kind: bell_projection(rho, pair, kind),
                           [ref_bell_projector(kind)]) for kind in BELL_KINDS]
                 for call, kraus in runs:
@@ -652,3 +660,84 @@ class TestEffectMatchesKrausSum:
                     assert np.max(np.abs(res.conditioned_state_14.matrix - m)) < 1e-12
                     assert abs(res.projection_probability - prob) < 1e-12
                     assert abs(res.fidelity_to_target - f) < 1e-12
+
+
+def clear_chain_memos():
+    for memo in (elements._dephased, swap._coincidence_45, swap._chsh):
+        memo.cache_clear()
+
+
+def chain(d, v0):
+    """The swap chain's three memoised steps: dephase, phi+, CHSH."""
+    rho = dephase_by_distinguishability(GHZ, d, v0)
+    res = phi_plus_via_45_coincidence(rho)
+    return rho, res, chsh_value(res.conditioned_state_14)
+
+
+def chain_bits(rho, res, chsh):
+    floats = (res.projection_probability, res.fidelity_to_target, res.visibility_45, chsh)
+    return rho.matrix.tobytes(), res.conditioned_state_14.matrix.tobytes(), *map(float.hex, floats)
+
+
+# values that key the memo alike, since each reads as the same float
+EQUAL_KEYS = [
+    [0.0, -0.0, 0, np.float64(-0.0), np.array(0.0), Fraction(0)],
+    [0.5, np.float64(0.5), np.array(0.5), Fraction(1, 2)],
+    [1.0, 1, np.float64(1.0), np.array(1.0), Fraction(1)],  # with the other at 1: pure
+]
+KEY_ORDERS = [pytest.param(first, then, id=f"{type(first).__name__}({first})-{type(then).__name__}({then})")
+              for group in EQUAL_KEYS for first, then in itertools.permutations(group, 2)]
+
+
+class TestChainMemo:
+    """The three steps of the swap chain are memoised on their checked
+    arguments, with the state or density matrix by identity, which cannot
+    change. A hit returns the same object that a fresh build would equal."""
+
+    @pytest.mark.parametrize("which", ["d", "v0"])
+    @pytest.mark.parametrize("first, then", KEY_ORDERS)
+    def test_hit_equals_fresh_build_bit_for_bit(self, which, first, then):
+        def call(x):
+            return chain(x, 1.0) if which == "d" else chain(1.0, x)
+
+        clear_chain_memos()
+        stored = call(first)
+        hit = call(then)
+        assert all(h is s for h, s in zip(hit, stored[:2]))  # the same rho and SwapResult
+        clear_chain_memos()
+        assert chain_bits(*hit) == chain_bits(*call(then))
+
+    def test_first_value_rebuilt_after_eviction(self):
+        clear_chain_memos()
+        first = chain(0.5, 0.79)
+        for k in range(64):  # 65 distinct d in all, one more than each memo holds
+            chain((k + 0.5) / 100, 0.79)
+        for memo in (elements._dephased, swap._coincidence_45, swap._chsh):
+            assert memo.cache_info().currsize == 64
+        again = chain(0.5, 0.79)
+        assert again[0] is not first[0] and chain_bits(*again) == chain_bits(*first)
+
+    def test_checks_run_before_every_lookup(self):
+        clear_chain_memos()
+        rho, res, _ = chain(0.5, 0.79)
+        for bad in (1.2, math.nan, "0.5", True):
+            with pytest.raises(StateError):
+                dephase_by_distinguishability(GHZ, bad, 0.79)
+            with pytest.raises(StateError):
+                dephase_by_distinguishability(GHZ, 0.5, bad)
+        with pytest.raises(StateError):
+            phi_plus_via_45_coincidence(rho, ("2'", "x"))
+        with pytest.raises(StateError):
+            chsh_value(res.conditioned_state_14, ((0.0, 180.0), (22.5, 67.5)))
+        # a failed call stores nothing
+        assert [m.cache_info().currsize for m in
+                (elements._dephased, swap._coincidence_45, swap._chsh)] == [1, 1, 1]
+
+    def test_zero_probability_projection_is_not_memoised(self):
+        # no +45/+45 or -45/-45 coincidence from |+45>|-45> on the pair
+        state = state_from_terms([1, 2, 3, 4], MODES,
+                                 {"HHHH": 0.5, "HHVH": -0.5, "HVHH": 0.5, "HVVH": -0.5})
+        rho = mix([(1.0, state)])
+        for _ in range(2):
+            with pytest.raises(PostselectionError):
+                phi_plus_via_45_coincidence(rho)
