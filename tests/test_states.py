@@ -121,7 +121,9 @@ class TestImmutableDensityMatrix:
     def caller_matrix():
         # -0.0 imaginary parts on the diagonal, and Fortran order, both kept
         v = np.array([1.0, 1j, -1.0, 0.5j]) / math.sqrt(3.25)
-        return np.asfortranarray(np.outer(v, v.conj()) - 0j)
+        m = np.asfortranarray(np.outer(v, v.conj()))
+        m.imag[np.diag_indices(4)] = -0.0
+        return m
 
     def test_caller_array_stays_writable_and_unaliased(self):
         m = self.caller_matrix()
@@ -148,6 +150,7 @@ class TestImmutableDensityMatrix:
         again = pickle.loads(pickle.dumps(rho))
         assert again.modes == rho.modes == ("1", "2")
         assert again.matrix.tobytes() == rho.matrix.tobytes() == m.tobytes()
+        assert np.signbit(again.matrix.imag.diagonal()).all()
         assert again.matrix.flags.f_contiguous and not again.matrix.flags.writeable
         with pytest.raises(AttributeError):
             again.matrix = m

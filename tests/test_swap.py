@@ -685,8 +685,10 @@ EQUAL_KEYS = [
     [0.5, np.float64(0.5), np.array(0.5), Fraction(1, 2)],
     [1.0, 1, np.float64(1.0), np.array(1.0), Fraction(1)],  # with the other at 1: pure
 ]
-KEY_ORDERS = [pytest.param(first, then, id=f"{type(first).__name__}({first})-{type(then).__name__}({then})")
-              for group in EQUAL_KEYS for first, then in itertools.permutations(group, 2)]
+KEY_ORDERS = [
+    pytest.param(first, then, id=f"{type(first).__name__}({first})-{type(then).__name__}({then})")
+    for group in EQUAL_KEYS for first, then in itertools.permutations(group, 2)
+]
 
 
 class TestChainMemo:
