@@ -114,13 +114,14 @@ def dephase_by_distinguishability(
     """
     check_type(state_after_pbs, PureState, "state {} is not a PureState")
     _, p_psi, p_phi = state_after_pbs.dephasing_projectors()
-    dephasing_components(p_psi, p_phi, d, v0)  # its checks, before d and v0 key the memo
-    return _dephased(state_after_pbs, float(d), float(v0))
+    components = dephasing_components(p_psi, p_phi, d, v0)  # its checks, before the memo
+    return _dephased(state_after_pbs, *[float(w) for w, _ in components])
 
 
 @functools.lru_cache(maxsize=64)
-def _dephased(state: PureState, d: float, v0: float) -> DensityMatrix:
-    """`dephase_by_distinguishability` at checked floats d and v0: neither the
-    state, a key by identity, nor the `DensityMatrix` returned can change."""
+def _dephased(state: PureState, *weights: float) -> DensityMatrix:
+    """`dephase_by_distinguishability` at the weights `dephasing_components` gave, as
+    floats: a weight of any number type scales the projectors as its float does.
+    Neither the state, a key by identity, nor the `DensityMatrix` returned can change."""
     modes, p_psi, p_phi = state.dephasing_projectors()
-    return density_matrix(modes, dephasing_components(p_psi, p_phi, d, v0))
+    return density_matrix(modes, zip(weights, (p_psi, p_phi)))

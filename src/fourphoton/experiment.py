@@ -84,8 +84,8 @@ class Apparatus:
             for s in read_sequence(self.sources, "sources {} are not a sequence of PairSources")))
         check_type(self.pbs, PbsElement, "pbs {} is not a PbsElement")
         detectors = check_type(self.detectors, Mapping, "detectors {} are not a mapping to modes")
-        if not all(isinstance(i, str) for i in detectors):  # ordered by `detector_ids`
-            raise StateError(f"detector ids {show(list(detectors))} are not all strings")
+        for i in detectors:  # ordered by `detector_ids`
+            check_type(i, str, "detector id {} is not a string")
         object.__setattr__(self, "detectors", MappingProxyType(dict(detectors)))
         # routing pattern -> its compiled entry or None; see `_compiled_pattern`
         object.__setattr__(self, "_compiled", {})

@@ -393,9 +393,9 @@ class DensityMatrix:
     def _own(self, modes: tuple, matrix: np.ndarray) -> DensityMatrix:
         """Freeze and `validate` `matrix`, a complex array of the right shape that nothing
         else holds: every constructor ends here, and the package's builders start here."""
-        matrix.setflags(write=False)
+        matrix.setflags(write=False)  # and kept as a view, which numpy never makes writable again
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", matrix.view())
         self.validate()
         return self
 

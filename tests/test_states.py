@@ -144,6 +144,16 @@ class TestImmutableDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(["1"], np.eye(2) / 2),
+        lambda: mix([(1.0, bell_state("phi+", 1, 2))]),  # built by `density_matrix`
+    ], ids=["constructor", "density_matrix"])
+    def test_matrix_cannot_be_made_writable_again(self, build):
+        rho = build()
+        with pytest.raises(ValueError):
+            rho.matrix.setflags(write=True)
+        assert not rho.matrix.flags.writeable
+
     def test_pickle_round_trip_keeps_every_bit(self):
         m = self.caller_matrix()
         rho = DensityMatrix(["1", "2"], m)

@@ -31,7 +31,7 @@ from fourphoton import (
     tensor,
     visibility_from_counts,
 )
-from fourphoton.states import BELL_KINDS, analyzer_matrix
+from fourphoton.states import BELL_KINDS, analyzer_matrix, density_matrix
 
 import oracle
 
@@ -708,6 +708,20 @@ class TestChainMemo:
         assert all(h is s for h, s in zip(hit, stored[:2]))  # the same rho and SwapResult
         clear_chain_memos()
         assert chain_bits(*hit) == chain_bits(*call(then))
+
+    @pytest.mark.parametrize("d, v0", [
+        (np.float32(0.3), 0.79), (0.3, np.float32(0.79)), (np.float32(0.3), np.float32(0.79)),
+    ], ids=["float32 d", "float32 v0", "float32 both"])
+    def test_weights_keep_the_callers_number_type(self, d, v0):
+        # the weights are computed from the caller's values and only then read as
+        # floats, so a float32 d or v0 weighs as unmemoised, not as float(d) would
+        modes, p_psi, p_phi = GHZ.dephasing_projectors()
+        unmemoised = density_matrix(modes, elements.dephasing_components(p_psi, p_phi, d, v0))
+        as_floats = dephase_by_distinguishability(GHZ, float(d), float(v0))
+        assert as_floats.matrix.tobytes() != unmemoised.matrix.tobytes()
+        for _ in range(2):  # the miss, then the hit
+            rho = dephase_by_distinguishability(GHZ, d, v0)
+            assert rho.matrix.tobytes() == unmemoised.matrix.tobytes()
 
     def test_first_value_rebuilt_after_eviction(self):
         clear_chain_memos()
