@@ -21,7 +21,9 @@ shows as added or removed. The corpus is fixed here, seeds included:
   of --print-default-config;
 - exact: random `exact_outcome_probabilities` calls (None angles, PBS errors,
   d*v0 = 1) and the post-selected and three-photon states, on relabelled,
-  re-listed and permuted layouts;
+  re-listed and permuted layouts; and on the default layout, fixed angles 0,
+  22.5, 45, 67.5, 90, 135, 5e-324 and the float below 180, under an ideal
+  PBS and a PBS error, with a pure and a mixed channel;
 - delay_scan: seeded count tables;
 - chain: dephase -> phi+ via 45-degree coincidences -> CHSH, and on random
   dense rho the coincidences at the pair ("1", "3'");
@@ -55,6 +57,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -133,6 +136,19 @@ def _exact_family(fp, np):
             yield label, partial(_outcome, lambda: list(fp.exact_outcome_probabilities(
                 app, setting, delay=fp.DelayElement(tau), v0=v0, pbs_error=pbs_error
             ).items()))
+    # fixed angles where cos or sin is exact, zero or tiny: all four detectors at
+    # one angle, and four consecutive ones of the list, cyclically
+    app = fp.default_apparatus()
+    special = [0.0, 22.5, 45.0, 67.5, 90.0, 135.0, 5e-324, math.nextafter(180.0, 0.0)]
+    for i, a in enumerate(special):
+        for angles in ([a] * 4, [special[(i + k) % len(special)] for k in range(4)]):
+            setting = fp.MeasurementSetting(dict(zip(app.detector_ids(), angles)))
+            channels = ((0.0, 1.0), (300.0, 0.79))  # (tau, v0): pure, then mixed
+            for pbs_error, (tau, v0) in itertools.product((None, 0.01), channels):
+                label = f"special: angles={angles} tau={tau} v0={v0} pbs_error={pbs_error}"
+                yield label, partial(_outcome, lambda: list(fp.exact_outcome_probabilities(
+                    app, setting, delay=fp.DelayElement(tau), v0=v0, pbs_error=pbs_error
+                ).items()))
 
 
 def _delay_scan_family(fp, np):
