@@ -42,13 +42,12 @@ from .states import (
     check_type,
     dephasing_partner,
     is_photon_pair,
-    kron,
     read_sequence,
     show,
     spdc_pair,
     state_from_terms,
     tensor,
-    unchecked_analyzer_matrix,
+    unchecked_analyzer_product,
 )
 
 
@@ -269,10 +268,12 @@ def _outcome_rows(
     component v of the compiled `entries` in order: K is the 16x16 Kronecker
     product of the 2x2 analyzers, ((A1 x A2) x A3) x A4, at the four `angles`
     in detector order, each a `check_angle` key, or None for a missing angle
-    (0 degrees, labelled "+"/"-"). A `pure` channel (d*v0 >= 1) keeps only
-    the psi vectors, because numpy rounds a product of fewer rows differently."""
+    (0 degrees, labelled "+"/"-"). A miss builds K with `unchecked_analyzer_product`
+    from 16 magnitudes and a fixed sign table, the bytes of the chain of `kron`s.
+    A `pure` channel (d*v0 >= 1) keeps only the psi vectors, because numpy
+    rounds a product of fewer rows differently."""
     keys = _outcome_keys(*map(MeasurementSetting.labels, angles))
-    product = reduce(kron, [unchecked_analyzer_matrix(0.0 if a is None else a) for a in angles])
+    product = unchecked_analyzer_product([0.0 if a is None else a for a in angles])
     # the vectors that `dephasing_components` returns, in its order: psi, and
     # phi unless the channel is pure or the pattern has one branch
     vectors = []
@@ -280,7 +281,7 @@ def _outcome_rows(
         vectors.append(psi)
         if phi is not None and not pure:
             vectors.append(phi)
-    rows = np.abs(np.stack(vectors) @ product.T) ** 2
+    rows = np.abs(np.array(vectors) @ product.T) ** 2
     rows.setflags(write=False)
     return keys, rows
 

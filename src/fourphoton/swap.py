@@ -36,6 +36,7 @@ _BELL_VECS = {k: bell_state(k, 1, 2).dense(("1", "2")) for k in BELL_KINDS}
 _BELL_BRAS = np.stack(list(_BELL_VECS.values())).conj()
 for _v in (*_BELL_VECS.values(), _BELL_BRAS):
     _v.setflags(write=False)
+del _v
 
 
 def _effect(kraus_ops) -> np.ndarray:

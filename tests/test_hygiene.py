@@ -9,14 +9,19 @@ memo of the package grows with calls: every `lru_cache` has an integer
 `maxsize`, and `functools.cache` wraps only functions of no parameters. No
 type test of an argument is written by hand: `states.check_type` alone holds
 an `if not isinstance(...)` that raises. The classes that the swap chain's
-memos key by identity define no value equality.
+memos key by identity define no value equality. One rule imports the package
+rather than parse it: every module-level numpy array is read-only, as is every
+array in a module-level mapping or tuple.
 """
 
 import ast
+import importlib
 import math
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -284,6 +289,22 @@ def value_equality(source: str) -> dict[str, list[str]]:
     return found
 
 
+def writable_arrays(namespace: Mapping) -> list[str]:
+    """The writable numpy arrays among the values of `namespace`, a module's
+    globals, and among the values of the mappings and tuples it holds, named
+    as `name`, `name[key]` or `name[index]`."""
+    found = []
+    for name, value in namespace.items():
+        if isinstance(value, Mapping):
+            items = [(f"{name}[{key!r}]", v) for key, v in value.items()]
+        elif isinstance(value, tuple):
+            items = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            items = [(name, value)]
+        found += [label for label, v in items if isinstance(v, np.ndarray) and v.flags.writeable]
+    return found
+
+
 class TestRules:
     """The rules themselves catch what they are for."""
 
@@ -376,6 +397,13 @@ class TestRules:
         assert value_equality(source) == {"PureState": ["Base", "__hash__"],
                                           "DensityMatrix": ["__eq__"]}
 
+    def test_writable_module_array_found(self):
+        frozen = np.zeros(2)
+        frozen.setflags(write=False)
+        namespace = {"A": np.zeros(2), "B": frozen, "C": 1.0,
+                     "D": {"k": np.zeros(2), "f": frozen}, "T": (frozen, np.ones(1))}
+        assert writable_arrays(namespace) == ["A", "D['k']", "T[1]"]
+
     def test_isinstance_rejection_found(self):
         source = (
             "def check_type(value, kind, message):\n"
@@ -461,3 +489,10 @@ def test_no_orphaned_private_definition():
 def test_identity_keyed_classes_have_no_value_equality():
     found = value_equality((SRC / "states.py").read_text())
     assert found == {name: [] for name in IDENTITY_KEYED}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_arrays_are_read_only(module):
+    # a module array is shared by every call: one caller's write would reach them all
+    name = "fourphoton" if module.stem == "__init__" else f"fourphoton.{module.stem}"
+    assert writable_arrays(vars(importlib.import_module(name))) == []

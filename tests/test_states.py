@@ -4,6 +4,7 @@ import pickle
 import re
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,7 +23,16 @@ from fourphoton import (
     state_from_terms,
     tensor,
 )
-from fourphoton.states import NORM_TOL, analyzer_matrix, as_number, kron, show
+from fourphoton.states import (
+    NORM_TOL,
+    analyzer_matrix,
+    as_number,
+    density_matrix,
+    kron,
+    show,
+    unchecked_analyzer_matrix,
+    unchecked_analyzer_product,
+)
 
 import oracle
 
@@ -384,6 +394,32 @@ class TestAnalyzerMatrix:
             assert np.max(np.abs(m[1] - oracle.analyzer_ket(angle, "reject"))) <= 1e-15
 
 
+class TestAnalyzerProduct:
+    """`unchecked_analyzer_product` is the chain of `kron`s of the four analyzers
+    byte for byte: the same roundings in the same order, and the same signs,
+    those of zeros included, in the same C-ordered float64 layout."""
+
+    SPECIAL = [0.0, 22.5, 45.0, 67.5, 90.0, 135.0, 179.999, 1e-300, 5e-324,
+               math.nextafter(180.0, 0.0)]
+
+    @staticmethod
+    def assert_chain_bytes(angles):
+        product = unchecked_analyzer_product(angles)
+        chain = reduce(kron, map(unchecked_analyzer_matrix, angles))
+        assert product.dtype == np.float64 and product.flags.c_contiguous
+        assert product.tobytes() == chain.tobytes(), angles
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            self.assert_chain_bytes(rng.uniform(0, 180, 4).tolist())
+
+    def test_special_angles(self):
+        # exact, zero and subnormal cos and sin, and every sign of zero they give
+        for angles in itertools.product(self.SPECIAL, repeat=4):
+            self.assert_chain_bytes(list(angles))
+
+
 class TestMixAndFidelity:
     def ghz_pair(self):
         modes = ["1", "2", "3", "4"]
@@ -526,6 +562,21 @@ class TestDensityMatrixValidation:
         m = np.array([[0.5, 0.75], [0.75, 0.5]], dtype=complex)
         with pytest.raises(StateError, match="negative eigenvalue"):
             DensityMatrix(["1"], m)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix(["1", "2", "1", "2"], np.eye(16) / 16),
+        lambda: DensityMatrix(("1", "1", "3", "4"), np.eye(16) / 16),
+        lambda: density_matrix(["1", "1", "3", "4"], [(1.0, np.eye(16) / 16)]),
+    ], ids=["DensityMatrix-1212", "DensityMatrix-1134", "density_matrix-1134"])
+    def test_repeated_mode_named(self, build):
+        # each mode names one qubit: the swap chain's positions would be ambiguous
+        named = r"^modes \('1', '[12]', '[13]', '[24]'\) repeat a mode$"
+        with pytest.raises(StateError, match=named):
+            build()
+
+    def test_unhashable_mode_named(self):
+        with pytest.raises(StateError, match="are not a sequence of mode tags"):
+            DensityMatrix([["1"], "2"], np.eye(4) / 4)
 
     def test_trace_tolerance_is_norm_tol(self):
         m = np.eye(2, dtype=complex) / 2
