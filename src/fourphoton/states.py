@@ -376,8 +376,7 @@ def unchecked_analyzer_matrix(angle: float) -> np.ndarray:
     """`analyzer_matrix` of a float that `check_angle` returned: a cache's
     builder, whose key was checked once already."""
     c, s = _cos_sin(angle)
-    # filled entry by entry: a third cheaper than converting a nested list,
-    # which a cache miss of four fresh angles pays four times
+    # filled entry by entry: a third cheaper than converting a nested list
     m = np.empty((2, 2))
     m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, s, s, -c
     return m
