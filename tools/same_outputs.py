@@ -24,7 +24,9 @@ shows as added or removed. The corpus is fixed here, seeds included:
   re-listed and permuted layouts; and on the default layout, fixed angles 0,
   22.5, 45, 67.5, 90, 135, 5e-324 and the float below 180, under an ideal
   PBS and a PBS error, with a pure and a mixed channel;
-- delay_scan: seeded count tables;
+- delay_scan: seeded count tables at seeds 0-59 on random scans, and at
+  seeds 0, 2**32, 2**64+5, 2**96, 10**30 and 10**5000 on diagonal scans of
+  1, 2 and 100 points;
 - chain: dephase -> phi+ via 45-degree coincidences -> CHSH, and on random
   dense rho the coincidences at the pair ("1", "3'");
 - bell_decompose: the source states and random four-photon states;
@@ -165,6 +167,18 @@ def _delay_scan_family(fp, np):
         yield label, partial(_outcome, lambda: [
             (tau, sorted(t.counts.items()))
             for tau, t in fp.delay_scan(app, setting, delays, rates, time, seed, v0=v0)
+        ])
+    # seeds of one to 520 entropy words (2**96 and wider reach numpy's mixing
+    # beyond its 4-word pool), each on grids of 1, 2 and 100 points
+    app = fp.default_apparatus()
+    setting = fp.diagonal_setting(app)
+    for (name, seed), n in itertools.product(
+            [("0", 0), ("2**32", 2**32), ("2**64+5", 2**64 + 5), ("2**96", 2**96),
+             ("10**30", 10**30), ("10**5000", 10**5000)], (1, 2, 100)):
+        delays = [float(x) for x in np.linspace(-1500, 1500, n)]
+        yield f"fixed seed {name}: diagonal, points={n}", partial(_outcome, lambda: [
+            (tau, sorted(t.counts.items()))
+            for tau, t in fp.delay_scan(app, setting, delays, fp.RateModel(), 6000.0, seed)
         ])
 
 
