@@ -892,6 +892,29 @@ class TestDelayScan:
         monkeypatch.setattr(experiment, "_exact_model", None)
         assert delay_scan(APP, diagonal_setting(APP), [], RateModel(), -1.0, seed=1) == []
 
+    def test_empty_scan_checks_no_seed(self):
+        assert delay_scan(APP, diagonal_setting(APP), [], RateModel(), 1.0, seed=-1) == []
+
+    @pytest.mark.parametrize("args, message", [
+        ({"delays": [math.nan], "seed": -1}, "seed -1 must be nonnegative"),
+        ({"delays": [math.nan], "seed": 1.5}, "seed 1.5 must be an integer"),
+        ({"setting": "x", "rates": None}, "setting 'x' is not a MeasurementSetting"),
+        ({"setting": MeasurementSetting({"D1": 400.0}), "rates": None}, "analyzer angle"),
+        ({"v0": 2.0, "rates": None}, "zero-delay visibility 2.0 outside [0, 1]"),
+        ({"delays": [0.0, 1.0, 2.0, math.nan], "rates": None}, "rates None is not a RateModel"),
+        ({"delays": [math.nan, 1.0], "time": -1.0}, "delay nan fs is not finite"),
+        ({"delays": [0.0, math.nan], "time": -1.0}, "integration time -1.0 s"),
+    ], ids=["seed<delay", "seed type<delay", "setting<rates", "angle<rates", "v0<rates",
+            "rates<later delay", "first delay<time", "time<later delay"])
+    def test_first_failing_check_reported(self, args, message):
+        # the order of a per-point loop: the seed, then per point its delay; at the
+        # first point, after its delay, the time, the model, v0 and the rates
+        call = {"setting": diagonal_setting(APP), "delays": [0.0, 100.0], "rates": RateModel(),
+                "time": 1.0, "seed": 1, "v0": 0.79, **args}
+        with pytest.raises(StateError, match=re.escape(message)):
+            delay_scan(APP, call["setting"], call["delays"], call["rates"], call["time"],
+                       call["seed"], v0=call["v0"])
+
     def test_beyond_float_coherence_time_rejected(self):
         # not an OverflowError from the delay / coherence time division
         with pytest.raises(StateError, match="coherence time"):
