@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from numbers import Integral
@@ -395,8 +395,15 @@ def draw_counts(
     _check_seed(seed)
     check_type(rates, RateModel, "rates {} is not a RateModel")
     check_type(probs, Mapping, "probabilities {} are not a mapping of outcomes")
+    return _draw(probs, rates, integration_time, np.random.default_rng(seed))
+
+
+def _draw(
+    probs: Mapping[str, float], rates: RateModel, integration_time: float,
+    rng: np.random.Generator,
+) -> CountTable:
+    """`draw_counts` from `rng`, once the time, rates and mapping are checked."""
     rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
-    rng = np.random.default_rng(seed)
     counts = {}
     for key, p in probs.items():
         # `as_number` returns a real number itself and anything else as NaN,
@@ -440,6 +447,106 @@ def derive_point_seed(seed: int, point_index: int) -> int:
     return int(np.random.SeedSequence([seed, point_index]).generate_state(1)[0])
 
 
+# numpy's SeedSequence hash (NEP 19) on 32-bit words: the two hash-constant
+# recurrences and the two mix multipliers; each step ends in a 16-bit xor-shift
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _lanes_pool(entropy: list[int], ones: int) -> list[int]:
+    """SeedSequence's pool of 4 words mixed from the words of `entropy`, on n
+    seeds at once: each word is an int of n 64-bit lanes, each lane holding
+    one seed's 32-bit word, and `ones` is 1 in every lane.
+
+    A product of two 32-bit values fits in its lane, so a multiply, xor, shift
+    and mask each act lane by lane, once the mask clears what a right shift
+    brings down from the lane above."""
+    mask = _M32 * ones
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const * ones
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & mask
+        return (value ^ value >> 16) & mask
+
+    def mix_pair(x: int, y: int) -> int:
+        # L*x - R*y as (L*x mod 2**32) + (2**32 - R)*y: no lane borrows, and the
+        # sum stays below 2**64, so none carries
+        value = (_MIX_L * x & mask) + (2**32 - _MIX_R) * y & mask
+        return (value ^ value >> 16) & mask
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix_pair(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix_pair(pool[dst], hashmix(word))
+    return pool
+
+
+def _lanes_state(pool: list[int], n_words: int, ones: int) -> list[int]:
+    """SeedSequence's `generate_state(n_words)` of each lane of `pool`, as
+    lanes of 32-bit words."""
+    mask = _M32 * ones
+    hash_const = _INIT_B
+    out = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ hash_const * ones
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & mask
+        out.append((value ^ value >> 16) & mask)
+    return out
+
+
+def _point_seeding(seed: int, n: int) -> tuple[int, list[dict]]:
+    """For the n points of a scan at once: point 0's seed `derive_point_seed(seed, 0)`,
+    and each point's PCG64 state as `np.random.default_rng(derive_point_seed(seed, i))`
+    starts it, in the form of `bit_generator.state`. `seed` is a nonnegative int."""
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+    # SeedSequence([seed, i]) hashes seed's 32-bit words, least significant first
+    # (one word for 0), then i's one word (a scan holds fewer than 2**32 points)
+    raw = seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little")
+    entropy = [w * ones for w in np.frombuffer(raw, "<u4").tolist()]
+    entropy.append(int.from_bytes(np.arange(n, dtype="<u8").tobytes(), "little"))
+    (point_seeds,) = _lanes_state(_lanes_pool(entropy, ones), 1, ones)
+    # each point's SeedSequence(point seed).generate_state(4, np.uint64), whose
+    # words 0, 1 are PCG64's initial state (high word first) and 2, 3 its stream
+    words = _lanes_state(_lanes_pool([point_seeds], ones), 8, ones)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(
+            np.frombuffer((words[2 * j + 1] << 32 | words[2 * j]).to_bytes(8 * n, "little"),
+                          "<u8").tolist() for j in range(4))):
+        # PCG64's seeding: inc = 2*stream + 1, then two steps of the 128-bit LCG
+        # around adding the initial state
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = (inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return point_seeds & _M32, states
+
+
+def _point_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """One generator, in the state `np.random.default_rng(derive_point_seed(seed, i))`
+    starts in for each point i < n in turn: draw from each before taking the
+    next. The seed is checked, and every point seeded in one pass, at the first."""
+    _check_seed(seed)
+    first_seed, states = _point_seeding(int(seed), n)
+    rng = np.random.default_rng(first_seed)  # already in point 0's state
+    yield rng
+    for state in states[1:]:
+        rng.bit_generator.state = state
+        yield rng
+
+
 def delay_scan(
     apparatus: Apparatus,
     setting: MeasurementSetting,
@@ -453,19 +560,23 @@ def delay_scan(
     """One Monte Carlo count table per delay; independent stream per point.
 
     The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`,
-    from one exact model compiled for the whole scan.
+    from one exact model compiled for the whole scan, with every point's
+    stream seeded in one pass at the first point.
     """
     delays = read_sequence(delays_fs, "delays {} are not an iterable of delays in fs")
     out = []
     evaluate = None
-    for i, tau in enumerate(delays):
-        point_seed = derive_point_seed(seed, i)
+    # zip takes each delay before its stream, so an empty scan checks no seed
+    for tau, rng in zip(delays, _point_streams(seed, len(delays))):
         d = distinguishability(DelayElement(tau, coherence_time_fs))
         if evaluate is None:  # at the first point, so that an empty scan does no work
             _check_integration_time(time_per_point)
             _check_apparatus(apparatus)
             evaluate = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
-        out.append((tau, draw_counts(evaluate(d, v0), rates, time_per_point, point_seed)))
+        probs = evaluate(d, v0)
+        if not out:  # once, where the first point's draw_counts checked them
+            check_type(rates, RateModel, "rates {} is not a RateModel")
+        out.append((tau, _draw(probs, rates, time_per_point, rng)))
     return out
 
 

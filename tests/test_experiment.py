@@ -844,6 +844,43 @@ class TestMonteCarlo:
             )
 
 
+class TestScanSeeding:
+    """delay_scan seeds all its point streams in one pass; each must be numpy's
+    own `default_rng(derive_point_seed(seed, i))`, state and draws."""
+
+    LAMS = [0.5, 3.0, 100.5, 0.5, 3.0, 100.5]
+
+    def assert_numpy_streams(self, seed, n):
+        points = 0
+        # one generator, set to each point's state in turn: check it before the next
+        for i, rng in enumerate(experiment._point_streams(seed, n)):
+            ref = np.random.PCG64(experiment.derive_point_seed(seed, i))
+            assert rng.bit_generator.state == ref.state, (seed, n, i)
+            want = np.random.Generator(ref)
+            assert [rng.poisson(lam) for lam in self.LAMS] == [
+                want.poisson(lam) for lam in self.LAMS]
+            points += 1
+        assert points == n
+
+    # 2**96 has five entropy words with the point index: one beyond numpy's pool
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**96, 10**30,
+        pytest.param(10**5000, id="10**5000"),
+        pytest.param(np.uint64(2**64 - 1), id="np.uint64(2**64-1)"),
+        pytest.param(np.int64(7), id="np.int64(7)"),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 5, 25, 100])
+    def test_fixed_seed(self, seed, n):
+        self.assert_numpy_streams(seed, n)
+
+    def test_random_seeds(self):
+        rng = np.random.default_rng(35)
+        for k in range(200):
+            bits = int(rng.integers(8, 129))
+            seed = int.from_bytes(rng.bytes(16), "little") >> (128 - bits)
+            self.assert_numpy_streams(seed, [1, 2, 5, 25, 100][k % 5])
+
+
 class TestDelayScan:
     @pytest.mark.parametrize("tau", [math.nan, math.inf, None, "x", np.array([100.0])])
     def test_delay_that_is_no_finite_number_rejected(self, tau):
@@ -857,13 +894,14 @@ class TestDelayScan:
         app = default_apparatus(pbs_error)
         setting, rates = diagonal_setting(app), RateModel()
         delays = [-300.0, 0.0, 137.5, 2000.0, 0.0]
-        scan = delay_scan(app, setting, delays, rates, 24000.0, seed=9, v0=v0)
-        assert [tau for tau, _ in scan] == delays
-        for i, (tau, table) in enumerate(scan):
-            assert table == monte_carlo_counts(
-                app, setting, rates, 24000.0, experiment.derive_point_seed(9, i),
-                delay=DelayElement(tau), v0=v0,
-            )
+        for seed in (9, 2**96, 10**30):  # one to four seed words
+            scan = delay_scan(app, setting, delays, rates, 24000.0, seed=seed, v0=v0)
+            assert [tau for tau, _ in scan] == delays
+            for i, (tau, table) in enumerate(scan):
+                assert table == monte_carlo_counts(
+                    app, setting, rates, 24000.0, experiment.derive_point_seed(seed, i),
+                    delay=DelayElement(tau), v0=v0,
+                )
 
     @pytest.mark.parametrize("pbs_error", [None, 0.0, 0.01])
     def test_compiled_model_matches_the_per_call_formula(self, pbs_error):

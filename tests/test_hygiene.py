@@ -9,9 +9,11 @@ memo of the package grows with calls: every `lru_cache` has an integer
 `maxsize`, and `functools.cache` wraps only functions of no parameters. No
 type test of an argument is written by hand: `states.check_type` alone holds
 an `if not isinstance(...)` that raises. The classes that the swap chain's
-memos key by identity define no value equality. One rule imports the package
+memos key by identity define no value equality. Two rules import the package
 rather than parse it: every module-level numpy array is read-only, as is every
-array in a module-level mapping or tuple.
+array in a module-level mapping or tuple; and no module holds a random
+generator, bit generator or seed sequence there, so that every stream is
+local to the call that draws from it.
 """
 
 import ast
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fourphoton"
@@ -38,6 +41,8 @@ TEST_ONLY_KEEP = {
            "phi_plus_via_45_coincidence, which takes a density matrix only",
     "fidelity": "README's <target|rho|target> to any target; SwapResult gives the "
                 "fidelity to phi+ only",
+    "derive_point_seed": "numpy's own seeding of delay_scan's point i: the reference "
+                         "that the scan's one-pass seeding is tested against",
 }
 # the defaulted parameters of public functions that only tests pass, each kept
 # for a reason; any other such parameter is an option nothing uses and goes
@@ -289,20 +294,35 @@ def value_equality(source: str) -> dict[str, list[str]]:
     return found
 
 
-def writable_arrays(namespace: Mapping) -> list[str]:
-    """The writable numpy arrays among the values of `namespace`, a module's
-    globals, and among the values of the mappings and tuples it holds, named
-    as `name`, `name[key]` or `name[index]`."""
+def module_values(namespace: Mapping) -> list[tuple[str, object]]:
+    """The values of `namespace`, a module's globals, and of the mappings and
+    tuples it holds, each with its label: `name`, `name[key]` or `name[index]`."""
     found = []
     for name, value in namespace.items():
         if isinstance(value, Mapping):
-            items = [(f"{name}[{key!r}]", v) for key, v in value.items()]
+            found += [(f"{name}[{key!r}]", v) for key, v in value.items()]
         elif isinstance(value, tuple):
-            items = [(f"{name}[{i}]", v) for i, v in enumerate(value)]
+            found += [(f"{name}[{i}]", v) for i, v in enumerate(value)]
         else:
-            items = [(name, value)]
-        found += [label for label, v in items if isinstance(v, np.ndarray) and v.flags.writeable]
+            found.append((name, value))
     return found
+
+
+def writable_arrays(namespace: Mapping) -> list[str]:
+    """The writable numpy arrays among `module_values(namespace)`."""
+    return [label for label, v in module_values(namespace)
+            if isinstance(v, np.ndarray) and v.flags.writeable]
+
+
+# what holds a random stream or the seed of one
+STREAM_TYPES = (np.random.Generator, np.random.BitGenerator, np.random.RandomState,
+                ISeedSequence)
+
+
+def module_streams(namespace: Mapping) -> list[str]:
+    """The random generators, bit generators and seed sequences among
+    `module_values(namespace)`."""
+    return [label for label, v in module_values(namespace) if isinstance(v, STREAM_TYPES)]
 
 
 class TestRules:
@@ -404,6 +424,13 @@ class TestRules:
                      "D": {"k": np.zeros(2), "f": frozen}, "T": (frozen, np.ones(1))}
         assert writable_arrays(namespace) == ["A", "D['k']", "T[1]"]
 
+    def test_module_stream_found(self):
+        namespace = {"G": np.random.default_rng(0), "B": np.random.PCG64(0),
+                     "S": np.random.SeedSequence(0), "K": np.random.Generator, "N": 1,
+                     "D": {"k": np.random.SeedSequence(1), "f": 1.0},
+                     "T": (0, np.random.RandomState(0))}
+        assert module_streams(namespace) == ["G", "B", "S", "D['k']", "T[1]"]
+
     def test_isinstance_rejection_found(self):
         source = (
             "def check_type(value, kind, message):\n"
@@ -496,3 +523,11 @@ def test_module_arrays_are_read_only(module):
     # a module array is shared by every call: one caller's write would reach them all
     name = "fourphoton" if module.stem == "__init__" else f"fourphoton.{module.stem}"
     assert writable_arrays(vars(importlib.import_module(name))) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_module_level_stream(module):
+    # a module stream would carry one call's draws into the next: every stream
+    # is made by the call that draws from it
+    name = "fourphoton" if module.stem == "__init__" else f"fourphoton.{module.stem}"
+    assert module_streams(vars(importlib.import_module(name))) == []
