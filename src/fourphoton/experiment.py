@@ -521,10 +521,11 @@ def _point_seeding(seed: int, n: int) -> tuple[int, list[dict]]:
     # each point's SeedSequence(point seed).generate_state(4, np.uint64), whose
     # words 0, 1 are PCG64's initial state (high word first) and 2, 3 its stream
     words = _lanes_state(_lanes_pool([point_seeds], ones), 8, ones)
+    # uint64 word j of a point is its 32-bit words 2j (low) and 2j + 1 (high)
+    lanes = [np.frombuffer((words[2 * j + 1] << 32 | words[2 * j]).to_bytes(8 * n, "little"),
+                           "<u8").tolist() for j in range(4)]
     states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(
-            np.frombuffer((words[2 * j + 1] << 32 | words[2 * j]).to_bytes(8 * n, "little"),
-                          "<u8").tolist() for j in range(4))):
+    for s_hi, s_lo, i_hi, i_lo in zip(*lanes):
         # PCG64's seeding: inc = 2*stream + 1, then two steps of the 128-bit LCG
         # around adding the initial state
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
