@@ -275,6 +275,33 @@ class TestAsNumber:
         value = np.array(0.5)
         assert as_number(value) is value
 
+    # the least integer whose float overflows: it lies halfway between the largest
+    # float, 2**1024 - 2**971, and 2**1024, and rounds to the even one, 2**1024
+    OVERFLOWS = 2**1024 - 2**970
+
+    class Count(int):
+        """An int subclass, read as any other integer."""
+
+    @pytest.mark.parametrize("value", [
+        0, 1, -7,
+        pytest.param(OVERFLOWS - 1, id="2**1024-2**970-1"),
+        pytest.param(1 - OVERFLOWS, id="-(2**1024-2**970-1)"),
+        pytest.param(Count(7), id="Count(7)"),
+        pytest.param(Count(1 - OVERFLOWS), id="Count(-(2**1024-2**970-1))"),
+    ])
+    def test_integer_a_float_holds_returned_as_is(self, value):
+        assert as_number(value) is value
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(OVERFLOWS, id="2**1024-2**970"),
+        pytest.param(-OVERFLOWS, id="-(2**1024-2**970)"),
+        pytest.param(10**400, id="10**400"),
+        True, False,
+        pytest.param(Count(OVERFLOWS), id="Count(2**1024-2**970)"),
+    ])
+    def test_integer_beyond_float_range_or_bool_is_nan(self, value):
+        assert math.isnan(as_number(value))
+
 
 class TestShow:
     @pytest.mark.parametrize("value", [
