@@ -67,21 +67,36 @@ class DelayElement:
     coherence_time_fs: float = COHERENCE_TIME_FS
 
     def __post_init__(self):
-        # negated range tests, so that NaN fails them too
-        if not -math.inf < as_number(self.delay_fs) < math.inf:
-            raise StateError(f"delay {show(self.delay_fs)} fs is not finite")
-        if not as_number(self.coherence_time_fs) > 0:
-            raise StateError(f"coherence time {show(self.coherence_time_fs)} fs must be positive")
+        check_delay(self.delay_fs)
+        check_coherence_time(self.coherence_time_fs)
+
+
+def check_delay(delay_fs: float) -> None:
+    """A `DelayElement`'s check of its delay, which `delay_scan` runs on each point.
+    Like the coherence time's, its range test is negated, so that NaN fails it too."""
+    if not -math.inf < as_number(delay_fs) < math.inf:
+        raise StateError(f"delay {show(delay_fs)} fs is not finite")
+
+
+def check_coherence_time(coherence_time_fs: float) -> None:
+    """A `DelayElement`'s check of its coherence time."""
+    if not as_number(coherence_time_fs) > 0:
+        raise StateError(f"coherence time {show(coherence_time_fs)} fs must be positive")
 
 
 def distinguishability(delay: DelayElement) -> float:
-    """Wave-packet overlap D(tau) = exp(-tau^2 / tau_c^2).
+    """Wave-packet overlap D(tau) = exp(-tau^2 / tau_c^2), as `overlap` computes it.
 
     Even in tau, 1 at zero delay, monotone decreasing in |tau|. The Gaussian
     form models Gaussian spectral filtering; any even decaying form would do.
     """
     check_type(delay, DelayElement, "delay {} is not a DelayElement")
-    x = delay.delay_fs / delay.coherence_time_fs
+    return overlap(delay.delay_fs, delay.coherence_time_fs)
+
+
+def overlap(delay_fs: float, coherence_time_fs: float) -> float:
+    """`distinguishability` of a delay and a coherence time that passed their checks."""
+    x = delay_fs / coherence_time_fs
     return math.exp(-(x * x))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from numbers import Integral
@@ -28,8 +28,11 @@ from .elements import (
     VISIBILITY_ZERO_DELAY,
     DelayElement,
     PbsElement,
+    check_coherence_time,
+    check_delay,
     dephasing_components,
     distinguishability,
+    overlap,
 )
 from .states import (
     POLS,
@@ -269,7 +272,7 @@ def _outcome_rows(
     product of the 2x2 analyzers, ((A1 x A2) x A3) x A4, at the four `angles`
     in detector order, each a `check_angle` key, or None for a missing angle
     (0 degrees, labelled "+"/"-"). A miss builds K with `unchecked_analyzer_product`
-    from 16 magnitudes and a fixed sign table, the bytes of the chain of `kron`s.
+    from 16 magnitudes and a fixed sign table, the bytes of the chain of `np.kron`s.
     A `pure` channel (d*v0 >= 1) keeps only the psi vectors, because numpy
     rounds a product of fewer rows differently."""
     keys = _outcome_keys(*map(MeasurementSetting.labels, angles))
@@ -288,13 +291,13 @@ def _outcome_rows(
 
 def _exact_model(
     apparatus: Apparatus, setting: MeasurementSetting, pbs_error: float | None
-) -> Callable[[float, float], dict[str, float]]:
+) -> Callable[[float, float], Iterator[tuple[str, float]]]:
     """The delay-free part of `exact_outcome_probabilities`, done once.
 
-    Returns `evaluate(d, v0)`: the probabilities at distinguishability d and
-    zero-delay visibility v0, which only weigh the rows |K v|^2 of the
-    post-selected vectors and their dephasing partners, one `_outcome_rows`
-    lookup per call.
+    Returns `evaluate(d, v0)`: the (outcome, probability) pairs at distinguishability
+    d and zero-delay visibility v0, checked, which a draw reads in turn. They only
+    weigh the rows |K v|^2 of the post-selected vectors and their dephasing
+    partners, one `_outcome_rows` lookup per call.
     """
     _check_apparatus(apparatus)
     check_type(setting, MeasurementSetting, "setting {} is not a MeasurementSetting")
@@ -333,12 +336,12 @@ def _exact_model(
     ])
     entry_key = tuple(entries)
 
-    def evaluate(d: float, v0: float) -> dict[str, float]:
+    def evaluate(d: float, v0: float) -> Iterator[tuple[str, float]]:
         weights = [w * w_branch for w, psi, phi in parts
                    for w_branch, _ in dephasing_components(psi, phi, d, v0)]
         keys, rows = _outcome_rows(angle_key, entry_key, d * v0 >= 1.0)
         probs = np.asarray(weights) @ rows
-        return dict(zip(keys, (probs / total_mass).tolist()))
+        return zip(keys, (probs / total_mass).tolist())
 
     return evaluate
 
@@ -364,7 +367,7 @@ def exact_outcome_probabilities(
     analyzer product.
     """
     d = 1.0 if delay is None else distinguishability(delay)
-    return _exact_model(apparatus, setting, pbs_error)(d, v0)
+    return dict(_exact_model(apparatus, setting, pbs_error)(d, v0))
 
 
 def _check_integration_time(integration_time: float) -> None:
@@ -395,23 +398,24 @@ def draw_counts(
     _check_seed(seed)
     check_type(rates, RateModel, "rates {} is not a RateModel")
     check_type(probs, Mapping, "probabilities {} are not a mapping of outcomes")
-    return _draw(probs, rates, integration_time, np.random.default_rng(seed))
+    return _draw(probs.items(), rates, integration_time, np.random.default_rng(seed))
 
 
 def _draw(
-    probs: Mapping[str, float], rates: RateModel, integration_time: float,
+    pairs: Iterable[tuple[str, float]], rates: RateModel, integration_time: float,
     rng: np.random.Generator,
 ) -> CountTable:
-    """`draw_counts` from `rng`, once the time, rates and mapping are checked."""
+    """`draw_counts` of (outcome, probability) `pairs` from `rng`, time and rates checked."""
     rate, floor = rates.fourfold_rate_desired, rates.background_fourfold_rate
+    poisson = rng.poisson
     counts = {}
-    for key, p in probs.items():
+    for key, p in pairs:
         # `as_number` returns a real number itself and anything else as NaN,
         # whose count numpy rejects, as it does a negative or too large one
         x = as_number(p)
         lam = (x * rate + floor) * integration_time
         try:
-            counts[key] = int(rng.poisson(lam))
+            counts[key] = poisson(lam)  # a Python int, as lam is a scalar
         except (ValueError, OverflowError) as exc:
             # an exact integer count beyond float range overflows, and in `.3g` too
             shown = show(lam) if isinstance(exc, OverflowError) else f"{lam:.3g}"
@@ -430,14 +434,15 @@ def monte_carlo_counts(
     delay: DelayElement | None = None,
     v0: float = VISIBILITY_ZERO_DELAY,
 ) -> CountTable:
-    """`draw_counts` from the exact probabilities with the PBS's error rate."""
-    # checked before the exact model too, so that it is reported first
+    """`draw_counts` from the exact model's pairs with the PBS's error rate."""
+    # checked before the exact model, so that it is reported first
     _check_integration_time(integration_time)
     _check_apparatus(apparatus)
-    probs = exact_outcome_probabilities(
-        apparatus, setting, delay=delay, v0=v0, pbs_error=apparatus.pbs.error_rate
-    )
-    return draw_counts(probs, rates, integration_time, seed)
+    d = 1.0 if delay is None else distinguishability(delay)
+    pairs = _exact_model(apparatus, setting, apparatus.pbs.error_rate)(d, v0)
+    _check_seed(seed)
+    check_type(rates, RateModel, "rates {} is not a RateModel")
+    return _draw(pairs, rates, integration_time, np.random.default_rng(seed))
 
 
 def derive_point_seed(seed: int, point_index: int) -> int:
@@ -560,24 +565,27 @@ def delay_scan(
 ) -> list[tuple[float, CountTable]]:
     """One Monte Carlo count table per delay; independent stream per point.
 
-    The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`,
-    from one exact model compiled for the whole scan, with every point's
-    stream seeded in one pass at the first point.
+    The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`, from
+    one exact model compiled for the whole scan, with every point's stream seeded
+    in one pass at the first point. Each delay is checked as a `DelayElement` is.
     """
     delays = read_sequence(delays_fs, "delays {} are not an iterable of delays in fs")
     out = []
     evaluate = None
     # zip takes each delay before its stream, so an empty scan checks no seed
     for tau, rng in zip(delays, _point_streams(seed, len(delays))):
-        d = distinguishability(DelayElement(tau, coherence_time_fs))
+        check_delay(tau)
+        if not out:  # where the first point's DelayElement checked it
+            check_coherence_time(coherence_time_fs)
+        d = overlap(tau, coherence_time_fs)
         if evaluate is None:  # at the first point, so that an empty scan does no work
             _check_integration_time(time_per_point)
             _check_apparatus(apparatus)
             evaluate = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
-        probs = evaluate(d, v0)
+        pairs = evaluate(d, v0)
         if not out:  # once, where the first point's draw_counts checked them
             check_type(rates, RateModel, "rates {} is not a RateModel")
-        out.append((tau, _draw(probs, rates, time_per_point, rng)))
+        out.append((tau, _draw(pairs, rates, time_per_point, rng)))
     return out
 
 

@@ -294,6 +294,12 @@ def as_number(value):
     a numpy complex scalar or 0-d array compares too, but is no real number."""
     if type(value) is float:  # the common case, on every delay point
         return value
+    if type(value) is int:  # each count that a visibility reads
+        try:
+            value + 0.0
+        except OverflowError:
+            return math.nan
+        return value
     if getattr(value, "ndim", 0) != 0:
         return math.nan
     try:
@@ -396,18 +402,12 @@ def unchecked_analyzer_product(angles: Sequence[float]) -> np.ndarray:
     `unchecked_analyzer_matrix`s at `check_angle` floats, bit for bit: its 16
     magnitudes are multiplied in the chain's order, and a negation by the sign
     table is exact, as an IEEE product's sign is that of its factors. About half
-    the cost of the chain of `kron`s, which a cache miss of four fresh angles pays."""
+    the cost of the chain of `np.kron`s, which a cache miss of four fresh angles pays."""
     m = [1.0]
     for angle in angles:
         c, s = _cos_sin(angle)
         m = [x * y for x in m for y in (c, s)]
     return _PRODUCT_SIGN * np.array(m)[_PRODUCT_XOR]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of two matrices as one broadcast product, one multiply per entry."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 class DensityMatrix:

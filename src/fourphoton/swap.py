@@ -24,7 +24,6 @@ from .states import (
     check_angle,
     check_type,
     is_photon_pair,
-    kron,
     read_sequence,
     show,
     unchecked_analyzer_matrix,
@@ -169,7 +168,7 @@ def _chsh_observables(a: float, ap: float, b: float, bp: float) -> np.ndarray:
     (4, 4, 4) stack; s = |theta><theta| - |theta_perp><theta_perp| at a `check_angle` key."""
     sa, sap, sb, sbp = (np.outer(m[0], m[0]) - np.outer(m[1], m[1])
                         for m in map(unchecked_analyzer_matrix, (a, ap, b, bp)))
-    ops = np.stack([kron(sa, sb), kron(sa, sbp), kron(sap, sb), kron(sap, sbp)])
+    ops = np.stack([np.kron(x, y) for x in (sa, sap) for y in (sb, sbp)])
     ops.setflags(write=False)
     return ops
 

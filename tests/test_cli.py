@@ -436,17 +436,21 @@ class TestScenarios:
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        """The keyword arguments of each `exact_outcome_probabilities` call of the
-        CLI, made by its runners or through `monte_carlo_counts`."""
+        """The PBS error and v0 of each exact-model evaluation of the CLI, made by
+        its runners through `exact_outcome_probabilities` or `monte_carlo_counts`."""
         seen = []
-        exact = experiment.exact_outcome_probabilities
+        model = experiment._exact_model
 
-        def wrapped(*a, **kw):
-            seen.append(kw)
-            return exact(*a, **kw)
+        def wrapped(apparatus, setting, pbs_error):
+            evaluate = model(apparatus, setting, pbs_error)
 
-        for module in (cli, experiment):
-            monkeypatch.setattr(module, "exact_outcome_probabilities", wrapped)
+            def counted(d, v0):
+                seen.append({"pbs_error": pbs_error, "v0": v0})
+                return evaluate(d, v0)
+
+            return counted
+
+        monkeypatch.setattr(experiment, "_exact_model", wrapped)
         return seen
 
     @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 1)])

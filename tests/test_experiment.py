@@ -726,7 +726,7 @@ class TestMonteCarlo:
                 fourfold_rate_desired=float(rng.uniform(0.1, 10.0)),
                 background_fourfold_rate=float(rng.uniform(1e-4, 1e-2)),
             )
-            probs = experiment._exact_model(default_apparatus(err), setting, err)(d, v0)
+            probs = dict(experiment._exact_model(default_apparatus(err), setting, err)(d, v0))
             cell_rates = (np.array(list(probs.values())) * rates.fourfold_rate_desired
                           + rates.background_fourfold_rate)
             time = max(20.0 / cell_rates.min(), 1e5 / cell_rates.sum())
@@ -913,7 +913,7 @@ class TestDelayScan:
             for tau, v0 in [(0.0, 1.0), (250.0, 0.79), (0.0, 1.0), (-1e4, 1.0), (0.0, 0.3)]:
                 d = distinguishability(DelayElement(tau))
                 want = ref_exact_probabilities(setting, d, v0, pbs_error)
-                assert evaluate(d, v0) == want
+                assert dict(evaluate(d, v0)) == want
                 assert exact_outcome_probabilities(
                     APP, setting, delay=DelayElement(tau), v0=v0, pbs_error=pbs_error
                 ) == want

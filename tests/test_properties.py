@@ -42,7 +42,7 @@ from fourphoton import (
     state_from_terms,
     three_photon_ghz,
 )
-from fourphoton.states import analyzer_matrix, kron
+from fourphoton.states import analyzer_matrix
 
 APP = default_apparatus()
 
@@ -192,7 +192,7 @@ def test_analyzer_twice_restores_the_state(amps, position, angle):
     vec = np.array(amps)
     ops = [np.eye(2), np.eye(2)]
     ops[position] = analyzer_matrix(angle)
-    k = kron(*ops)
+    k = np.kron(*ops)
     assert np.max(np.abs(k @ (k @ vec) - vec)) <= 1e-12
 
 
@@ -233,7 +233,7 @@ def test_exact_model_measures_the_swap_chains_density_matrix(angles, tau, v0):
     d = 1.0 if delay is None else distinguishability(delay)
     rho = dephase_by_distinguishability(GHZ, d, v0)
     assert list(rho.modes) == [APP.detectors[det] for det in APP.detector_ids()]
-    k = reduce(kron, (analyzer_matrix(0.0 if a is None else a) for a in angles))
+    k = reduce(np.kron, (analyzer_matrix(0.0 if a is None else a) for a in angles))
     want = np.real(np.diag(k @ rho.matrix @ k.conj().T))
     setting = MeasurementSetting(dict(zip(APP.detector_ids(), angles)))
     got = exact_outcome_probabilities(APP, setting, delay=delay, v0=v0)

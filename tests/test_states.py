@@ -28,7 +28,6 @@ from fourphoton.states import (
     analyzer_matrix,
     as_number,
     density_matrix,
-    kron,
     show,
     unchecked_analyzer_matrix,
     unchecked_analyzer_product,
@@ -394,7 +393,7 @@ class TestAnalyzerMatrix:
         modes = ["1", "2", "3", "4"]
         ghz = state_from_terms([1, 2, 3, 4], modes, {"HVVH": S2, "VHHV": S2}, normalize=False)
         m = analyzer_matrix(45.0)
-        out = (kron(kron(m, m), kron(m, m)) @ ghz.dense(modes)).reshape(2, 2, 2, 2)
+        out = (np.kron(np.kron(m, m), np.kron(m, m)) @ ghz.dense(modes)).reshape(2, 2, 2, 2)
         for ports in itertools.product((0, 1), repeat=4):
             want = 0.125 if sum(ports) % 2 == 0 else 0.0
             assert abs(out[ports]) ** 2 == pytest.approx(want, abs=1e-12)
@@ -411,7 +410,7 @@ class TestAnalyzerMatrix:
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             vec /= np.linalg.norm(vec)
             # the analyzer on the second of two photons
-            m = kron(np.eye(2), analyzer_matrix(float(rng.uniform(0, 180))))
+            m = np.kron(np.eye(2), analyzer_matrix(float(rng.uniform(0, 180))))
             assert np.linalg.norm(m @ vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_are_the_oracle_ports(self):
@@ -422,7 +421,7 @@ class TestAnalyzerMatrix:
 
 
 class TestAnalyzerProduct:
-    """`unchecked_analyzer_product` is the chain of `kron`s of the four analyzers
+    """`unchecked_analyzer_product` is the chain of `np.kron`s of the four analyzers
     byte for byte: the same roundings in the same order, and the same signs,
     those of zeros included, in the same C-ordered float64 layout."""
 
@@ -432,7 +431,7 @@ class TestAnalyzerProduct:
     @staticmethod
     def assert_chain_bytes(angles):
         product = unchecked_analyzer_product(angles)
-        chain = reduce(kron, map(unchecked_analyzer_matrix, angles))
+        chain = reduce(np.kron, map(unchecked_analyzer_matrix, angles))
         assert product.dtype == np.float64 and product.flags.c_contiguous
         assert product.tobytes() == chain.tobytes(), angles
 
