@@ -575,7 +575,7 @@ def delay_scan(
     # zip takes each delay before its stream, so an empty scan checks no seed
     for tau, rng in zip(delays, _point_streams(seed, len(delays))):
         check_delay(tau)
-        if not out:  # where the first point's DelayElement checked it
+        if not out:  # once, right after the first delay: the order of a DelayElement's checks
             check_coherence_time(coherence_time_fs)
         d = overlap(tau, coherence_time_fs)
         if evaluate is None:  # at the first point, so that an empty scan does no work
