@@ -349,6 +349,33 @@ class TestScenarios:
         assert outputs[0][0] == 0 and outputs[0][2]
         assert outputs[1:] == [outputs[0]] * 3
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The arguments of each `Apparatus` that `load_config` builds."""
+        built = []
+        apparatus = cli.Apparatus
+        monkeypatch.setattr(cli, "Apparatus", lambda *args: built.append(args) or apparatus(*args))
+        return built
+
+    @staticmethod
+    def config_path(user, tmp_path):
+        if user is None:
+            return None
+        (tmp_path / "cfg.json").write_text(json.dumps(user))
+        return str(tmp_path / "cfg.json")
+
+    @pytest.mark.parametrize("user", [None, {}, {"rates": {"fourfold_rate_desired": 0.05}}],
+                             ids=["no config", "empty", "rates only"])
+    def test_config_without_apparatus_runs_on_the_default(self, user, builds, tmp_path):
+        cfg = cli.load_config(self.config_path(user, tmp_path))
+        assert cfg["apparatus"] is cli._DEFAULT_APPARATUS
+
+    def test_apparatus_equal_to_the_default_is_the_default(self, builds, tmp_path):
+        # built and checked once, then swapped for the default: JSON has 0 == 0.0
+        user = {"apparatus": {"pbs": {"error_rate": 0}}}
+        cfg = cli.load_config(self.config_path(user, tmp_path))
+        assert cfg["apparatus"] is cli._DEFAULT_APPARATUS and len(builds) == 1
+
     def test_default_routing_compiles_once_per_process(self, monkeypatch, tmp_path):
         # the default config's apparatus is the module's default one, whose memo
         # outlives a call: a second round builds no source state (one per routing
