@@ -10,8 +10,10 @@ Scenarios:
 
 Each `run_*` runner returns its scenario's files; `main` then creates --out and
 writes them with `_write`, so a run that fails before writing leaves no --out.
+`_write` makes one open per file, writes until every byte is out, and closes.
 `main` builds its parser once and reuses it; `build_parser()` returns a fresh one.
-A loaded apparatus equal to the default is the default: its routing compiles once.
+The apparatus is built only when the config names it; one equal to the default is
+the default, so its routing compiles once per process.
 
 Exit codes: 0 success, 1 usage error or unwritable --out, 2 config error
 (also an unreadable config file), 3 physically impossible request
@@ -24,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -97,7 +100,7 @@ def default_config() -> dict:
 def load_config(path: str | None) -> dict:
     """`default_config()` with the JSON at `path`, if given, merged in and checked: the
     tree a runner reads, with the apparatus and the rates built and the delays a tuple."""
-    tree = default_config()
+    tree, user = default_config(), {}
     if path is not None:
         # a ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
         # of more digits than int() converts
@@ -109,7 +112,6 @@ def load_config(path: str | None) -> dict:
     delays = tree["scan_delays_fs"]
     vis = tree["visibility_zero_delay"]
     events = tree["bell_test_target_events"]
-    app, pbs = tree["apparatus"], tree["apparatus"]["pbs"]
     # the rates and the PBS error_rate are checked by RateModel and PbsElement
     for ok, problem in (
         (isinstance(delays, list) and delays
@@ -125,16 +127,19 @@ def load_config(path: str | None) -> dict:
     ):
         if not ok:
             raise StateError(problem)
-    try:
-        apparatus = Apparatus(
-            tuple(PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]),
-            PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"]),
-            dict(app["detectors"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
-        raise StateError(f"bad apparatus config: {exc}") from exc
-    if apparatus == _DEFAULT_APPARATUS:  # once built and checked: JSON has false == 0
-        apparatus = _DEFAULT_APPARATUS
+    apparatus = _DEFAULT_APPARATUS  # what the default tree builds, unless the JSON names it
+    if "apparatus" in user:
+        app, pbs = tree["apparatus"], tree["apparatus"]["pbs"]
+        try:
+            apparatus = Apparatus(
+                tuple(PairSource(tuple(s["photons"]), tuple(s["modes"])) for s in app["sources"]),
+                PbsElement(tuple(pbs["inputs"]), tuple(pbs["outputs"]), pbs["error_rate"]),
+                dict(app["detectors"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # StateError is a ValueError
+            raise StateError(f"bad apparatus config: {exc}") from exc
+        if apparatus == _DEFAULT_APPARATUS:  # once built and checked: JSON has false == 0
+            apparatus = _DEFAULT_APPARATUS
     try:
         rates = RateModel(**tree["rates"])
     except StateError as exc:
@@ -155,8 +160,16 @@ def _merge(tree: dict, user, section: str) -> None:
 
 
 def _write(path: Path, lines: list[str], end: str) -> None:
-    """The one output writer: `lines`, each ended by `end`, byte for byte."""
-    path.write_text("".join(line + end for line in lines), newline="")
+    """The one output writer: `lines`, each ended by `end`, byte for byte (every output
+    is ASCII). One open, then `os.write` until every byte is out: a short write must not
+    leave a truncated file behind a run that exits 0."""
+    data = "".join(line + end for line in lines).encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 # A runner's output file: (name in --out, lines, line end), listed in write order.

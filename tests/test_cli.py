@@ -3,6 +3,7 @@ import errno
 import io
 import itertools
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -251,8 +252,9 @@ class TestConfigErrors:
 
 
 class TestOutputErrors:
-    """`--out` failures that the tests cannot make for real: they run as root,
-    and no disk is filled. Each exits 1 with one stderr line."""
+    """`--out` failures, each exiting 1 with one stderr line. The tests run as root
+    and fill no disk, so a denied `mkdir` and a full disk are made by failing the
+    call that meets them; a file name held by a directory is made for real."""
 
     def test_permission_denied_mkdir(self, monkeypatch, tmp_path, capsys):
         def denied(self, *args, **kwargs):
@@ -270,26 +272,58 @@ class TestOutputErrors:
     def test_full_disk_on_second_write(self, scenario, monkeypatch, tmp_path, capsys):
         clean = tmp_path / "clean"
         assert run(["--scenario", scenario, "--out", str(clean)]) == 0
-        written = []
-        write = cli._write
+        files = []  # the inode of each file written to, in order
+        write = os.write
 
-        def second_fails(path, lines, end="\n"):
-            if written:
-                raise OSError(errno.ENOSPC, "No space left on device", str(path))
-            written.append(path.name)
-            write(path, lines, end)
+        def second_file_fails(fd, data):
+            inode = os.fstat(fd).st_ino
+            if inode not in files:
+                files.append(inode)
+            if len(files) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(fd, data)
 
-        monkeypatch.setattr(cli, "_write", second_fails)
+        monkeypatch.setattr(os, "write", second_file_fails)
         out = tmp_path / "out"
         assert run(["--scenario", scenario, "--out", str(out)]) == 1
+        monkeypatch.undo()
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
         assert "Traceback" not in err and "No space left" in err
-        # what was written before the failure stays, as a clean run wrote it
-        first = "swap-report.json" if scenario == "swap-report" else f"{scenario}.csv"
-        assert written == [first]
-        assert sorted(p.name for p in out.iterdir()) == [first]
+        # the file written before the failure stays whole, as a clean run wrote it;
+        # the second was opened, and holds nothing
+        first, second = ("swap-report.json", "swap-report.csv") if scenario == "swap-report" \
+            else (f"{scenario}.csv", f"{scenario}_summary.txt")
+        assert sorted(p.name for p in out.iterdir()) == sorted([first, second])
+        assert [(out / name).stat().st_ino for name in (first, second)] == files
         assert (out / first).read_bytes() == (clean / first).read_bytes()
+        assert (out / second).read_bytes() == b""
+
+    def test_short_writes_write_every_byte(self, monkeypatch, tmp_path):
+        # `os.write` may write fewer bytes than it is given: each file is written whole
+        def outputs(out):
+            for scenario in SCENARIOS:
+                assert run(["--scenario", scenario, "--out", str(out / scenario)]) == 0
+            return {p.relative_to(out).as_posix(): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+
+        clean = outputs(tmp_path / "clean")
+        write, calls = os.write, []
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: calls.append(fd) or write(fd, bytes(data[:7])))
+        short = outputs(tmp_path / "short")
+        monkeypatch.undo()
+        assert short == clean and len(clean) == 11
+        assert len(calls) == sum(-(-len(data) // 7) for data in clean.values())
+
+    def test_directory_in_place_of_an_output_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "hv-table.csv").mkdir(parents=True)
+        assert run(["--scenario", "hv-table", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert "Is a directory" in err
+        assert sorted(p.name for p in out.iterdir()) == ["hv-table.csv"]
 
 
 class TestPhysicsErrors:
@@ -369,6 +403,12 @@ class TestScenarios:
     def test_config_without_apparatus_runs_on_the_default(self, user, builds, tmp_path):
         cfg = cli.load_config(self.config_path(user, tmp_path))
         assert cfg["apparatus"] is cli._DEFAULT_APPARATUS
+
+    @pytest.mark.parametrize("user", [None, {}, {"rates": {"fourfold_rate_desired": 0.05}}],
+                             ids=["no config", "empty", "rates only"])
+    def test_config_without_apparatus_builds_none(self, user, builds, tmp_path):
+        cli.load_config(self.config_path(user, tmp_path))
+        assert builds == []
 
     def test_apparatus_equal_to_the_default_is_the_default(self, builds, tmp_path):
         # built and checked once, then swapped for the default: JSON has 0 == 0.0
