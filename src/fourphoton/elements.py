@@ -78,10 +78,13 @@ def check_delay(delay_fs: float) -> None:
         raise StateError(f"delay {show(delay_fs)} fs is not finite")
 
 
-def check_coherence_time(coherence_time_fs: float) -> None:
-    """A `DelayElement`'s check of its coherence time."""
-    if not as_number(coherence_time_fs) > 0:
+def check_coherence_time(coherence_time_fs: float) -> float:
+    """A `DelayElement`'s check of its coherence time: its float, which `overlap` takes and
+    this returns, must be positive (the float of `Fraction(1, 10**400)` is 0.0)."""
+    tau_c = float(as_number(coherence_time_fs))
+    if not tau_c > 0:
         raise StateError(f"coherence time {show(coherence_time_fs)} fs must be positive")
+    return tau_c
 
 
 def distinguishability(delay: DelayElement) -> float:
@@ -91,12 +94,14 @@ def distinguishability(delay: DelayElement) -> float:
     form models Gaussian spectral filtering; any even decaying form would do.
     """
     check_type(delay, DelayElement, "delay {} is not a DelayElement")
-    return overlap(delay.delay_fs, delay.coherence_time_fs)
+    return overlap(delay.delay_fs, float(delay.coherence_time_fs))
 
 
 def overlap(delay_fs: float, coherence_time_fs: float) -> float:
-    """`distinguishability` of a delay and a coherence time that passed their checks."""
-    x = delay_fs / coherence_time_fs
+    """`distinguishability` of a delay that passed `check_delay` and of the float that
+    `check_coherence_time` returned, in Python floats: where tau / tau_c or its square
+    overflows to inf, D is 0.0, with no warning."""
+    x = float(delay_fs) / coherence_time_fs
     return math.exp(-(x * x))
 
 

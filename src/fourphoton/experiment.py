@@ -576,8 +576,8 @@ def delay_scan(
     for tau, rng in zip(delays, _point_streams(seed, len(delays))):
         check_delay(tau)
         if not out:  # once, right after the first delay: the order of a DelayElement's checks
-            check_coherence_time(coherence_time_fs)
-        d = overlap(tau, coherence_time_fs)
+            tau_c = check_coherence_time(coherence_time_fs)
+        d = overlap(tau, tau_c)
         if evaluate is None:  # at the first point, so that an empty scan does no work
             _check_integration_time(time_per_point)
             _check_apparatus(apparatus)

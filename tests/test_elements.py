@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ class TestDistinguishability:
     def test_coherence_time_positive(self):
         with pytest.raises(StateError):
             DelayElement(0.0, 0.0)
+
+    def test_coherence_time_whose_float_is_zero_rejected(self):
+        # positive as a Fraction, but its float, by which D divides, is 0.0
+        with pytest.raises(StateError, match="coherence time .* fs must be positive"):
+            DelayElement(100.0, Fraction(1, 10**400))
+
+    @pytest.mark.parametrize("delay, coherence", [
+        pytest.param(10**300, Fraction(1, 3), id="10**300-Fraction(1, 3)"),
+        pytest.param(np.float64(1e200), 550.0, id="np.float64(1e200)-550.0"),
+        (1e200, 550.0),
+    ])
+    def test_ratio_beyond_float_range_gives_zero(self, delay, coherence):
+        # tau / tau_c, or its square, overflows: D is 0.0, with no error and no warning
+        from fourphoton import distinguishability
+
+        assert distinguishability(DelayElement(delay, coherence)) == 0.0
 
     @pytest.mark.parametrize("delay, coherence", [
         (math.nan, 550.0), (math.inf, 550.0), (-math.inf, 550.0), (0.0, math.nan),

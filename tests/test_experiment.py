@@ -959,6 +959,25 @@ class TestDelayScan:
             delay_scan(APP, diagonal_setting(APP), [0.0], RateModel(), 1.0, seed=1,
                        coherence_time_fs=10**400)
 
+    def test_coherence_time_whose_float_is_zero_rejected(self):
+        # not a ZeroDivisionError from the delay / coherence time division
+        with pytest.raises(StateError, match="coherence time"):
+            delay_scan(APP, diagonal_setting(APP), [100.0], RateModel(), 1.0, seed=1,
+                       coherence_time_fs=Fraction(1, 10**400))
+
+    @pytest.mark.parametrize("delay, coherence", [
+        pytest.param(10**300, Fraction(1, 3), id="10**300-Fraction(1, 3)"),
+        pytest.param(np.float64(1e200), 550.0, id="np.float64(1e200)-550.0"),
+    ])
+    def test_ratio_beyond_float_range_scans_as_zero_overlap(self, delay, coherence):
+        # D is 0.0, as at the float delay 1e200: no OverflowError and no warning
+        setting = diagonal_setting(APP)
+        scan = delay_scan(APP, setting, [delay], RateModel(), 6000.0, seed=1,
+                          coherence_time_fs=coherence)
+        expected = delay_scan(APP, setting, [1e200], RateModel(), 6000.0, seed=1)
+        assert [t.counts for _, t in scan] == [t.counts for _, t in expected]
+        assert scan[0][0] is delay
+
     def test_integration_time_checked_before_postselection(self):
         app = Apparatus(APP.sources, APP.pbs, {"D1": "1", "D2": "2'", "D3": "3'", "D4": "x"})
         for count in (
