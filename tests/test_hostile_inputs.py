@@ -3,7 +3,7 @@ with every value of one fixed corpus, raises `StateError` or returns a result,
 never a bare exception.
 
 The table is generated: one row per parameter of every public callable of
-`fourphoton` and of `PureState.fixed_mode`, `mode_view` and `dense`, read from
+`fourphoton` (its `__all__`) and of `PureState.fixed_mode`, `mode_view` and `dense`, read from
 their signatures. A row passes the hostile value in that one parameter and the
 value of `VALID` for the parameter's name everywhere else, so a new parameter
 without an entry there fails `test_every_parameter_has_a_valid_value`. The
@@ -81,13 +81,13 @@ class Pairs(Mapping):
         return len(self.pairs)
 
 
-# the public callables by name: the package's functions and classes, but no
-# exception class, which takes any argument; and the `PureState` methods that
-# take an argument, bound to the valid pair state
+# the public callables by name: the functions and classes of the package's
+# `__all__`, so that the table does not depend on what was imported before it,
+# but no exception class, which takes any argument; and the `PureState` methods
+# that take an argument, bound to the valid pair state
 CALLABLES = {
-    name: obj for name, obj in vars(fourphoton).items()
-    if not name.startswith("_") and callable(obj)
-    and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    name: obj for name, obj in ((name, getattr(fourphoton, name)) for name in fourphoton.__all__)
+    if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
 }
 CALLABLES.update({f"PureState.{name}": getattr(PAIR, name)
                   for name in ("fixed_mode", "mode_view", "dense")})

@@ -13,9 +13,11 @@ memos key by identity define no value equality. Two rules import the package
 rather than parse it: every module-level numpy array is read-only, as is every
 array in a module-level mapping or tuple; and no module holds a random
 generator, bit generator or seed sequence there, so that every stream is
-local to the call that draws from it. One rule runs a fresh interpreter:
-`import fourphoton` leaves `numpy.random` unimported, which would add about
-11 ms to every command-line run, `--help` included.
+local to the call that draws from it. A third reads the package after every
+module is imported: its `__all__` lists, in order, the public names that
+`__init__` binds, which the hostile-input table reads. One rule runs a fresh
+interpreter: `import fourphoton` leaves `numpy.random` unimported, which would
+add about 11 ms to every command-line run, `--help` included.
 """
 
 import ast
@@ -24,6 +26,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
@@ -473,6 +476,17 @@ class TestRules:
 
 def test_package_modules_found():
     assert {"elements.py", "experiment.py", "states.py", "swap.py"} <= {p.name for p in MODULES}
+
+
+def test_all_lists_the_public_names_in_binding_order():
+    # a full import: each module's import binds only the module itself on the package
+    for module in MODULES:
+        importlib.import_module("fourphoton" if module.stem == "__init__"
+                                else f"fourphoton.{module.stem}")
+    package = importlib.import_module("fourphoton")
+    bound = [name for name, value in vars(package).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert package.__all__ == bound
 
 
 @pytest.mark.parametrize("module", [p for p in MODULES if p.name != "__init__.py"],
