@@ -310,7 +310,7 @@ class TestOutputErrors:
         clean = outputs(tmp_path / "clean")
         write, calls = os.write, []
         monkeypatch.setattr(os, "write",
-                            lambda fd, data: calls.append(fd) or write(fd, bytes(data[:7])))
+                            lambda fd, data: calls.append(fd) or write(fd, data[:7]))
         short = outputs(tmp_path / "short")
         monkeypatch.undo()
         assert short == clean and len(clean) == 11
@@ -383,6 +383,11 @@ class TestScenarios:
         assert outputs[0][0] == 0 and outputs[0][2]
         assert outputs[1:] == [outputs[0]] * 3
 
+    # configs that name no `apparatus` section
+    WITHOUT_APPARATUS = pytest.mark.parametrize(
+        "user", [None, {}, {"rates": {"fourfold_rate_desired": 0.05}}],
+        ids=["no config", "empty", "rates only"])
+
     @pytest.fixture
     def builds(self, monkeypatch):
         """The arguments of each `Apparatus` that `load_config` builds."""
@@ -398,14 +403,12 @@ class TestScenarios:
         (tmp_path / "cfg.json").write_text(json.dumps(user))
         return str(tmp_path / "cfg.json")
 
-    @pytest.mark.parametrize("user", [None, {}, {"rates": {"fourfold_rate_desired": 0.05}}],
-                             ids=["no config", "empty", "rates only"])
-    def test_config_without_apparatus_runs_on_the_default(self, user, builds, tmp_path):
+    @WITHOUT_APPARATUS
+    def test_config_without_apparatus_runs_on_the_default(self, user, tmp_path):
         cfg = cli.load_config(self.config_path(user, tmp_path))
         assert cfg["apparatus"] is cli._DEFAULT_APPARATUS
 
-    @pytest.mark.parametrize("user", [None, {}, {"rates": {"fourfold_rate_desired": 0.05}}],
-                             ids=["no config", "empty", "rates only"])
+    @WITHOUT_APPARATUS
     def test_config_without_apparatus_builds_none(self, user, builds, tmp_path):
         cli.load_config(self.config_path(user, tmp_path))
         assert builds == []
