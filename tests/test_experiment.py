@@ -888,18 +888,26 @@ class TestDelayScan:
             delay_scan(APP, diagonal_setting(APP), [0.0, tau], RateModel(), 1.0, seed=1)
 
     @pytest.mark.parametrize("pbs_error", [0.0, 0.01])
-    @pytest.mark.parametrize("v0", [0.79, 1.0])
-    def test_scan_matches_per_point_tables(self, pbs_error, v0):
-        # tau = 0 at v0 = 1 is the pure point: its rows come from another stack
+    @pytest.mark.parametrize("v0", [0.79, 1.0, 1, Fraction(79, 100), np.float32(0.79),
+                                    np.float64(1.0)],
+                             ids=["0.79", "1.0", "1", "Fraction", "np.float32", "np.float64"])
+    @pytest.mark.parametrize("rates, time", [
+        (RateModel(), 24000.0),
+        (RateModel(1, 0), 24000),
+        (RateModel(Fraction(1, 30), Fraction(1, 12000)), np.float32(24000.0)),
+        (RateModel(np.float32(1 / 30), np.float32(1 / 12000)), Fraction(24000)),
+    ], ids=["float", "int", "Fraction-np.float32 time", "np.float32-Fraction time"])
+    def test_scan_matches_per_point_tables(self, pbs_error, v0, rates, time):
+        # tau = 0 at d*v0 = 1 is the pure point: its rows come from another stack
         app = default_apparatus(pbs_error)
-        setting, rates = diagonal_setting(app), RateModel()
+        setting = diagonal_setting(app)
         delays = [-300.0, 0.0, 137.5, 2000.0, 0.0]
         for seed in (9, 2**96, 10**30):  # one to four seed words
-            scan = delay_scan(app, setting, delays, rates, 24000.0, seed=seed, v0=v0)
+            scan = delay_scan(app, setting, delays, rates, time, seed=seed, v0=v0)
             assert [tau for tau, _ in scan] == delays
             for i, (tau, table) in enumerate(scan):
                 assert table == monte_carlo_counts(
-                    app, setting, rates, 24000.0, experiment.derive_point_seed(seed, i),
+                    app, setting, rates, time, experiment.derive_point_seed(seed, i),
                     delay=DelayElement(tau), v0=v0,
                 )
 
@@ -942,11 +950,19 @@ class TestDelayScan:
         ({"delays": [0.0, 1.0, 2.0, math.nan], "rates": None}, "rates None is not a RateModel"),
         ({"delays": [math.nan, 1.0], "time": -1.0}, "delay nan fs is not finite"),
         ({"delays": [0.0, math.nan], "time": -1.0}, "integration time -1.0 s"),
+        # numpy draws no expected count above about 9.2e18: at rate * time 1e20, the
+        # 5000 fs point's 0.0625 * 1e20 is drawn, the next point's 0.111875 * 1e20 is not
+        ({"delays": [0.0, math.nan], "rates": RateModel(1e15, 0), "time": 1e6},
+         "outcome ++++: expected count 1.12e+20 cannot be drawn"),
+        ({"delays": [5000.0, 0.0, math.nan], "rates": RateModel(1e14, 0), "time": 1e6},
+         "outcome ++++: expected count 1.12e+19 cannot be drawn"),
     ], ids=["seed<delay", "seed type<delay", "setting<rates", "angle<rates", "v0<rates",
-            "rates<later delay", "first delay<time", "time<later delay"])
+            "rates<later delay", "first delay<time", "time<later delay", "draw<later delay",
+            "later draw<later delay"])
     def test_first_failing_check_reported(self, args, message):
         # the order of a per-point loop: the seed, then per point its delay; at the
-        # first point, after its delay, the time, the model, v0 and the rates
+        # first point, after its delay, the time, the model, v0 and the rates; each
+        # point's draw before the next point's delay
         call = {"setting": diagonal_setting(APP), "delays": [0.0, 100.0], "rates": RateModel(),
                 "time": 1.0, "seed": 1, "v0": 0.79, **args}
         with pytest.raises(StateError, match=re.escape(message)):
