@@ -24,9 +24,11 @@ shows as added or removed. The corpus is fixed here, seeds included:
   re-listed and permuted layouts; and on the default layout, fixed angles 0,
   22.5, 45, 67.5, 90, 135, 5e-324 and the float below 180, under an ideal
   PBS and a PBS error, with a pure and a mixed channel;
-- delay_scan: seeded count tables at seeds 0-59 on random scans, and at
-  seeds 0, 2**32, 2**64+5, 2**96, 10**30 and 10**5000 on diagonal scans of
-  1, 2 and 100 points;
+- delay_scan: seeded count tables at seeds 0-59 on random scans, at seeds 0,
+  2**32, 2**64+5, 2**96, 10**30 and 10**5000 on diagonal scans of 1, 2 and
+  100 points, and at seeds 0-9 on symmetric diagonal scans of 25 points at
+  v0 = 1.0 (the pure point tau = 0 mid-scan), under an ideal PBS and a PBS
+  error;
 - chain: dephase -> phi+ via 45-degree coincidences -> CHSH, and on random
   dense rho the coincidences at the pair ("1", "3'");
 - bell_decompose: the source states and random four-photon states;
@@ -179,6 +181,17 @@ def _delay_scan_family(fp, np):
         yield f"fixed seed {name}: diagonal, points={n}", partial(_outcome, lambda: [
             (tau, sorted(t.counts.items()))
             for tau, t in fp.delay_scan(app, setting, delays, fp.RateModel(), 6000.0, seed)
+        ])
+    # tau = 0 at v0 = 1 is pure amid dephased points: a scan of two row stacks
+    delays = [float(x) for x in np.linspace(-1500, 1500, 25)]
+    for pbs_error, seed in itertools.product((0.0, 0.01), range(10)):
+        app = fp.default_apparatus(pbs_error)
+        setting = fp.diagonal_setting(app)
+        label = f"pure mid-scan seed {seed}: diagonal, points=25, v0=1.0, pbs_error={pbs_error}"
+        yield label, partial(_outcome, lambda: [
+            (tau, sorted(t.counts.items()))
+            for tau, t in fp.delay_scan(app, setting, delays, fp.RateModel(), 6000.0, seed,
+                                        v0=1.0)
         ])
 
 
