@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from numbers import Integral
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,16 +290,58 @@ def _outcome_rows(
     return keys, rows
 
 
+class _ExactModel(NamedTuple):
+    """The delay-free part of `exact_outcome_probabilities`, as `_exact_model` compiles
+    it: the (weight, psi, dephasing partner or None) of each surviving routing pattern,
+    their total mass, and the checked angles and compiled entries that key `_outcome_rows`.
+
+    A call `model(d, v0)` returns the (outcome, probability) pairs at distinguishability
+    d and zero-delay visibility v0, checked, which a draw reads in turn. They only
+    weigh the rows |K v|^2 of the post-selected vectors and their dephasing partners,
+    one `_outcome_rows` lookup per call; `stacked` does a scan's points at once.
+    """
+
+    parts: list[tuple[float, np.ndarray, np.ndarray | None]]
+    total_mass: float
+    angle_key: tuple[float | None, ...]
+    entry_key: tuple[_Entry, ...]
+
+    def weigh(self, d: float, v0: float) -> tuple[bool, list[float]]:
+        """Whether the channel at (d, v0) is pure, which selects the rows, and the
+        weight of each row, checked."""
+        weights = [w * w_branch for w, psi, phi in self.parts
+                   for w_branch, _ in dephasing_components(psi, phi, d, v0)]
+        return d * v0 >= 1.0, weights
+
+    def __call__(self, d: float, v0: float) -> Iterator[tuple[str, float]]:
+        pure, weights = self.weigh(d, v0)
+        keys, rows = _outcome_rows(self.angle_key, self.entry_key, pure)
+        probs = np.asarray(weights) @ rows
+        return zip(keys, (probs / self.total_mass).tolist())
+
+    def stacked(
+        self, weighed: list[tuple[bool, list[float]]]
+    ) -> list[Iterator[tuple[str, float]]]:
+        """The pairs of each point that `weigh` returned, in order and bit for bit as
+        a call gives them, from one stacked product per kind of channel: numpy's
+        (n, 1, k) @ (k, 16) runs on each point the gemv of the 1-D product, where
+        a 2-D (n, k) @ (k, 16) gemm rounds otherwise."""
+        groups: dict[bool, list[int]] = {}
+        for i, (pure, _) in enumerate(weighed):
+            groups.setdefault(pure, []).append(i)
+        out = [None] * len(weighed)
+        for pure, points in groups.items():
+            keys, rows = _outcome_rows(self.angle_key, self.entry_key, pure)
+            probs = np.array([weighed[i][1] for i in points])[:, None] @ rows / self.total_mass
+            for i, (row,) in zip(points, probs.tolist()):
+                out[i] = zip(keys, row)
+        return out
+
+
 def _exact_model(
     apparatus: Apparatus, setting: MeasurementSetting, pbs_error: float | None
-) -> Callable[[float, float], Iterator[tuple[str, float]]]:
-    """The delay-free part of `exact_outcome_probabilities`, done once.
-
-    Returns `evaluate(d, v0)`: the (outcome, probability) pairs at distinguishability
-    d and zero-delay visibility v0, checked, which a draw reads in turn. They only
-    weigh the rows |K v|^2 of the post-selected vectors and their dephasing
-    partners, one `_outcome_rows` lookup per call.
-    """
+) -> _ExactModel:
+    """The delay-free part of `exact_outcome_probabilities`, checked and done once."""
     _check_apparatus(apparatus)
     check_type(setting, MeasurementSetting, "setting {} is not a MeasurementSetting")
     angles = setting.angles
@@ -312,7 +355,6 @@ def _exact_model(
 
     # wrong-port patterns by PBS input; an ideal PBS has only frozenset()
     inputs = apparatus.pbs.input_modes if err > 0.0 else ()
-    # (weight, psi, dephasing partner or None) and the compiled entry per surviving pattern
     parts: list[tuple[float, np.ndarray, np.ndarray | None]] = []
     entries: list[_Entry] = []
     total_mass = 0.0
@@ -334,16 +376,7 @@ def _exact_model(
         None if (ang := angles.get(det)) is None else check_angle(ang)
         for det in apparatus.detector_ids()
     ])
-    entry_key = tuple(entries)
-
-    def evaluate(d: float, v0: float) -> Iterator[tuple[str, float]]:
-        weights = [w * w_branch for w, psi, phi in parts
-                   for w_branch, _ in dephasing_components(psi, phi, d, v0)]
-        keys, rows = _outcome_rows(angle_key, entry_key, d * v0 >= 1.0)
-        probs = np.asarray(weights) @ rows
-        return zip(keys, (probs / total_mass).tolist())
-
-    return evaluate
+    return _ExactModel(parts, total_mass, angle_key, tuple(entries))
 
 
 def exact_outcome_probabilities(
@@ -411,8 +444,9 @@ def _draw(
     counts = {}
     for key, p in pairs:
         # `as_number` returns a real number itself and anything else as NaN,
-        # whose count numpy rejects, as it does a negative or too large one
-        x = as_number(p)
+        # whose count numpy rejects, as it does a negative or too large one;
+        # its first test, for a float, inline
+        x = p if type(p) is float else as_number(p)
         lam = (x * rate + floor) * integration_time
         try:
             counts[key] = poisson(lam)  # a Python int, as lam is a scalar
@@ -568,24 +602,36 @@ def delay_scan(
     The same tables as `monte_carlo_counts` at `derive_point_seed(seed, i)`, from
     one exact model compiled for the whole scan, with every point's stream seeded
     in one pass at the first point. Each delay is checked as a `DelayElement` is.
+    The points before the first bad delay take their probabilities from one
+    stacked product per kind of channel (pure or dephased), bit for bit each
+    point's own, and are drawn before that delay's error is raised.
     """
     delays = read_sequence(delays_fs, "delays {} are not an iterable of delays in fs")
-    out = []
-    evaluate = None
-    # zip takes each delay before its stream, so an empty scan checks no seed
-    for tau, rng in zip(delays, _point_streams(seed, len(delays))):
-        check_delay(tau)
-        if not out:  # once, right after the first delay: the order of a DelayElement's checks
-            tau_c = check_coherence_time(coherence_time_fs)
-        d = overlap(tau, tau_c)
-        if evaluate is None:  # at the first point, so that an empty scan does no work
-            _check_integration_time(time_per_point)
-            _check_apparatus(apparatus)
-            evaluate = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
-        pairs = evaluate(d, v0)
-        if not out:  # once, where the first point's draw_counts checked them
-            check_type(rates, RateModel, "rates {} is not a RateModel")
-        out.append((tau, _draw(pairs, rates, time_per_point, rng)))
+    if not delays:  # no seed checked and no work done
+        return []
+    streams = _point_streams(seed, len(delays))
+    first = next(streams)  # checks the seed and seeds every point
+    # point 0's checks in a per-point loop's order: its delay, then the coherence
+    # time as a DelayElement's, the time, the model, v0 (its weighing) and the rates
+    check_delay(delays[0])
+    tau_c = check_coherence_time(coherence_time_fs)
+    _check_integration_time(time_per_point)
+    _check_apparatus(apparatus)
+    model = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
+    weighed = [model.weigh(overlap(delays[0], tau_c), v0)]
+    check_type(rates, RateModel, "rates {} is not a RateModel")
+    bad = None  # the first bad later delay's error
+    for tau in delays[1:]:
+        try:
+            check_delay(tau)
+        except StateError as exc:
+            bad = exc
+            break
+        weighed.append(model.weigh(overlap(tau, tau_c), v0))
+    out = [(tau, _draw(pairs, rates, time_per_point, rng)) for tau, pairs, rng in
+           zip(delays, model.stacked(weighed), itertools.chain([first], streams))]
+    if bad is not None:  # after the points before it, as a per-point loop raises it
+        raise bad
     return out
 
 

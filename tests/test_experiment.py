@@ -926,6 +926,39 @@ class TestDelayScan:
                     APP, setting, delay=DelayElement(tau), v0=v0, pbs_error=pbs_error
                 ) == want
 
+    @pytest.mark.parametrize("n", [1, 2, 25, 100])
+    @pytest.mark.parametrize("pbs_error, pure, k", [
+        (None, True, 1), (None, False, 2), (0.01, True, 4), (0.01, False, 8),
+    ], ids=["k=1", "k=2", "k=4", "k=8"])
+    def test_stacked_product_matches_each_rows_product(self, pbs_error, pure, k, n):
+        # what a scan's stacked product rests on: numpy's (n, 1, k) @ (k, 16)
+        # runs the gemv of each 1-D (k,) @ (k, 16), bit for bit; an (n, k) @ (k, 16)
+        # gemm rounds otherwise
+        rng = np.random.default_rng(38)
+        for _ in range(5):
+            setting, _ = _random_call(rng, pbs_error=False)
+            model = experiment._exact_model(APP, setting, pbs_error)
+            _, rows = experiment._outcome_rows(model.angle_key, model.entry_key, pure)
+            assert rows.shape == (k, 16)
+            ws = [rng.random(k).tolist() for _ in range(n)]
+            stacked = np.array(ws)[:, None] @ rows
+            assert [row.tobytes() for (row,) in stacked] == [
+                (np.asarray(w) @ rows).tobytes() for w in ws]
+
+    @pytest.mark.parametrize("pbs_error", [None, 0.01])
+    @pytest.mark.parametrize("n", [1, 2, 25, 100])
+    def test_stacked_model_matches_each_call(self, pbs_error, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            setting, _ = _random_call(rng, pbs_error=False)
+            model = experiment._exact_model(APP, setting, pbs_error)
+            # about one point in four pure (d*v0 = 1), amid dephased ones
+            ds = [1.0 if rng.random() < 0.25 else float(rng.uniform(0, 1)) for _ in range(n)]
+            v0 = 1.0 if rng.random() < 0.8 else 0.79
+            want = [[(key, p.hex()) for key, p in model(d, v0)] for d in ds]
+            got = model.stacked([model.weigh(d, v0) for d in ds])
+            assert [[(key, p.hex()) for key, p in pairs] for pairs in got] == want
+
     @pytest.mark.parametrize("delays", [None, 5, 1.5, np.array(0.0), object()],
                              ids=["None", "5", "1.5", "0-d array", "object()"])
     def test_delays_that_are_not_iterable_rejected(self, delays):
