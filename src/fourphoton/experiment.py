@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from numbers import Integral
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -290,58 +289,13 @@ def _outcome_rows(
     return keys, rows
 
 
-class _ExactModel(NamedTuple):
-    """The delay-free part of `exact_outcome_probabilities`, as `_exact_model` compiles
-    it: the (weight, psi, dephasing partner or None) of each surviving routing pattern,
-    their total mass, and the checked angles and compiled entries that key `_outcome_rows`.
-
-    A call `model(d, v0)` returns the (outcome, probability) pairs at distinguishability
-    d and zero-delay visibility v0, checked, which a draw reads in turn. They only
-    weigh the rows |K v|^2 of the post-selected vectors and their dephasing partners,
-    one `_outcome_rows` lookup per call; `stacked` does a scan's points at once.
-    """
-
-    parts: list[tuple[float, np.ndarray, np.ndarray | None]]
-    total_mass: float
-    angle_key: tuple[float | None, ...]
-    entry_key: tuple[_Entry, ...]
-
-    def weigh(self, d: float, v0: float) -> tuple[bool, list[float]]:
-        """Whether the channel at (d, v0) is pure, which selects the rows, and the
-        weight of each row, checked."""
-        weights = [w * w_branch for w, psi, phi in self.parts
-                   for w_branch, _ in dephasing_components(psi, phi, d, v0)]
-        return d * v0 >= 1.0, weights
-
-    def __call__(self, d: float, v0: float) -> Iterator[tuple[str, float]]:
-        pure, weights = self.weigh(d, v0)
-        keys, rows = _outcome_rows(self.angle_key, self.entry_key, pure)
-        probs = np.asarray(weights) @ rows
-        return zip(keys, (probs / self.total_mass).tolist())
-
-    def stacked(
-        self, weighed: list[tuple[bool, list[float]]]
-    ) -> list[Iterator[tuple[str, float]]]:
-        """The pairs of each point that `weigh` returned, in order and bit for bit as
-        a call gives them, from one stacked product per kind of channel: numpy's
-        (n, 1, k) @ (k, 16) runs on each point the gemv of the 1-D product, where
-        a 2-D (n, k) @ (k, 16) gemm rounds otherwise."""
-        groups: dict[bool, list[int]] = {}
-        for i, (pure, _) in enumerate(weighed):
-            groups.setdefault(pure, []).append(i)
-        out = [None] * len(weighed)
-        for pure, points in groups.items():
-            keys, rows = _outcome_rows(self.angle_key, self.entry_key, pure)
-            probs = np.array([weighed[i][1] for i in points])[:, None] @ rows / self.total_mass
-            for i, (row,) in zip(points, probs.tolist()):
-                out[i] = zip(keys, row)
-        return out
-
-
 def _exact_model(
     apparatus: Apparatus, setting: MeasurementSetting, pbs_error: float | None
-) -> _ExactModel:
-    """The delay-free part of `exact_outcome_probabilities`, checked and done once."""
+) -> tuple:
+    """The delay-free part of `exact_outcome_probabilities`, checked and done once:
+    the (weight, psi, dephasing partner or None) of each surviving routing pattern,
+    their total mass, and the checked angles and compiled entries that key
+    `_outcome_rows`. `_evaluate`, and `_weigh` with `_evaluate_stacked`, read it."""
     _check_apparatus(apparatus)
     check_type(setting, MeasurementSetting, "setting {} is not a MeasurementSetting")
     angles = setting.angles
@@ -376,7 +330,46 @@ def _exact_model(
         None if (ang := angles.get(det)) is None else check_angle(ang)
         for det in apparatus.detector_ids()
     ])
-    return _ExactModel(parts, total_mass, angle_key, tuple(entries))
+    return parts, total_mass, angle_key, tuple(entries)
+
+
+def _weigh(model: tuple, d: float, v0: float) -> tuple[bool, list[float]]:
+    """Whether the channel at distinguishability d and zero-delay visibility v0 is
+    pure, which selects the rows, and the weight of each row of `model`, checked."""
+    weights = [w * w_branch for w, psi, phi in model[0]
+               for w_branch, _ in dephasing_components(psi, phi, d, v0)]
+    return d * v0 >= 1.0, weights
+
+
+def _evaluate(model: tuple, d: float, v0: float) -> Iterator[tuple[str, float]]:
+    """The (outcome, probability) pairs of `model` at d and v0, checked, which a draw
+    reads in turn. They only weigh the rows |K v|^2 of the post-selected vectors and
+    their dephasing partners, one `_outcome_rows` lookup per call."""
+    _, total_mass, angle_key, entry_key = model
+    pure, weights = _weigh(model, d, v0)
+    keys, rows = _outcome_rows(angle_key, entry_key, pure)
+    probs = np.asarray(weights) @ rows
+    return zip(keys, (probs / total_mass).tolist())
+
+
+def _evaluate_stacked(
+    model: tuple, weighed: list[tuple[bool, list[float]]]
+) -> list[Iterator[tuple[str, float]]]:
+    """`_evaluate`'s pairs of each point that `_weigh` returned, in order and bit for bit,
+    from one stacked product per kind of channel: numpy's (n, 1, k) @ (k, 16) runs on
+    each point the gemv of the 1-D product, where a 2-D (n, k) @ (k, 16) gemm rounds
+    otherwise."""
+    _, total_mass, angle_key, entry_key = model
+    groups: dict[bool, list[int]] = {}
+    for i, (pure, _) in enumerate(weighed):
+        groups.setdefault(pure, []).append(i)
+    out = [None] * len(weighed)
+    for pure, points in groups.items():
+        keys, rows = _outcome_rows(angle_key, entry_key, pure)
+        probs = np.array([weighed[i][1] for i in points])[:, None] @ rows / total_mass
+        for i, (row,) in zip(points, probs.tolist()):
+            out[i] = zip(keys, row)
+    return out
 
 
 def exact_outcome_probabilities(
@@ -400,7 +393,7 @@ def exact_outcome_probabilities(
     analyzer product.
     """
     d = 1.0 if delay is None else distinguishability(delay)
-    return dict(_exact_model(apparatus, setting, pbs_error)(d, v0))
+    return dict(_evaluate(_exact_model(apparatus, setting, pbs_error), d, v0))
 
 
 def _check_integration_time(integration_time: float) -> None:
@@ -473,7 +466,7 @@ def monte_carlo_counts(
     _check_integration_time(integration_time)
     _check_apparatus(apparatus)
     d = 1.0 if delay is None else distinguishability(delay)
-    pairs = _exact_model(apparatus, setting, apparatus.pbs.error_rate)(d, v0)
+    pairs = _evaluate(_exact_model(apparatus, setting, apparatus.pbs.error_rate), d, v0)
     _check_seed(seed)
     check_type(rates, RateModel, "rates {} is not a RateModel")
     return _draw(pairs, rates, integration_time, np.random.default_rng(seed))
@@ -618,7 +611,7 @@ def delay_scan(
     _check_integration_time(time_per_point)
     _check_apparatus(apparatus)
     model = _exact_model(apparatus, setting, apparatus.pbs.error_rate)
-    weighed = [model.weigh(overlap(delays[0], tau_c), v0)]
+    weighed = [_weigh(model, overlap(delays[0], tau_c), v0)]
     check_type(rates, RateModel, "rates {} is not a RateModel")
     bad = None  # the first bad later delay's error
     for tau in delays[1:]:
@@ -627,9 +620,9 @@ def delay_scan(
         except StateError as exc:
             bad = exc
             break
-        weighed.append(model.weigh(overlap(tau, tau_c), v0))
+        weighed.append(_weigh(model, overlap(tau, tau_c), v0))
     out = [(tau, _draw(pairs, rates, time_per_point, rng)) for tau, pairs, rng in
-           zip(delays, model.stacked(weighed), itertools.chain([first], streams))]
+           zip(delays, _evaluate_stacked(model, weighed), itertools.chain([first], streams))]
     if bad is not None:  # after the points before it, as a per-point loop raises it
         raise bad
     return out

@@ -508,19 +508,20 @@ class TestScenarios:
     def exact_calls(self, monkeypatch):
         """The PBS error and v0 of each exact-model evaluation of the CLI, made by
         its runners through `exact_outcome_probabilities` or `monte_carlo_counts`."""
-        seen = []
-        model = experiment._exact_model
+        seen, errors = [], {}
+        compile_model, evaluate = experiment._exact_model, experiment._evaluate
 
-        def wrapped(apparatus, setting, pbs_error):
-            evaluate = model(apparatus, setting, pbs_error)
+        def compiled(apparatus, setting, pbs_error):
+            model = compile_model(apparatus, setting, pbs_error)
+            errors[id(model)] = pbs_error
+            return model
 
-            def counted(d, v0):
-                seen.append({"pbs_error": pbs_error, "v0": v0})
-                return evaluate(d, v0)
+        def counted(model, d, v0):
+            seen.append({"pbs_error": errors[id(model)], "v0": v0})
+            return evaluate(model, d, v0)
 
-            return counted
-
-        monkeypatch.setattr(experiment, "_exact_model", wrapped)
+        monkeypatch.setattr(experiment, "_exact_model", compiled)
+        monkeypatch.setattr(experiment, "_evaluate", counted)
         return seen
 
     @pytest.mark.parametrize("error_rate, calls", [(0.0, 1), (0.01, 1)])

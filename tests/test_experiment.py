@@ -726,7 +726,8 @@ class TestMonteCarlo:
                 fourfold_rate_desired=float(rng.uniform(0.1, 10.0)),
                 background_fourfold_rate=float(rng.uniform(1e-4, 1e-2)),
             )
-            probs = dict(experiment._exact_model(default_apparatus(err), setting, err)(d, v0))
+            probs = dict(experiment._evaluate(
+                experiment._exact_model(default_apparatus(err), setting, err), d, v0))
             cell_rates = (np.array(list(probs.values())) * rates.fourfold_rate_desired
                           + rates.background_fourfold_rate)
             time = max(20.0 / cell_rates.min(), 1e5 / cell_rates.sum())
@@ -916,12 +917,12 @@ class TestDelayScan:
         rng = np.random.default_rng(12)
         for _ in range(10):
             setting, _ = _random_call(rng, pbs_error=False)
-            evaluate = experiment._exact_model(APP, setting, pbs_error)
+            model = experiment._exact_model(APP, setting, pbs_error)
             # pure and dephased points in both orders, each row stack built once
             for tau, v0 in [(0.0, 1.0), (250.0, 0.79), (0.0, 1.0), (-1e4, 1.0), (0.0, 0.3)]:
                 d = distinguishability(DelayElement(tau))
                 want = ref_exact_probabilities(setting, d, v0, pbs_error)
-                assert dict(evaluate(d, v0)) == want
+                assert dict(experiment._evaluate(model, d, v0)) == want
                 assert exact_outcome_probabilities(
                     APP, setting, delay=DelayElement(tau), v0=v0, pbs_error=pbs_error
                 ) == want
@@ -937,8 +938,8 @@ class TestDelayScan:
         rng = np.random.default_rng(38)
         for _ in range(5):
             setting, _ = _random_call(rng, pbs_error=False)
-            model = experiment._exact_model(APP, setting, pbs_error)
-            _, rows = experiment._outcome_rows(model.angle_key, model.entry_key, pure)
+            _, _, angle_key, entry_key = experiment._exact_model(APP, setting, pbs_error)
+            _, rows = experiment._outcome_rows(angle_key, entry_key, pure)
             assert rows.shape == (k, 16)
             ws = [rng.random(k).tolist() for _ in range(n)]
             stacked = np.array(ws)[:, None] @ rows
@@ -955,8 +956,10 @@ class TestDelayScan:
             # about one point in four pure (d*v0 = 1), amid dephased ones
             ds = [1.0 if rng.random() < 0.25 else float(rng.uniform(0, 1)) for _ in range(n)]
             v0 = 1.0 if rng.random() < 0.8 else 0.79
-            want = [[(key, p.hex()) for key, p in model(d, v0)] for d in ds]
-            got = model.stacked([model.weigh(d, v0) for d in ds])
+            want = [[(key, p.hex()) for key, p in experiment._evaluate(model, d, v0)]
+                    for d in ds]
+            got = experiment._evaluate_stacked(model, [experiment._weigh(model, d, v0)
+                                                       for d in ds])
             assert [[(key, p.hex()) for key, p in pairs] for pairs in got] == want
 
     @pytest.mark.parametrize("delays", [None, 5, 1.5, np.array(0.0), object()],
